@@ -19,9 +19,7 @@ PR 2 routed the rest of the algorithm stack onto the kernels:
 * **CLPR09 baseline** — one snapshot + per-fault-set masked weight
   vectors vs a ``without_vertices`` dict copy per fault set;
 * **padded decomposition** (Lemma 3.7) — batched unit-weight limited
-  SSSP balls vs per-center dict BFS;
-* **LP (3) row assembly** — CSR-driven midpoint enumeration and bulk
-  constraint records vs per-edge dict walks.
+  SSSP balls vs per-center dict BFS.
 
 PR 5 rewired the LOCAL-model simulator:
 
@@ -76,7 +74,6 @@ from repro.spanners import (
     greedy_spanner,
     thorup_zwick_spanner,
 )
-from repro.two_spanner.lp_new import _build_ft2_lp_reference, build_ft2_lp
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_perf_kernels.json")
@@ -498,20 +495,6 @@ def bench_distributed_ft(n: int = 200, p: float = 0.6, r: int = 2,
     )
 
 
-def bench_lp_assembly(n: int = 60, p: float = 0.3, r: int = 1) -> dict:
-    from repro.graph import gnp_random_digraph
-
-    g = gnp_random_digraph(n, p, seed=2)
-    fast = lambda: build_ft2_lp(g, r)  # noqa: E731
-    slow = lambda: _build_ft2_lp_reference(g, r)  # noqa: E731
-    a, b = fast(), slow()
-    assert a.lp.variable_names() == b.lp.variable_names()
-    assert [(c.coeffs, c.sense, c.rhs) for c in a.lp.constraints] == [
-        (c.coeffs, c.sense, c.rhs) for c in b.lp.constraints
-    ]
-    return _pair_row("ft2_lp_row_assembly", g, fast, slow, {"p": p, "r": r})
-
-
 def run_benchmarks() -> list:
     from repro.compiled import compiled_available, compiled_unavailable_reason
 
@@ -525,7 +508,6 @@ def run_benchmarks() -> list:
         bench_distance_oracle(),
         bench_clpr(),
         bench_decomposition(),
-        bench_lp_assembly(),
         bench_engine_rounds(),
         bench_edge_conversion(),
         bench_distributed_ft(),
@@ -584,8 +566,7 @@ def _assert_headline(rows) -> None:
     assert by_name["theorem21_edge_loop"]["speedup"] >= 3.0
     assert by_name["distributed_ft_loop"]["speedup"] >= 3.0
     # The remaining rewired paths must at least never lose to dict.
-    for name in ("tz_distance_oracle", "clpr_baseline", "padded_decomposition",
-                 "ft2_lp_row_assembly"):
+    for name in ("tz_distance_oracle", "clpr_baseline", "padded_decomposition"):
         assert by_name[name]["speedup"] >= 1.0
     # PR 10: the compiled tier, when the backend loaded. The greedy
     # Dijkstra must beat dict by 3x at n = 400 (the acceptance

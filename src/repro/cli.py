@@ -240,9 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scheduler", default=None, metavar="DIR",
         help="fault-tolerant work-queue directory (any shared filesystem): "
              "initialize it from the plan (idempotent) and drive it with "
-             "--workers local worker processes; more workers can join from "
-             "other machines via `repro sweep-worker DIR`. --workers 0 "
-             "initializes without running",
+             "--workers local shard processes at a time; more workers can "
+             "join from other machines via `repro sweep-worker DIR`. "
+             "--workers 0 initializes without running",
     )
     sweep.add_argument(
         "--status", default=None, metavar="DIR",
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--shard-timeout", type=float, default=None, metavar="S",
         help="kill any shard running longer than this many wall-clock "
-             "seconds and retry it once (also REPRO_SWEEP_SHARD_TIMEOUT_S)",
+             "seconds and retry it in a fresh process",
     )
 
     sweep_worker = sub.add_parser(

@@ -226,30 +226,16 @@ def is_edge_fault_tolerant_spanner(
     k: float,
     r: int,
     scenarios: Optional[Iterable] = None,
-    *,
-    fault_sets_to_check: Optional[Iterable[Iterable[EdgeKey]]] = None,
 ) -> bool:
     """Exhaustive r-edge-fault-tolerance verification.
 
     Enumerates every edge subset of size <= r unless ``scenarios`` gives
     explicit sets (:class:`repro.graph.scenario.FaultScenario` values of
     kind ``"none"``/``"edge"``, or raw edge-tuple iterables); callers
-    must keep ``C(m, r)`` small. ``fault_sets_to_check`` is the
-    deprecated name for the same parameter and warns once per call site.
+    must keep ``C(m, r)`` small.
     """
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")
-    if fault_sets_to_check is not None:
-        import warnings
-
-        warnings.warn(
-            "fault_sets_to_check is deprecated; pass scenarios= "
-            "(FaultScenario values or raw edge iterables)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if scenarios is None:
-            scenarios = fault_sets_to_check
     if scenarios is None:
         edges = [(u, v) for u, v, _w in graph.edges()]
         to_check: Iterable = edge_fault_sets(edges, r)

@@ -82,8 +82,6 @@ def is_fault_tolerant_spanner(
     k: float,
     r: int,
     scenarios: Optional[Iterable] = None,
-    *,
-    fault_sets_to_check: Optional[Iterable[Iterable[Vertex]]] = None,
 ) -> bool:
     """Exhaustively verify that ``spanner`` is an r-fault-tolerant k-spanner.
 
@@ -92,22 +90,10 @@ def is_fault_tolerant_spanner(
     ``"none"``/``"vertex"``) or raw vertex iterables — only those fault
     sets are verified (used by the Monte Carlo wrapper and by targeted
     tests); otherwise all ``sum_{i<=r} C(n, i)`` fault sets are
-    enumerated. ``fault_sets_to_check`` is the deprecated name for the
-    same parameter and warns once per call site.
+    enumerated.
     """
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")
-    if fault_sets_to_check is not None:
-        import warnings
-
-        warnings.warn(
-            "fault_sets_to_check is deprecated; pass scenarios= "
-            "(FaultScenario values or raw vertex iterables)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if scenarios is None:
-            scenarios = fault_sets_to_check
     if scenarios is None:
         to_check: Iterable = fault_sets(list(graph.vertices()), r)
     else:

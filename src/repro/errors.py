@@ -127,11 +127,10 @@ class UnknownHostGenerator(RegistryError):
 class SweepError(ReproError):
     """A sharded sweep failed in a way naming the shard and the cause.
 
-    Raised by :func:`repro.sweep.run_sweep` when a shard fails twice
-    (once in its worker process, once on the retry) or when a persisted
-    shard envelope is unreadable — instead of surfacing a bare
-    ``BrokenProcessPool`` or ``JSONDecodeError`` that says nothing about
-    which shard, spec, or file is at fault.
+    Raised (as :class:`ShardQuarantined`) when a shard exhausts its
+    attempts, or when a persisted shard envelope is unreadable — instead
+    of surfacing a bare exit code or ``JSONDecodeError`` that says
+    nothing about which shard, spec, or file is at fault.
     """
 
 

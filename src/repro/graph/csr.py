@@ -929,7 +929,7 @@ class SciPyGraphKernels:
     vertices.
     """
 
-    __slots__ = ("csr", "base_data", "_indices32", "_indptr32", "_h_src", "_twin", "_in_pos_ptr", "_in_pos")
+    __slots__ = ("csr", "base_data", "_indices32", "_indptr32", "_h_src")
 
     def __init__(self, csr: CSRGraph):
         self.csr = csr
@@ -939,9 +939,6 @@ class SciPyGraphKernels:
         self._indptr32 = indptr.astype(_np.int32)
         self.base_data = wt
         self._h_src = None
-        self._twin = None
-        self._in_pos_ptr = None
-        self._in_pos = None
 
     def matrix(self, data=None):
         """A csgraph matrix sharing the snapshot's structure.
@@ -977,50 +974,6 @@ class SciPyGraphKernels:
                 _np.arange(self.csr.num_vertices, dtype=_np.int32), deg
             )
         return self._h_src
-
-    def twin_halves(self):
-        """Position of each half-edge's reverse twin (undirected only).
-
-        ``twin[e]`` is the storage position of the opposite half of the
-        same undirected edge; killing or masking an edge becomes two
-        scatter writes into a half-level aliveness array instead of an
-        edge-id gather per phase.
-        """
-        if self._twin is None:
-            _indptr, _nbr, _wt, eid, _deg = self.csr.half_arrays_np()
-            order = _np.argsort(eid, kind="stable")
-            twin = _np.empty(len(order), dtype=_np.int64)
-            twin[order[0::2]] = order[1::2]
-            twin[order[1::2]] = order[0::2]
-            self._twin = twin
-        return self._twin
-
-    def _in_positions(self):
-        """Half-edge positions grouped by *target* vertex (lazy, cached)."""
-        if self._in_pos is None:
-            _indptr, nbr, _wt, _eid, _deg = self.csr.half_arrays_np()
-            self._in_pos = _np.argsort(nbr, kind="stable")
-            counts = _np.bincount(nbr, minlength=self.csr.num_vertices)
-            ptr = _np.zeros(self.csr.num_vertices + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=ptr[1:])
-            self._in_pos_ptr = ptr
-        return self._in_pos_ptr, self._in_pos
-
-    def incident_half_positions(self, vertex_indices: Sequence[int]):
-        """Positions of every half-edge with an endpoint in ``vertex_indices``.
-
-        Writing ``inf`` into a data vector at these positions removes the
-        vertices from the traversal — the survivor-mask operation of the
-        CLPR resampling loop.
-        """
-        indptr, _nbr, _wt, _eid, deg = self.csr.half_arrays_np()
-        faults = _np.asarray(list(vertex_indices), dtype=_np.int64)
-        if faults.size == 0:
-            return _np.empty(0, dtype=_np.int64)
-        out_pos = multi_arange(indptr[faults], deg[faults])
-        in_ptr, in_pos = self._in_positions()
-        rev_pos = multi_arange(in_ptr[faults], in_ptr[faults + 1] - in_ptr[faults])
-        return _np.concatenate([out_pos, in_pos[rev_pos]])
 
 
 class BFSBalls:

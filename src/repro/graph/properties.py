@@ -73,17 +73,6 @@ def girth(graph: Graph, limit: int = 64) ->float:
     return best
 
 
-def vertex_connectivity_lower_bound(graph: Graph, samples: int = 0) -> int:
-    """Cheap lower bound on vertex connectivity: the minimum degree.
-
-    Exact vertex connectivity is not needed anywhere in the reproduction;
-    experiments only use min-degree as a sanity guard when choosing ``r``
-    (an r-fault-tolerant spanner of a graph with min degree <= r must keep
-    every edge incident to a low-degree vertex's neighbourhood).
-    """
-    return min_degree(graph)
-
-
 def is_subgraph(sub: BaseGraph, graph: BaseGraph) -> bool:
     """True if every vertex and edge of ``sub`` appears in ``graph``.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..errors import InfeasibleLP, LPError, UnboundedLP
 
@@ -162,24 +162,6 @@ class LinearProgram:
         constraint = Constraint(coeffs=clean, sense=sense, rhs=float(rhs), name=name)
         self.constraints.append(constraint)
         return constraint
-
-    def extend_constraints(self, constraints: Sequence[Constraint]) -> None:
-        """Bulk-append prebuilt :class:`Constraint` objects.
-
-        The vectorized row-assembly twin of :meth:`add_constraint`:
-        coefficients must already be floats with zeros dropped and senses
-        valid — the builder that produced them is trusted for that — but
-        unknown variable names are still rejected, so a model can never
-        silently hold dangling references.
-        """
-        variables = self._variables
-        for con in constraints:
-            for var in con.coeffs:
-                if var not in variables:
-                    raise LPError(
-                        f"constraint references unknown variable {var!r}"
-                    )
-        self.constraints.extend(constraints)
 
     # ------------------------------------------------------------------
     # Solving

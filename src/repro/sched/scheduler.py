@@ -235,8 +235,13 @@ def record_attempt(
     reason: str,
     error: Optional[str] = None,
     stolen_lease: Optional[Mapping[str, Any]] = None,
+    timed_out: bool = False,
 ) -> str:
-    """Write one failed-attempt record (atomic; idempotent per attempt)."""
+    """Write one failed-attempt record (atomic; idempotent per attempt).
+
+    ``timed_out`` marks an attempt killed at the manifest's
+    ``shard_timeout_s``; the shard's retried envelope reports it.
+    """
     doc = {
         "format": ATTEMPT_FORMAT,
         "version": SCHED_VERSION,
@@ -245,6 +250,7 @@ def record_attempt(
         "worker": worker,
         "reason": reason,
         "error": error,
+        "timed_out": timed_out,
         "recorded_at": _now(),
     }
     if stolen_lease is not None:

@@ -1,44 +1,61 @@
-"""The scheduler worker: claim, execute, heartbeat, release — survivably.
+"""The scheduler worker loop: the library's one process supervisor.
 
-:func:`run_worker` is what both ``repro sweep --scheduler DIR`` (N local
-workers) and ``repro sweep-worker DIR`` (join from any machine sharing
-the directory) execute. Each claimed shard runs in a **child process**
-(spawn start method, like every sweep worker in this library) while the
-worker parent renews the lease heartbeat — so a shard that *hangs* is
-distinguishable from one that merely takes long: the parent keeps the
-lease fresh, and the manifest's ``shard_timeout_s`` (not the TTL) is what
-kills a runaway child. A worker that dies entirely — SIGKILL, OOM, power
-loss — stops heartbeating, its lease expires after ``lease_ttl_s``, and
-any surviving worker reclaims the shard: re-execution cost is bounded by
-the shard, never the sweep.
+:func:`_supervise` keeps up to N **shard children** (spawn start method)
+running at once, each under a lease claimed from the scheduler
+directory, and waits on their sentinels. Between wake-ups it renews the
+leases of the children still running — so a shard that *hangs* is
+distinguishable from one that merely takes long: the lease stays fresh,
+and the manifest's ``shard_timeout_s`` (not the TTL) is what kills a
+runaway child. When a child ends, the loop releases its lease, or
+records the failed attempt and quarantines the shard once it is out of
+attempts. A worker that dies entirely — SIGKILL, OOM, power loss — stops
+heartbeating, its leases expire after ``lease_ttl_s``, and any surviving
+worker reclaims the shards: re-execution cost is bounded by the shard,
+never the sweep. Its callers: :func:`run_worker` (one slot),
+:func:`run_scheduled_sweep` (N slots) and :func:`repro.sweep.run_sweep`
+with ``workers >= 2`` (N slots over a temporary scheduler directory).
 
 The shard child writes its envelope with the same atomic
 temp-file-then-rename discipline as every sweep envelope, *then* the
 parent releases the lease — so the crash window between the two leaves a
 done shard with a stale lease, which reclamation recognizes (envelope
 present ⇒ just clean up, no retry). Because ``run_shard`` is a pure
-function of the resolved plan, a retried shard produces a byte-identical
-envelope and the merged sweep is byte-identical to the fault-free run.
+function of the resolved plan, a retried shard produces byte-identical
+reports and the merged sweep is byte-identical to the fault-free run.
 
-Fault injection for tests and CI: set ``REPRO_SCHED_TEST_HOLD_S`` to
-make a worker sleep *between claiming a lease and starting the shard
-child* — SIGKILLing it inside that window is exactly the crash the
-reclamation path exists for, deterministically.
+Fault injection for tests and CI: ``REPRO_SCHED_TEST_HOLD_S`` makes a
+worker sleep *between claiming a lease and starting the shard child* —
+SIGKILLing it inside that window is exactly the crash the reclamation
+path exists for, deterministically. ``REPRO_SWEEP_TEST_CRASH_SHARDS`` /
+``REPRO_SWEEP_TEST_HANG_SHARDS`` (comma-separated shard indices) make a
+shard child's *first* attempt exit with code 23 or hang until the
+deadline kill.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import multiprocessing
 import os
 import sys
 import time
 import traceback
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import LeaseError
+from ..errors import InvalidSpec, LeaseError
 from ..spec import BuildReport
 from ..sweep import run_shard, save_shard_report
-from .lease import claim_lease, default_worker_id, lease_age_s, read_lease
+from .lease import (
+    Lease,
+    claim_lease,
+    default_worker_id,
+    lease_age_s,
+    lease_path,
+    read_lease,
+)
 from .manifest import Manifest, atomic_write_json
 from .scheduler import (
     attempts_dir,
@@ -60,14 +77,33 @@ from .scheduler import (
 #: start, opening a deterministic crash window for tests and CI.
 TEST_HOLD_ENV = "REPRO_SCHED_TEST_HOLD_S"
 
+#: Fault-injection knobs (tests/CI only): comma-separated shard indices
+#: whose *first* attempt crashes (exit 23) or hangs in the shard child.
+TEST_CRASH_ENV = "REPRO_SWEEP_TEST_CRASH_SHARDS"
+TEST_HANG_ENV = "REPRO_SWEEP_TEST_HANG_SHARDS"
+
+
+def _env_index_set(name: str) -> frozenset:
+    text = os.environ.get(name, "")
+    return frozenset(
+        int(part) for part in text.split(",") if part.strip() != ""
+    )
+
 
 def _shard_child(sched_dir: str, index: int, attempt: int, error_path: str) -> None:
     """Child-process entry: run one shard and persist its envelope.
 
+    A retried envelope carries its ``attempts`` number and whether an
+    earlier attempt was killed at the shard deadline (``timed_out``).
     Failures are captured into ``error_path`` (inside the scheduler's
     ``tmp/``, invisible to merges) so the parent can quote the real
     exception in the attempt record instead of a bare exit code.
     """
+    if attempt == 1:
+        if index in _env_index_set(TEST_CRASH_ENV):
+            os._exit(23)
+        if index in _env_index_set(TEST_HANG_ENV):
+            time.sleep(3600)  # parked until the deadline kill arrives
     try:
         manifest, plan = load_scheduler(sched_dir)
         shard = plan.shard(index, manifest.of)
@@ -75,6 +111,9 @@ def _shard_child(sched_dir: str, index: int, attempt: int, error_path: str) -> N
             shard, include_spanner=manifest.include_spanner
         )
         envelope["attempts"] = attempt
+        envelope["timed_out"] = any(
+            record.get("timed_out") for record in shard_attempts(sched_dir, index)
+        )
         save_shard_report(envelope, reports_dir(sched_dir))
     except BaseException as exc:
         atomic_write_json(
@@ -91,8 +130,6 @@ def _shard_child(sched_dir: str, index: int, attempt: int, error_path: str) -> N
 
 def _read_error(error_path: str) -> Optional[str]:
     try:
-        import json
-
         with open(error_path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         return doc.get("error")
@@ -110,8 +147,6 @@ def _shard_states(
 ) -> Dict[int, Dict[str, Any]]:
     """A light per-shard scan (no plan load) for the claim loop."""
     states: Dict[int, Dict[str, Any]] = {}
-    from .lease import lease_path
-
     for index in range(manifest.of):
         if os.path.exists(quarantine_path(sched_dir, index)):
             states[index] = {"state": "quarantined"}
@@ -171,50 +206,40 @@ def _pick_claimable(
     return None
 
 
-def _execute_claimed_shard(
+@dataclass
+class _Child:
+    """One running shard child and the lease it executes under."""
+
+    process: Any
+    lease: Lease
+    deadline: float  # time.monotonic() value; inf without a shard timeout
+    error_path: str
+
+
+def _kill(process: Any) -> None:
+    process.terminate()
+    process.join(2.0)
+    if process.is_alive():  # pragma: no cover - terminate sufficed
+        process.kill()
+        process.join()
+
+
+def _settle(
     sched_dir: str,
     manifest: Manifest,
-    lease,
+    child: _Child,
     worker: str,
+    timed_out: bool,
 ) -> bool:
-    """Run one claimed shard in a heartbeated child; True on success."""
+    """Release an ended child's lease, or record its failed attempt.
+
+    Returns True when the shard's envelope is in place.
+    """
+    lease = child.lease
     index = lease.index
-    error_path = os.path.join(
-        tmp_dir(sched_dir), f"shard-{index}.{os.getpid()}.error.json"
-    )
-    context = multiprocessing.get_context("spawn")
-    child = context.Process(
-        target=_shard_child,
-        args=(sched_dir, index, lease.attempt, error_path),
-    )
-    child.start()
-    heartbeat_every = max(0.05, manifest.lease_ttl_s / 3.0)
-    deadline = (
-        time.monotonic() + manifest.shard_timeout_s
-        if manifest.shard_timeout_s is not None
-        else None
-    )
-    timed_out = False
-    while True:
-        wait = heartbeat_every
-        if deadline is not None:
-            wait = min(wait, max(0.0, deadline - time.monotonic()))
-        child.join(wait)
-        if not child.is_alive():
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            timed_out = True
-            child.terminate()
-            child.join(2.0)
-            if child.is_alive():  # pragma: no cover - terminate sufficed
-                child.kill()
-                child.join()
-            break
-        lease.renew()
-    done = child.exitcode == 0 and os.path.exists(
-        envelope_path(sched_dir, index)
-    )
-    if done:
+    child.process.join()
+    exitcode = child.process.exitcode
+    if exitcode == 0 and os.path.exists(envelope_path(sched_dir, index)):
         try:
             lease.release()
         except LeaseError:
@@ -223,14 +248,14 @@ def _execute_claimed_shard(
             # with an envelope in view clean up rather than retry).
             pass
         return True
-    error = _read_error(error_path)
+    error = _read_error(child.error_path)
     if timed_out:
         reason = (
             f"shard timed out after {manifest.shard_timeout_s}s wall clock "
             "(child killed)"
         )
     else:
-        reason = f"shard child exited with code {child.exitcode}"
+        reason = f"shard child exited with code {exitcode}"
     tombstone = os.path.join(
         attempts_dir(sched_dir),
         f"shard-{index}.attempt-{lease.attempt}.json",
@@ -244,9 +269,110 @@ def _execute_claimed_shard(
     record_attempt(
         sched_dir, index, lease.attempt, worker=worker,
         reason=reason, error=error, stolen_lease=lease.to_dict(),
+        timed_out=timed_out,
     )
     quarantine_if_exhausted(sched_dir, manifest, index)
     return False
+
+
+def _supervise(
+    sched_dir: str,
+    manifest: Manifest,
+    worker: str,
+    slots: int,
+    max_shards: Optional[int] = None,
+    poll_interval_s: Optional[float] = None,
+) -> Dict[str, int]:
+    """Keep up to ``slots`` shard children running until the sweep ends.
+
+    Each pass reclaims expired leases and rescans the directory; with a
+    free slot it claims the next shard and spawns its child, otherwise it
+    waits for a child to end, a shard deadline, or the next heartbeat.
+    With nothing running and nothing claimable the loop idles on
+    ``poll_interval_s`` — it does *not* exit while other workers still
+    hold live claims, because one of them dying would otherwise strand
+    the sweep with nobody left to reclaim. It exits once every shard is
+    done or quarantined (or ``max_shards`` claims have ended) and returns
+    the claimed / completed / failed / reclaimed counts.
+    """
+    if poll_interval_s is None:
+        poll_interval_s = min(1.0, max(0.05, manifest.lease_ttl_s / 4.0))
+    heartbeat_every = max(0.05, manifest.lease_ttl_s / 3.0)
+    hold_s = float(os.environ.get(TEST_HOLD_ENV, "0") or "0")
+    context = multiprocessing.get_context("spawn")
+    counts = {"claimed": 0, "completed": 0, "failed": 0, "reclaimed": 0}
+    running: Dict[int, _Child] = {}  # keyed by process sentinel
+    renew_at = time.monotonic() + heartbeat_every
+    try:
+        while True:
+            counts["reclaimed"] += len(
+                reclaim_expired_leases(sched_dir, manifest, worker)
+            )
+            states = _shard_states(sched_dir, manifest)
+            capped = max_shards is not None and counts["claimed"] >= max_shards
+            if not running and (capped or all(
+                info["state"] in ("done", "quarantined")
+                for info in states.values()
+            )):
+                break
+            pick = None
+            if len(running) < slots and not capped:
+                pick = _pick_claimable(states, worker, time.time())
+            if pick is not None:
+                index, attempt = pick
+                lease = claim_lease(
+                    leases_dir(sched_dir), index, worker,
+                    ttl_s=manifest.lease_ttl_s, attempt=attempt,
+                )
+                if lease is None:
+                    continue  # lost the O_EXCL race; rescan
+                counts["claimed"] += 1
+                if hold_s > 0:
+                    time.sleep(hold_s)  # fault-injection crash window
+                error_path = os.path.join(
+                    tmp_dir(sched_dir),
+                    f"shard-{index}.{os.getpid()}.error.json",
+                )
+                process = context.Process(
+                    target=_shard_child,
+                    args=(sched_dir, index, attempt, error_path),
+                )
+                process.start()
+                deadline = time.monotonic() + (manifest.shard_timeout_s or math.inf)
+                running[process.sentinel] = _Child(
+                    process, lease, deadline, error_path
+                )
+                continue  # rescan: fill the next free slot
+            if not running:
+                # Everything is claimed elsewhere or backing off: wait for
+                # a heartbeat to lapse or a backoff window to close.
+                time.sleep(poll_interval_s)
+                continue
+            now = time.monotonic()
+            wake = min([renew_at] + [c.deadline for c in running.values()])
+            if len(running) < slots and not capped:
+                wake = min(wake, now + poll_interval_s)  # rescan for work
+            ended = set(wait(list(running), timeout=max(0.0, wake - now)))
+            now = time.monotonic()
+            for sentinel, child in list(running.items()):
+                timed_out = sentinel not in ended and now >= child.deadline
+                if sentinel in ended or timed_out:
+                    del running[sentinel]
+                    if timed_out:
+                        _kill(child.process)
+                    settled = _settle(sched_dir, manifest, child, worker, timed_out)
+                    counts["completed" if settled else "failed"] += 1
+            if now >= renew_at:
+                for child in running.values():
+                    child.lease.renew()
+                renew_at = now + heartbeat_every
+    finally:
+        # Only reached with children still running when this loop
+        # itself is failing (an interrupt, a lost directory): leave no
+        # orphans behind. Their leases expire and are reclaimed.
+        for child in running.values():
+            _kill(child.process)
+    return counts
 
 
 def run_worker(
@@ -257,69 +383,26 @@ def run_worker(
 ) -> Dict[str, Any]:
     """Work a scheduler directory until the sweep finishes (or a cap).
 
-    The loop: reclaim expired leases, claim the next available shard,
-    execute it in a heartbeated child, repeat. With nothing claimable the
-    worker idles on ``poll_interval_s`` — it does *not* exit while other
-    workers still hold live claims, because one of them dying would
-    otherwise strand the sweep with nobody left to reclaim. Returns a
-    summary: shards completed / failed here, leases reclaimed, and the
-    final directory state.
+    Runs the supervisor loop with one slot: reclaim expired leases, claim
+    the next available shard, execute it in a heartbeated child, repeat.
+    With nothing claimable the worker idles on ``poll_interval_s`` until
+    the sweep finishes. Returns a summary: shards completed / failed
+    here, leases reclaimed, and the final directory state.
     """
     manifest, _plan = load_scheduler(sched_dir)
     worker = worker_id if worker_id is not None else default_worker_id()
-    if poll_interval_s is None:
-        poll_interval_s = min(1.0, max(0.05, manifest.lease_ttl_s / 4.0))
-    hold_s = float(os.environ.get(TEST_HOLD_ENV, "0") or "0")
-    completed = 0
-    failed = 0
-    reclaimed = 0
-    claimed = 0
-    while True:
-        reclaimed += len(reclaim_expired_leases(sched_dir, manifest, worker))
-        states = _shard_states(sched_dir, manifest)
-        if all(
-            info["state"] in ("done", "quarantined")
-            for info in states.values()
-        ):
-            break
-        if max_shards is not None and claimed >= max_shards:
-            break
-        pick = _pick_claimable(states, worker, time.time())
-        if pick is None:
-            # Everything is claimed elsewhere or backing off: wait for
-            # a heartbeat to lapse or a backoff window to close.
-            time.sleep(poll_interval_s)
-            continue
-        index, attempt = pick
-        lease = claim_lease(
-            leases_dir(sched_dir), index, worker,
-            ttl_s=manifest.lease_ttl_s, attempt=attempt,
-        )
-        if lease is None:
-            continue  # lost the O_EXCL race; rescan
-        claimed += 1
-        if hold_s > 0:
-            time.sleep(hold_s)  # fault-injection crash window (tests/CI)
-        if _execute_claimed_shard(sched_dir, manifest, lease, worker):
-            completed += 1
-        else:
-            failed += 1
+    counts = _supervise(
+        sched_dir, manifest, worker, slots=1,
+        max_shards=max_shards, poll_interval_s=poll_interval_s,
+    )
     status = scheduler_status(sched_dir)
     return {
         "worker": worker,
-        "claimed": claimed,
-        "completed": completed,
-        "failed": failed,
-        "reclaimed": reclaimed,
+        **counts,
         "complete": status["complete"],
         "degraded": status["degraded"],
         "counts": status["counts"],
     }
-
-
-def _worker_entry(sched_dir: str, worker_id: str) -> None:
-    """Spawn target for :func:`run_scheduled_sweep`'s local workers."""
-    run_worker(sched_dir, worker_id=worker_id)
 
 
 def run_scheduled_sweep(
@@ -328,39 +411,20 @@ def run_scheduled_sweep(
 ) -> Tuple[Optional[List[BuildReport]], Dict[str, Any]]:
     """Drive an initialized scheduler directory to completion on one host.
 
-    Spawns ``workers`` local worker processes over the shared directory
-    (more can join from other machines via ``repro sweep-worker`` at any
-    time), waits for them, and runs one in-process recovery pass if they
-    all died before the sweep finished — so a single surviving driver
-    still completes or quarantines every shard. Returns
-    ``(reports, status)``: merged reports in plan order when the sweep is
-    complete, or ``None`` with the status document (quarantine ledger
-    included) when it finished degraded.
+    Runs the supervisor loop in this process with ``workers`` shard
+    children at a time (more workers can join from other machines via
+    ``repro sweep-worker`` at any time). Returns ``(reports, status)``:
+    merged reports in plan order when the sweep is complete, or ``None``
+    with the status document (quarantine ledger included) when it
+    finished degraded.
     """
     from ..analysis.experiments import merge_shard_reports
-    from ..errors import InvalidSpec
 
     if workers < 1:
         raise InvalidSpec(f"scheduled sweeps need workers >= 1, got {workers}")
-    load_scheduler(sched_dir)  # fail fast before spawning anything
-    base = default_worker_id()
-    context = multiprocessing.get_context("spawn")
-    procs = [
-        context.Process(
-            target=_worker_entry, args=(sched_dir, f"{base}-w{i}")
-        )
-        for i in range(workers)
-    ]
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join()
+    manifest, _plan = load_scheduler(sched_dir)
+    _supervise(sched_dir, manifest, default_worker_id(), slots=workers)
     status = scheduler_status(sched_dir)
-    if not status["finished"]:
-        # Every local worker died (or was capped) with shards still open:
-        # finish the job in-process rather than stranding the directory.
-        run_worker(sched_dir, worker_id=f"{base}-recovery")
-        status = scheduler_status(sched_dir)
     if status["degraded"] or not status["complete"]:
         return None, status
     reports = merge_shard_reports(scheduler_envelope_paths(sched_dir))

@@ -16,12 +16,12 @@ it without giving up a single byte of reproducibility:
   host-grouped partition: specs are ordered by host first-appearance and
   cut into ``of`` contiguous chunks, so each worker primes one CSR
   snapshot per host it owns;
-* :func:`run_sweep` — the :mod:`multiprocessing` driver: each shard runs
-  in its own spawned worker process under an optional per-shard
-  wall-clock timeout (``shard_timeout_s=`` or
-  ``REPRO_SWEEP_SHARD_TIMEOUT_S``; a hung worker is killed and the shard
-  retried, with ``attempts`` and ``timed_out`` recorded in the
-  envelope), persists one :class:`repro.spec.BuildReport` envelope file
+* :func:`run_sweep` — runs a whole plan: ``workers=1`` runs in
+  process; ``workers >= 2`` is a :mod:`repro.sched` run over a temporary
+  scheduler directory, so each shard runs in its own spawned child under
+  the scheduler's supervisor (optional per-shard wall-clock timeout, one
+  retry, ``attempts`` and ``timed_out`` recorded in the envelope). Every
+  shard yields one :class:`repro.spec.BuildReport` envelope
   (``shard-<i>.json``) with wall times kept *outside* the report list,
   and the merge layer
   (:func:`repro.analysis.experiments.merge_shard_reports`) recombines
@@ -41,10 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -554,15 +552,6 @@ def run_shard(plan: SweepPlan, include_spanner: bool = False) -> Dict[str, Any]:
     }
 
 
-def _run_shard_worker(doc: Dict[str, Any], include_spanner: bool) -> Dict[str, Any]:
-    """Worker entry point: rebuild the shard plan from its document.
-
-    Top-level (picklable) so it works under every multiprocessing start
-    method, including ``spawn``.
-    """
-    return run_shard(SweepPlan.from_dict(doc), include_spanner=include_spanner)
-
-
 def shard_report_path(reports_dir: str, index: int) -> str:
     """The canonical envelope path for shard ``index``."""
     return os.path.join(reports_dir, SHARD_FILE.format(index=index))
@@ -621,127 +610,6 @@ def load_shard_report(path: str) -> Dict[str, Any]:
     return data
 
 
-#: Env knob: default per-shard wall-clock timeout for :func:`run_sweep`.
-SHARD_TIMEOUT_ENV = "REPRO_SWEEP_SHARD_TIMEOUT_S"
-
-#: Fault-injection knobs (tests/CI only): comma-separated shard indices
-#: whose *first* attempt crashes (exit 23) or hangs in the child.
-TEST_CRASH_ENV = "REPRO_SWEEP_TEST_CRASH_SHARDS"
-TEST_HANG_ENV = "REPRO_SWEEP_TEST_HANG_SHARDS"
-
-
-def resolve_shard_timeout(shard_timeout_s: Optional[float]) -> Optional[float]:
-    """The effective per-shard timeout: explicit argument, else the env."""
-    if shard_timeout_s is not None:
-        if shard_timeout_s <= 0:
-            raise InvalidSpec(
-                f"shard_timeout_s must be positive, got {shard_timeout_s!r}"
-            )
-        return shard_timeout_s
-    text = os.environ.get(SHARD_TIMEOUT_ENV)
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise InvalidSpec(
-            f"{SHARD_TIMEOUT_ENV} must be a number of seconds, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise InvalidSpec(
-            f"{SHARD_TIMEOUT_ENV} must be positive, got {text!r}"
-        )
-    return value
-
-
-def _env_index_set(name: str) -> frozenset:
-    text = os.environ.get(name, "")
-    return frozenset(
-        int(part) for part in text.split(",") if part.strip() != ""
-    )
-
-
-def _spooled_shard_worker(
-    doc: Dict[str, Any], include_spanner: bool, spool_dir: str, attempt: int
-) -> None:
-    """Worker-process entry: run one shard, spool its envelope atomically.
-
-    The parent learns success by the envelope's existence plus a zero
-    exit code, so a worker killed at any instant (crash, timeout kill,
-    SIGKILL from outside) is indistinguishable from the merge layer's
-    point of view: either no envelope or a complete one. First attempts
-    honor the fault-injection env knobs so crash/hang recovery is
-    testable end to end with *real* processes.
-    """
-    index = (doc.get("shard") or {}).get("index", 0)
-    if attempt == 1:
-        if index in _env_index_set(TEST_CRASH_ENV):
-            os._exit(23)
-        if index in _env_index_set(TEST_HANG_ENV):
-            time.sleep(3600)  # parked until the timeout kill arrives
-    envelope = run_shard(
-        SweepPlan.from_dict(doc), include_spanner=include_spanner
-    )
-    envelope["attempts"] = attempt
-    save_shard_report(envelope, spool_dir)
-
-
-def _join_with_timeouts(
-    procs: Dict[int, multiprocessing.Process],
-    deadlines: Dict[int, Optional[float]],
-) -> Dict[int, bool]:
-    """Wait for every process; kill any that outlives its deadline.
-
-    Returns ``{index: timed_out}``. Polling at 50 ms keeps the driver
-    simple (no SIGCHLD plumbing) and costs nothing against shard
-    runtimes measured in seconds.
-    """
-    timed_out = {index: False for index in procs}
-    pending = set(procs)
-    while pending:
-        for index in sorted(pending):
-            proc = procs[index]
-            proc.join(0.05)
-            if not proc.is_alive():
-                pending.discard(index)
-                continue
-            deadline = deadlines[index]
-            if deadline is not None and time.monotonic() >= deadline:
-                timed_out[index] = True
-                proc.terminate()
-                proc.join(2.0)
-                if proc.is_alive():  # pragma: no cover - terminate sufficed
-                    proc.kill()
-                    proc.join()
-                pending.discard(index)
-    return timed_out
-
-
-def _retry_in_subprocess(
-    context,
-    doc: Dict[str, Any],
-    include_spanner: bool,
-    spool_dir: str,
-    timeout_s: Optional[float],
-) -> bool:
-    """Second attempt of a timed-out shard, under its own fresh timeout.
-
-    A timed-out shard must never be retried in-process: if it hangs
-    again there is no process boundary left to kill, and the sweep would
-    wedge — the exact failure mode this driver exists to rule out.
-    """
-    proc = context.Process(
-        target=_spooled_shard_worker,
-        args=(doc, include_spanner, spool_dir, 2),
-    )
-    proc.start()
-    deadline = (
-        time.monotonic() + timeout_s if timeout_s is not None else None
-    )
-    timed_out = _join_with_timeouts({0: proc}, {0: deadline})
-    return not timed_out[0] and proc.exitcode == 0
-
-
 def run_sweep(
     plan: SweepPlan,
     workers: int = 1,
@@ -754,105 +622,59 @@ def run_sweep(
     """Execute a whole plan across ``workers`` processes and merge.
 
     The plan's seeds are resolved first (no-op when already explicit), so
-    every partition resolves identically; each worker process runs one
-    host-grouped shard, spools its envelope atomically (under
-    ``reports_dir`` when given, a temp spool otherwise), and the parent
-    rehydrates from the spool. Returns the merged
+    every partition resolves identically. ``workers=1`` runs the plan in
+    this process as one shard. With ``workers >= 2`` the run is a
+    :mod:`repro.sched` sweep over a temporary scheduler directory: one
+    host-grouped shard per worker, each executed in its own spawned child
+    by the scheduler's supervisor loop. Returns the merged
     :class:`repro.spec.BuildReport` list in plan order — rehydrated from
     the envelopes even for ``workers=1``, so the sequential path
     exercises exactly the serialization surface the sharded one does.
-    With ``with_envelopes`` the raw envelopes ride along as
-    ``(reports, envelopes)``.
+    Envelopes are copied under ``reports_dir`` when given; with
+    ``with_envelopes`` they ride along as ``(reports, envelopes)``.
 
-    Failure handling, per shard: a *crashed* worker (non-zero exit, no
-    envelope) gets one deterministic in-process retry — ``run_shard`` is
-    a pure function of the resolved plan. A worker that outlives
-    ``shard_timeout_s`` (or ``REPRO_SWEEP_SHARD_TIMEOUT_S``) wall-clock
-    seconds is *killed* and retried once in a fresh subprocess under a
-    fresh deadline — never in-process, where a second hang could not be
-    killed. Retried envelopes carry ``attempts`` (and ``timed_out`` for
-    the timeout path); a shard failing both attempts raises
-    :class:`repro.errors.SweepError`. For unbounded-retry and
-    cross-machine recovery, use :mod:`repro.sched` instead.
+    Failure handling, per shard: a child that crashes, or outlives
+    ``shard_timeout_s`` wall-clock seconds and is killed, is retried once
+    in a fresh child — ``run_shard`` is a pure function of the resolved
+    plan, so the retry is byte-identical. Retried envelopes carry
+    ``attempts`` and ``timed_out``; a shard failing both attempts raises
+    :class:`repro.errors.ShardQuarantined` (a
+    :class:`repro.errors.SweepError`) quoting the captured exception. For
+    more attempts, backoff and cross-machine recovery, drive
+    :mod:`repro.sched` directly.
     """
     from .analysis.experiments import merge_shard_reports
 
     if workers < 1:
         raise InvalidSpec(f"workers must be >= 1, got {workers}")
-    timeout_s = resolve_shard_timeout(shard_timeout_s)
+    if shard_timeout_s is not None and shard_timeout_s <= 0:
+        raise InvalidSpec(
+            f"shard_timeout_s must be positive, got {shard_timeout_s!r}"
+        )
     plan = plan.resolve_seeds(seed)
     workers = min(workers, max(len(plan), 1))
     if workers == 1:
         envelopes = [run_shard(plan, include_spanner=include_spanner)]
-        if reports_dir is not None:
-            for envelope in envelopes:
-                save_shard_report(envelope, reports_dir)
-        reports = merge_shard_reports(envelopes)
-        if with_envelopes:
-            return reports, envelopes
-        return reports
-    shards = [plan.shard(i, workers) for i in range(workers)]
-    docs = [shard.to_dict() for shard in shards]
-    context = multiprocessing.get_context("spawn")
-    with tempfile.TemporaryDirectory(prefix="repro-sweep-spool-") as tmp_spool:
-        spool = reports_dir if reports_dir is not None else tmp_spool
-        procs: Dict[int, multiprocessing.Process] = {}
-        deadlines: Dict[int, Optional[float]] = {}
-        for index, doc in enumerate(docs):
-            proc = context.Process(
-                target=_spooled_shard_worker,
-                args=(doc, include_spanner, spool, 1),
+    else:
+        from .sched.lease import default_worker_id
+        from .sched.scheduler import init_scheduler_dir, scheduler_envelope_paths
+        from .sched.worker import _supervise
+
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as sched_dir:
+            manifest, _ = init_scheduler_dir(
+                sched_dir, plan, of=workers, max_attempts=2,
+                backoff_base_s=0.0, shard_timeout_s=shard_timeout_s,
+                include_spanner=include_spanner,
             )
-            proc.start()
-            procs[index] = proc
-            deadlines[index] = (
-                time.monotonic() + timeout_s if timeout_s is not None else None
-            )
-        timed_out = _join_with_timeouts(procs, deadlines)
-        envelopes = []
-        for index in range(workers):
-            path = shard_report_path(spool, index)
-            if os.path.exists(path):
-                # The atomic writer guarantees a present envelope is a
-                # complete one — even if the worker was then killed at
-                # the deadline or crashed during teardown.
-                envelopes.append(load_shard_report(path))
-                continue
-            if timed_out[index]:
-                first = (
-                    f"worker exceeded the {timeout_s}s per-shard "
-                    "wall-clock timeout and was killed"
-                )
-                ok = _retry_in_subprocess(
-                    context, docs[index], include_spanner, spool, timeout_s
-                )
-                if not ok or not os.path.exists(path):
-                    raise SweepError(
-                        f"shard {index}/{workers} of plan "
-                        f"{plan.fingerprint()!s} failed twice: {first}; "
-                        "the subprocess retry "
-                        + ("timed out as well" if not ok
-                           else "exited without an envelope")
-                    )
-                envelope = load_shard_report(path)
-                envelope["attempts"] = 2
-                envelope["timed_out"] = True
-                save_shard_report(envelope, spool)
-                envelopes.append(envelope)
-                continue
-            first = f"worker exited with code {procs[index].exitcode}"
-            try:
-                envelope = _run_shard_worker(docs[index], include_spanner)
-            except Exception as retry_error:
-                raise SweepError(
-                    f"shard {index}/{workers} of plan "
-                    f"{plan.fingerprint()!s} failed twice: {first}; "
-                    f"in-process retry raised {retry_error!r}"
-                ) from retry_error
-            envelope["attempts"] = 2
-            save_shard_report(envelope, spool)
-            envelopes.append(envelope)
-        reports = merge_shard_reports(envelopes)
+            _supervise(sched_dir, manifest, default_worker_id(), slots=workers)
+            envelopes = [
+                load_shard_report(path)
+                for path in scheduler_envelope_paths(sched_dir)
+            ]
+    if reports_dir is not None:
+        for envelope in envelopes:
+            save_shard_report(envelope, reports_dir)
+    reports = merge_shard_reports(envelopes)
     if with_envelopes:
         return reports, envelopes
     return reports

@@ -84,9 +84,6 @@ class _GreedyState:
     def satisfied(self) -> bool:
         return all(d <= 0 for d in self.demand.values())
 
-    def _arc_cost_if_missing(self, key: EdgeKey) -> float:
-        return 0.0 if key in self.bought else self.costs[key]
-
     def _register_purchase(self, key: EdgeKey) -> int:
         """Mark an arc bought; return total demand units cleared."""
         if key in self.bought:

@@ -37,7 +37,7 @@ from ..lp.model import (
     LinearProgram,
     LPSolution,
 )
-from .paths2 import all_two_paths, canonical_edge_map, two_path_midpoints
+from .paths2 import canonical_edge_map, two_path_midpoints
 
 Vertex = Hashable
 EdgeKey = Tuple[Vertex, Vertex]
@@ -79,73 +79,7 @@ def build_ft2_lp(graph: BaseGraph, r: int) -> FT2SpannerLP:
     the separation oracle during :func:`solve_ft2_lp`. Costs are read from
     the graph's edge weights (the Section 3 convention: unit lengths,
     arbitrary costs).
-
-    Row assembly is vectorized: the edge list, costs, and midpoint
-    structure come from the graph's CSR snapshot (one pass, no per-edge
-    dict walks), every ``x`` variable key is created exactly once and
-    reused through a canonical-orientation lookup, and the capacity/cover
-    rows are built as plain :class:`Constraint` records appended in bulk.
-    The produced model is *identical* — variables, order, bounds,
-    coefficients, names — to the reference builder
-    (:func:`_build_ft2_lp_reference`), which the tests assert.
     """
-    if r < 0:
-        raise LPError(f"r must be nonnegative, got {r}")
-    lp = LinearProgram(name=f"ft2spanner(r={r})")
-    from ..graph.csr import snapshot
-
-    paths = all_two_paths(graph)
-    snap = snapshot(graph)
-    verts = snap.verts
-
-    # x variables, one per edge in edges() order; keys cached for reuse.
-    xkeys: Dict[EdgeKey, Tuple[str, Vertex, Vertex]] = {}
-    for ui, vi, w in zip(snap.edge_u, snap.edge_v, snap.edge_w):
-        u, v = verts[ui], verts[vi]
-        key = x_var(u, v)
-        lp.add_variable(key, 0.0, 1.0, objective=w)
-        xkeys[(u, v)] = key
-        if not snap.directed:
-            xkeys[(v, u)] = key
-    for (u, v), mids in paths.items():
-        for z in mids:
-            lp.add_variable(f_var(u, z, v), 0.0, None, objective=0.0)
-
-    rows: List[Constraint] = []
-    need = float(r + 1)
-    for (u, v), mids in paths.items():
-        cover = {xkeys[(u, v)]: need}
-        for z in mids:
-            f = f_var(u, z, v)
-            # capacity on both edges of the path (each edge lies on at most
-            # one path of P_{u,v}, so the per-edge sum is a single term).
-            # Path edges are normalized to the orientation the x variables
-            # were declared under (relevant for undirected graphs).
-            rows.append(
-                Constraint(
-                    coeffs={f: 1.0, xkeys[(u, z)]: -1.0},
-                    sense=LESS_EQUAL, rhs=0.0, name=f"cap1:{u}-{z}-{v}",
-                )
-            )
-            rows.append(
-                Constraint(
-                    coeffs={f: 1.0, xkeys[(z, v)]: -1.0},
-                    sense=LESS_EQUAL, rhs=0.0, name=f"cap2:{u}-{z}-{v}",
-                )
-            )
-            cover[f] = 1.0
-        rows.append(
-            Constraint(
-                coeffs=cover, sense=GREATER_EQUAL, rhs=need, name=f"cover:{u}-{v}"
-            )
-        )
-    lp.extend_constraints(rows)
-    return FT2SpannerLP(lp=lp, graph=graph, r=r, two_paths=paths)
-
-
-def _build_ft2_lp_reference(graph: BaseGraph, r: int) -> FT2SpannerLP:
-    """The original per-edge dict-walk builder (kept as the equivalence
-    and benchmark baseline for the vectorized :func:`build_ft2_lp`)."""
     if r < 0:
         raise LPError(f"r must be nonnegative, got {r}")
     lp = LinearProgram(name=f"ft2spanner(r={r})")
@@ -164,6 +98,10 @@ def _build_ft2_lp_reference(graph: BaseGraph, r: int) -> FT2SpannerLP:
         cover = {x_var(u, v): float(r + 1)}
         for z in mids:
             f = f_var(u, z, v)
+            # capacity on both edges of the path (each edge lies on at most
+            # one path of P_{u,v}, so the per-edge sum is a single term).
+            # Path edges are normalized to the orientation the x variables
+            # were declared under (relevant for undirected graphs).
             lp.add_constraint(
                 {f: 1.0, x_var(*canon[(u, z)]): -1.0},
                 LESS_EQUAL, 0.0, name=f"cap1:{u}-{z}-{v}",

@@ -3,13 +3,13 @@
 PR 1 pinned the greedy spanner and the Theorem 2.1 conversion to their
 dict references (`tests/test_graph_csr.py`); this file does the same for
 the algorithms routed onto the kernels afterwards: Thorup–Zwick (spanner
-and distance oracle), Baswana–Sen, the CLPR09 baseline, the Lemma 3.7
-padded-decomposition sampler, and the vectorized LP (3) row assembly.
+and distance oracle), Baswana–Sen, the CLPR09 baseline and the Lemma 3.7
+padded-decomposition sampler.
 
 The contract is strict: for a fixed seed the fast path must produce the
 *same* object — identical spanner edge sets, identical witness/bunch
-dictionaries, identical cluster assignments, identical LP rows — not
-merely an equally valid one. A subprocess test also pins the constructions
+dictionaries, identical cluster assignments — not merely an equally
+valid one. A subprocess test also pins the constructions
 against hash randomization: seeded runs must not depend on ``set``
 iteration order (the PR 2 determinism fix).
 """
@@ -39,7 +39,6 @@ from repro.spanners import (
     is_spanner,
     thorup_zwick_spanner,
 )
-from repro.two_spanner.lp_new import _build_ft2_lp_reference, build_ft2_lp
 
 
 def edge_set(graph):
@@ -257,32 +256,6 @@ class TestBarrierDijkstraKernel:
                 assert dist[p_] + snap.edge_w[parent_eid[v]] == pytest.approx(
                     dist[v]
                 )
-
-
-class TestLPAssemblyEquivalence:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 5000), r=st.sampled_from([0, 1, 2]))
-    def test_model_identical_to_reference(self, seed, r):
-        from repro.graph import gnp_random_digraph
-
-        for g in (
-            gnp_random_graph(18, 0.3, seed=seed, weight_range=(0.5, 3.0)),
-            gnp_random_digraph(14, 0.3, seed=seed),
-        ):
-            a = build_ft2_lp(g, r)
-            b = _build_ft2_lp_reference(g, r)
-            assert a.lp.variable_names() == b.lp.variable_names()
-            for name in a.lp.variable_names():
-                va, vb = a.lp.variable(name), b.lp.variable(name)
-                assert (va.lower, va.upper, va.objective) == (
-                    vb.lower,
-                    vb.upper,
-                    vb.objective,
-                )
-            assert [
-                (c.coeffs, c.sense, c.rhs, c.name) for c in a.lp.constraints
-            ] == [(c.coeffs, c.sense, c.rhs, c.name) for c in b.lp.constraints]
-            assert a.two_paths == b.two_paths
 
 
 _HASHSEED_SCRIPT = """

@@ -400,7 +400,7 @@ class TestSimulatorOnViews:
 
 
 # ---------------------------------------------------------------------------
-# Verifier vocabulary + deprecation shims
+# Verifier vocabulary
 # ---------------------------------------------------------------------------
 
 
@@ -421,15 +421,6 @@ class TestVerifierScenarios:
         assert is_edge_fault_tolerant_spanner(
             g, g, 3, 1, scenarios=[FaultScenario.edge([(u, w)])]
         )
-
-    def test_deprecated_name_warns_and_still_works(self):
-        g, h = self._instance()
-        with pytest.warns(DeprecationWarning, match="fault_sets_to_check"):
-            assert is_fault_tolerant_spanner(h, g, 3, 1,
-                                             fault_sets_to_check=[()])
-        with pytest.warns(DeprecationWarning, match="fault_sets_to_check"):
-            assert is_edge_fault_tolerant_spanner(g, g, 3, 1,
-                                                  fault_sets_to_check=[()])
 
     def test_scenarios_do_not_warn(self):
         import warnings

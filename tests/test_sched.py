@@ -48,7 +48,7 @@ from repro.sched.scheduler import (
     quarantine_path,
     record_attempt,
 )
-from repro.sweep import SweepPlan, run_sweep
+from repro.sweep import SweepPlan, load_shard_report, run_sweep
 
 REPO_SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "src")
@@ -270,6 +270,29 @@ class TestWorkerByteIdentity:
         init_scheduler_dir(sd, plan, of=2, seed=4)
         with pytest.raises(InvalidSpec, match="workers >= 1"):
             run_scheduled_sweep(sd, workers=0)
+
+
+class TestShardTimeout:
+    def test_timed_out_attempt_is_reported_on_the_retried_envelope(
+        self, plan, tmp_path, monkeypatch
+    ):
+        sd = str(tmp_path / "sched")
+        init_scheduler_dir(
+            sd, plan, of=2, seed=4, backoff_base_s=0.0, shard_timeout_s=10.0
+        )
+        monkeypatch.setenv("REPRO_SWEEP_TEST_HANG_SHARDS", "1")
+        reports, status = run_scheduled_sweep(sd, workers=2)
+        assert status["complete"] and not status["degraded"]
+        [record] = shard_attempts(sd, 1)
+        assert record["timed_out"] is True
+        assert "timed out" in record["reason"]
+        envelopes = [load_shard_report(envelope_path(sd, i)) for i in (0, 1)]
+        assert [env["attempts"] for env in envelopes] == [1, 2]
+        assert [env["timed_out"] for env in envelopes] == [False, True]
+        monkeypatch.delenv("REPRO_SWEEP_TEST_HANG_SHARDS")
+        assert report_docs(reports) == report_docs(
+            run_sweep(plan, workers=1, seed=4)
+        )
 
 
 class TestQuarantine:

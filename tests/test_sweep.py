@@ -621,13 +621,13 @@ class TestCrashSafeShardReports:
 class TestWorkerCrashResilience:
     """run_sweep survives crashed workers — real processes, real kills.
 
-    Fault injection is child-side: the spawned shard worker reads
+    Fault injection is child-side: the scheduler's shard child reads
     ``REPRO_SWEEP_TEST_CRASH_SHARDS`` on its *first* attempt only, so a
     retried shard runs clean and the recovered sweep stays
     byte-identical to the sequential one.
     """
 
-    def test_dead_worker_is_retried_in_process(self, plan, monkeypatch):
+    def test_dead_worker_is_retried_in_a_fresh_child(self, plan, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_SHARDS", "1")
         reports, envelopes = run_sweep(
             plan, workers=3, seed=4, with_envelopes=True
@@ -656,18 +656,27 @@ class TestWorkerCrashResilience:
             run_sweep(plan, workers=1, seed=4)
         )
 
-    def test_twice_failed_shard_raises_sweep_error(self, plan, monkeypatch):
-        import repro.sweep as sweep_module
-        from repro.errors import SweepError
+    def test_twice_failed_shard_raises_sweep_error(self):
+        """A shard that fails on both attempts (a build-time refusal here:
+        wrong fault kind for the algorithm) is named, with its captured
+        exception, instead of merging as missing indices."""
+        from repro.errors import ShardQuarantined, SweepError
 
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_SHARDS", "0,1,2")
-
-        def still_dead(doc, include_spanner):
-            raise RuntimeError("retry also died")
-
-        monkeypatch.setattr(sweep_module, "_run_shard_worker", still_dead)
-        with pytest.raises(SweepError, match=r"shard 0/3 .* failed twice"):
-            run_sweep(plan, workers=3, seed=4)
+        host = connected_gnp_graph(16, 0.3, seed=1)
+        poison = SweepPlan.build(
+            [
+                SpannerSpec("greedy", stretch=3, graph=host),
+                SpannerSpec(
+                    "theorem21-adaptive", stretch=3, graph=host,
+                    params={"until_valid": {"trials": 30}},
+                ),
+            ],
+            name="poison",
+        )
+        with pytest.raises(SweepError, match=r"shard 1 \(2 attempts") as info:
+            run_sweep(poison, workers=2, seed=4)
+        assert isinstance(info.value, ShardQuarantined)
+        assert "fault kinds" in str(info.value)
 
 
 class TestShardTimeout:
@@ -684,23 +693,11 @@ class TestShardTimeout:
         sequential = run_sweep(plan, workers=1, seed=4)
         assert report_docs(reports) == report_docs(sequential)
 
-    def test_timeout_resolution_and_validation(self, monkeypatch):
-        from repro.sweep import resolve_shard_timeout
-
-        monkeypatch.delenv("REPRO_SWEEP_SHARD_TIMEOUT_S", raising=False)
-        assert resolve_shard_timeout(None) is None
-        assert resolve_shard_timeout(2.5) == 2.5
-        with pytest.raises(InvalidSpec, match="positive"):
-            resolve_shard_timeout(-1.0)
-        monkeypatch.setenv("REPRO_SWEEP_SHARD_TIMEOUT_S", "7.5")
-        assert resolve_shard_timeout(None) == 7.5
-        assert resolve_shard_timeout(2.5) == 2.5  # argument wins
-        monkeypatch.setenv("REPRO_SWEEP_SHARD_TIMEOUT_S", "0")
-        with pytest.raises(InvalidSpec, match="REPRO_SWEEP_SHARD_TIMEOUT_S"):
-            resolve_shard_timeout(None)
-        monkeypatch.setenv("REPRO_SWEEP_SHARD_TIMEOUT_S", "nope")
-        with pytest.raises(InvalidSpec, match="REPRO_SWEEP_SHARD_TIMEOUT_S"):
-            resolve_shard_timeout(None)
+    def test_timeout_resolution_and_validation(self, plan):
+        for bad in (0.0, -1.0):
+            for workers in (1, 2):
+                with pytest.raises(InvalidSpec, match="positive"):
+                    run_sweep(plan, workers=workers, shard_timeout_s=bad)
 
 
 class TestCorruptEnvelope:
