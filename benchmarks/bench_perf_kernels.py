@@ -38,9 +38,17 @@ PR 10 added the optional compiled (C) tier:
   simplex with the pivot/ratio-test loop in C vs the reference python
   loop, same tolerances and pivot sequence.
 
-Both pairs are skipped (with a printed note) when the backend cannot
-build/load, so the committed baseline from a full container always
-carries them but a bare environment can still run the rest.
+The fault-set verifier runs on the compiled tier too:
+
+* **fault-set check** (``fault_check_compiled``) — one bounded search
+  per surviving host edge on the spanner's masked CSR snapshot, in C,
+  vs the dict reference's ``without_vertices`` copies and all-source
+  Dijkstra, over verify-sampled's instance (a ``theorem21`` r = 2
+  spanner of G(400, 0.05)) and 20 seeded fault sets.
+
+The compiled pairs are skipped (with a printed note) when the backend
+cannot build/load, so the committed baseline from a full container
+always carries them but a bare environment can still run the rest.
 
 Each pair runs the *same seeds* and asserts identical outputs before
 timing, so the speedups compare equal work. Results are written to
@@ -86,6 +94,10 @@ MIN_HEADLINE_SPEEDUP = 5.0
 #: at n = 400 (PR 10 tentpole criterion; measured well above on the
 #: reference container).
 MIN_COMPILED_GREEDY_SPEEDUP = 3.0
+
+#: Acceptance floor for the compiled fault-set check over the dict
+#: reference at n = 400 (measured in the hundreds).
+MIN_COMPILED_FAULT_CHECK_SPEEDUP = 50.0
 
 
 def _clock(fn, repeats: int = 1) -> float:
@@ -142,6 +154,44 @@ def bench_greedy_compiled(n: int = 400, p: float = 0.08, k: float = 3.0) -> dict
     assert _edge_set(fast()) == _edge_set(slow())
     return _pair_row(
         "greedy_compiled", g, fast, slow, {"p": p, "k": k},
+        fast_key="compiled_seconds",
+    )
+
+
+def bench_fault_check_compiled(
+    n: int = 400, p: float = 0.05, r: int = 2, trials: int = 20
+) -> dict:
+    """Compiled per-edge fault-set check vs the dict reference.
+
+    The perfbench verify-sampled instance at full size: a ``theorem21``
+    r = 2, k = 3 spanner of a weighted G(n, p), checked against
+    ``trials`` seeded fault sets. The compiled side includes building its
+    per-(spanner, host) arrays, as one verifier call does. Verdicts are
+    asserted identical before timing.
+    """
+    import random
+
+    from repro.core.verify import _compiled_check, _spanner_holds_after_faults
+
+    g = gnp_random_graph(n, p, seed=2, weight_range=(1.0, 10.0))
+    h = fault_tolerant_spanner(g, 3.0, r, seed=7).spanner
+    rng = random.Random(9)
+    vertices = list(g.vertices())
+    faults = [rng.sample(vertices, rng.randint(0, r)) for _ in range(trials)]
+
+    def fast():
+        check = _compiled_check(h, g, 3.0)
+        return [_spanner_holds_after_faults(h, g, 3.0, f, check) for f in faults]
+
+    def slow():
+        return [_spanner_holds_after_faults(h, g, 3.0, f) for f in faults]
+
+    verdicts = fast()
+    assert verdicts == slow()
+    return _pair_row(
+        "fault_check_compiled", g, fast, slow,
+        {"p": p, "r": r, "k": 3.0, "fault_sets": trials,
+         "valid": sum(verdicts)},
         fast_key="compiled_seconds",
     )
 
@@ -515,11 +565,13 @@ def run_benchmarks() -> list:
     if compiled_available():
         rows.append(bench_greedy_compiled())
         rows.append(bench_simplex_compiled())
+        rows.append(bench_fault_check_compiled())
     else:
         print(
             "note: compiled backend unavailable "
-            f"({compiled_unavailable_reason()}); skipping greedy_compiled "
-            "and simplex_compiled — do not commit a baseline from this run"
+            f"({compiled_unavailable_reason()}); skipping greedy_compiled, "
+            "simplex_compiled and fault_check_compiled — do not commit a "
+            "baseline from this run"
         )
     payload = {
         "description": "CSR fast-path kernels vs dict implementations",
@@ -574,6 +626,11 @@ def _assert_headline(rows) -> None:
     if "greedy_compiled" in by_name:
         assert by_name["greedy_compiled"]["speedup"] >= MIN_COMPILED_GREEDY_SPEEDUP
         assert by_name["simplex_compiled"]["speedup"] >= 1.0
+        # The compiled fault-set check at verify-sampled's size.
+        assert (
+            by_name["fault_check_compiled"]["speedup"]
+            >= MIN_COMPILED_FAULT_CHECK_SPEEDUP
+        )
 
 
 def test_perf_kernels(benchmark):

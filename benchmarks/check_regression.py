@@ -34,7 +34,9 @@ pytestmark = pytest.mark.perf_regression
 MIN_SMOKE_SPEEDUP = 1.0
 
 #: Benchmark names that need the optional C backend (:mod:`repro.compiled`).
-_COMPILED_PAIRS = frozenset({"greedy_compiled", "simplex_compiled"})
+_COMPILED_PAIRS = frozenset(
+    {"greedy_compiled", "simplex_compiled", "fault_check_compiled"}
+)
 
 
 def smoke_rows() -> list:
@@ -63,6 +65,7 @@ def smoke_rows() -> list:
     if compiled_available():
         rows.append(bench.bench_greedy_compiled(n=160, p=0.12))
         rows.append(bench.bench_simplex_compiled(m=24, n=48))
+        rows.append(bench.bench_fault_check_compiled(n=120, p=0.1, trials=4))
     return rows
 
 

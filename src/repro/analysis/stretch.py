@@ -27,7 +27,7 @@ def stretch_after_faults(
 
     Returns 1.0 for an edgeless survivor host and ``inf`` when some
     surviving host edge's endpoints are disconnected in the survivor
-    spanner.
+    spanner (a host vertex the spanner lacks is disconnected from all).
     """
     fault_set = set(faults)
     g_f = graph.without_vertices(fault_set)
@@ -40,7 +40,7 @@ def stretch_after_faults(
         if not out:
             continue
         dist_g = dijkstra(g_f, u)
-        dist_h = dijkstra(h_f, u)
+        dist_h = dijkstra(h_f, u) if h_f.has_vertex(u) else {}
         for v in out:
             denom = dist_g[v]
             numer = dist_h.get(v, math.inf)

@@ -4,7 +4,9 @@ The two kernels the ROADMAP called out — the greedy spanner's bounded
 bidirectional Dijkstra (:mod:`repro.spanners.greedy`) and the simplex
 pivot loop (:mod:`repro.lp.simplex`) — are shipped as a single C99
 source file (``_kernels.c``) that this module compiles on demand with
-the system C compiler and loads through :mod:`ctypes`. No python
+the system C compiler and loads through :mod:`ctypes`. The fault-set
+verifier (:mod:`repro.core.verify`) reuses the greedy kernel's bounded
+search through :mod:`repro.compiled.pairs`. No python
 package dependency is involved: the backend is *available* exactly when
 a C compiler (``cc``/``gcc``/``clang``) is on ``PATH`` or a previously
 built library is already cached.
@@ -114,6 +116,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         p_i64, p_i64, p_f64,        # edge_u, edge_v, edge_w
         f64, i64,                   # k, max_edges (-1 = uncapped)
         p_i64,                      # chosen_out
+    ]
+    lib.repro_pairs_within.restype = i64
+    lib.repro_pairs_within.argtypes = [
+        i64, p_i64, p_i64, p_f64,   # n, indptr, nbr, wt
+        i64, p_i64, p_i64, p_f64,   # num_q, qu, qv, bound
+        ctypes.POINTER(ctypes.c_uint8),  # out
     ]
     lib.repro_simplex_run.restype = ctypes.c_int
     lib.repro_simplex_run.argtypes = [

@@ -1,10 +1,14 @@
-/* Compiled back-ends for the two interpreter-bound hot loops.
+/* Compiled back-ends for the interpreter-bound hot loops.
  *
  * This file is a line-by-line port of two pure-python kernels:
  *
  *   repro_greedy_run_edge_ids  <-  spanners/greedy.py
  *       IndexedGreedyKernel.run_edge_ids / _reachable_within
  *   repro_simplex_run          <-  lp/simplex.py  _Tableau.run / _pivot
+ *
+ * plus repro_pairs_within, which reuses the greedy kernel's bounded
+ * search for the fault-set verifier (core/verify.py): one query per
+ * surviving host edge, on the spanner's CSR snapshot.
  *
  * The port preserves the reference semantics operation-for-operation:
  * the same IEEE-754 double arithmetic, the same tolerances, the same
@@ -329,6 +333,73 @@ done:
     heap_free(&hf);
     heap_free(&hb);
     return fail ? -1 : count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Fault-set verifier: a batch of bounded searches on one fixed CSR.   */
+/* ------------------------------------------------------------------ */
+
+/* out[q] = 1 iff d(qu[q], qv[q]) <= bound[q] in the undirected CSR graph
+ * (indptr, nbr, wt), else 0. Returns the number of failed queries; -1 on
+ * allocation failure. Each CSR row is handed to reachable_within as an
+ * adj_t view into nbr/wt (no copy; the search never writes through it),
+ * so every query runs the greedy kernel's search unchanged. A half-edge
+ * of weight +inf is never relaxed (nd > bound), which is how callers
+ * delete faulted vertices and edges without a mask argument. */
+int64_t repro_pairs_within(
+    int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wt,
+    int64_t num_q, const int64_t *qu, const int64_t *qv, const double *bound,
+    unsigned char *out)
+{
+    size_t vn = (size_t)(n > 0 ? n : 1);
+    int64_t failed = 0;
+    int fail = 0;
+
+    adj_t *adj = (adj_t *)malloc(vn * sizeof(adj_t));
+    double *dist_f = (double *)malloc(vn * sizeof(double));
+    double *dist_b = (double *)malloc(vn * sizeof(double));
+    int64_t *stamp_f = (int64_t *)calloc(vn, sizeof(int64_t));
+    int64_t *stamp_b = (int64_t *)calloc(vn, sizeof(int64_t));
+    heap_t hf = {0}, hb = {0};
+    if (adj == NULL || dist_f == NULL || dist_b == NULL ||
+        stamp_f == NULL || stamp_b == NULL ||
+        heap_init(&hf, 64) || heap_init(&hb, 64)) {
+        fail = 1;
+        goto done;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        adj[v].to = (int64_t *)(nbr + indptr[v]);
+        adj[v].w = (double *)(wt + indptr[v]);
+        adj[v].len = indptr[v + 1] - indptr[v];
+        adj[v].cap = adj[v].len;
+    }
+
+    for (int64_t q = 0; q < num_q; q++) {
+        int reach;
+        if (qu[q] == qv[q]) {
+            reach = bound[q] >= 0.0;
+        } else {
+            reach = reachable_within(
+                adj, adj, dist_f, stamp_f, dist_b, stamp_b, q + 1,
+                &hf, &hb, qu[q], qv[q], bound[q]);
+            if (reach < 0) {
+                fail = 1;
+                goto done;
+            }
+        }
+        out[q] = (unsigned char)reach;
+        failed += !reach;
+    }
+
+done:
+    free(adj);
+    free(dist_f);
+    free(dist_b);
+    free(stamp_f);
+    free(stamp_b);
+    heap_free(&hf);
+    heap_free(&hb);
+    return fail ? -1 : failed;
 }
 
 /* ------------------------------------------------------------------ */

@@ -52,7 +52,7 @@ from .conversion import (
     resolve_iterations,
     survival_probability,
 )
-from .verify import count_two_paths
+from .verify import _SLACK, _compiled_check, _CompiledFaultCheck, count_two_paths
 
 Vertex = Hashable
 EdgeKey = Tuple[Vertex, Vertex]
@@ -197,13 +197,24 @@ def edge_fault_tolerant_spanner(
 
 
 def _edge_spanner_holds(
-    spanner: BaseGraph, graph: BaseGraph, k: float, faults: Iterable[EdgeKey]
+    spanner: BaseGraph,
+    graph: BaseGraph,
+    k: float,
+    faults: Iterable[EdgeKey],
+    check: Optional[_CompiledFaultCheck] = None,
 ) -> bool:
-    """Spanner condition of ``H - F`` against ``G - F`` (edge faults)."""
+    """Spanner condition of ``H - F`` against ``G - F`` (edge faults).
+
+    With ``check`` (from :func:`repro.core.verify._compiled_check`) the
+    per-edge criterion runs in C; without it this is the dict reference,
+    the edge-fault twin of
+    :func:`repro.core.verify._spanner_holds_after_faults`.
+    """
+    if check is not None:
+        return check.edge_faults(faults)
     fault_list = list(faults)
     g_f = _without_edges(graph, fault_list)
     h_f = _without_edges(spanner, fault_list)
-    slack = 1 + 1e-9
     for u in g_f.vertices():
         out = (
             dict(g_f.successor_items(u))
@@ -213,9 +224,9 @@ def _edge_spanner_holds(
         if not out:
             continue
         dist_g = dijkstra(g_f, u)
-        dist_h = dijkstra(h_f, u)
+        dist_h = dijkstra(h_f, u) if h_f.has_vertex(u) else {}
         for v in out:
-            if dist_h.get(v, math.inf) > k * dist_g[v] * slack:
+            if dist_h.get(v, math.inf) > k * dist_g[v] * _SLACK:
                 return False
     return True
 
@@ -243,8 +254,9 @@ def is_edge_fault_tolerant_spanner(
         from ..graph.scenario import scenario_edge_fault_sets
 
         to_check = scenario_edge_fault_sets(scenarios)
+    check = _compiled_check(spanner, graph, k)
     for faults in to_check:
-        if not _edge_spanner_holds(spanner, graph, k, faults):
+        if not _edge_spanner_holds(spanner, graph, k, faults, check):
             return False
     return True
 
@@ -262,10 +274,11 @@ def sampled_edge_fault_check(
     edges = [(u, v) for u, v, _w in graph.edges()]
     if not edges:
         return True
+    check = _compiled_check(spanner, graph, k)
     for _ in range(trials):
         size = rng.randint(0, min(r, len(edges)))
         faults = rng.sample(edges, size)
-        if not _edge_spanner_holds(spanner, graph, k, faults):
+        if not _edge_spanner_holds(spanner, graph, k, faults, check):
             return False
     return True
 

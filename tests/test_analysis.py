@@ -38,6 +38,14 @@ class TestStretch:
         # faulting both midpoints disconnects 0-1 in h but not in g
         assert stretch_after_faults(h, g, [2, 3]) == math.inf
 
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_spanner_missing_a_host_vertex_has_infinite_stretch(self, missing):
+        g = complete_graph(4)
+        h = g.copy()
+        h.remove_vertex(missing)
+        assert stretch_after_faults(h, g, []) == math.inf
+        assert stretch_after_faults(h, g, [missing]) == 1.0
+
     def test_exhaustive_profile(self):
         g = complete_graph(5)
         result = fault_tolerant_spanner(g, 3, 1, seed=1)

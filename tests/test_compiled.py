@@ -19,6 +19,7 @@ backend at all.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -29,9 +30,25 @@ from hypothesis import strategies as st
 
 import repro
 from repro.compiled import ENV_DISABLE, compiled_available, compiled_unavailable_reason
+from repro.core import (
+    fault_sets,
+    first_violating_fault_set,
+    is_fault_tolerant_spanner,
+    sampled_edge_fault_check,
+    sampled_fault_check,
+)
 from repro.core.conversion import fault_tolerant_spanner
-from repro.core.edge_faults import edge_fault_tolerant_spanner
-from repro.graph import Graph, connected_gnp_graph, csr_snapshot, gnp_random_graph
+from repro.core.edge_faults import _edge_spanner_holds, edge_fault_tolerant_spanner
+from repro.core.verify import _compiled_check, _spanner_holds_after_faults
+from repro.graph import (
+    BaseGraph,
+    Graph,
+    complete_graph,
+    connected_gnp_graph,
+    csr_snapshot,
+    gnp_random_digraph,
+    gnp_random_graph,
+)
 from repro.graph.csr import resolve_method
 from repro.graph.scenario import FaultScenario
 from repro.lp.simplex import _DUAL_TOL, solve_standard_form
@@ -145,6 +162,116 @@ class TestGreedyEquivalence:
             graph, 3.0, 1, scenarios=scenarios, method="dict"
         )
         assert edge_set(fast.spanner) == edge_set(slow.spanner)
+
+
+# ---------------------------------------------------------------------------
+# Fault-set verifier: compiled per-edge check vs the dict reference
+# ---------------------------------------------------------------------------
+
+
+@needs_backend
+class TestFaultCheckEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 60),
+        p=st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+        weights=st.sampled_from([None, (1.0, 10.0)]),
+        k=st.sampled_from([1, 1.5, 2, 3]),
+        drop=st.integers(0, 5),
+        lose_vertex=st.booleans(),
+    )
+    def test_verdicts_match_dict_reference(
+        self, seed, n, p, weights, k, drop, lose_vertex
+    ):
+        rng = random.Random(seed)
+        host = gnp_random_graph(n, p, seed=seed, weight_range=weights)
+        spanner = greedy_spanner(host, k)
+        kept = [(u, v) for u, v, _w in spanner.edges()]
+        for u, v in rng.sample(kept, min(drop, len(kept))):
+            spanner.remove_edge(u, v)
+        if lose_vertex:
+            spanner.remove_vertex(rng.choice(list(spanner.vertices())))
+        check = _compiled_check(spanner, host, k)
+        assert check is not None
+        vertices = list(host.vertices())
+        host_edges = [(u, v) for u, v, _w in host.edges()]
+        for _ in range(4):
+            faults = rng.sample(vertices, rng.randint(0, min(3, n)))
+            assert check.vertex_faults(faults) == _spanner_holds_after_faults(
+                spanner, host, k, faults
+            )
+            cut = rng.sample(host_edges, rng.randint(0, min(3, len(host_edges))))
+            assert check.edge_faults(cut) == _edge_spanner_holds(
+                spanner, host, k, cut
+            )
+
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_spanner_missing_a_host_vertex_matches(self, missing):
+        host = complete_graph(4)
+        spanner = host.copy()
+        spanner.remove_vertex(missing)
+        check = _compiled_check(spanner, host, 3)
+        for faults in fault_sets(list(host.vertices()), 2):
+            assert check.vertex_faults(faults) == _spanner_holds_after_faults(
+                spanner, host, 3, faults
+            )
+        assert not check.vertex_faults(())
+        assert check.vertex_faults((missing,))
+        assert not check.edge_faults(())
+
+    def test_dropping_a_necessary_edge_is_rejected_by_both_paths(self):
+        host = connected_gnp_graph(16, 0.35, seed=3)
+        spanner = fault_tolerant_spanner(host, 3.0, 1, seed=4).spanner
+        assert is_fault_tolerant_spanner(spanner, host, 3.0, 1)
+        # The first spanner edge whose loss only a nonempty fault set exposes.
+        for u, v, _w in spanner.edges():
+            mutant = spanner.copy()
+            mutant.remove_edge(u, v)
+            witness = first_violating_fault_set(mutant, host, 3.0, 1)
+            if witness:
+                break
+        else:
+            pytest.fail("no edge of the spanner is needed under a fault")
+        assert not _compiled_check(mutant, host, 3.0).vertex_faults(witness)
+        assert not _spanner_holds_after_faults(mutant, host, 3.0, witness)
+        assert _compiled_check(spanner, host, 3.0).vertex_faults(witness)
+        assert _spanner_holds_after_faults(spanner, host, 3.0, witness)
+
+    def test_verifiers_engage_the_compiled_check(self, monkeypatch):
+        """With the backend loaded, no fault set reaches the dict reference."""
+        from repro.core import edge_faults
+
+        host = gnp_random_graph(60, 0.15, seed=8, weight_range=(1.0, 10.0))
+        spanner = fault_tolerant_spanner(host, 3.0, 1, seed=2).spanner
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the dict reference ran")
+
+        monkeypatch.setattr(BaseGraph, "without_vertices", refuse)
+        monkeypatch.setattr(edge_faults, "_without_edges", refuse)
+        assert sampled_fault_check(spanner, host, 3.0, 1, trials=30, seed=1)
+        assert sampled_edge_fault_check(spanner, host, 3.0, 1, trials=30, seed=1)
+
+    def test_pairs_within_contract(self):
+        from repro.compiled.pairs import pairs_within
+
+        # Path 0 - 1 - 2 with unit weights, as a half-edge CSR.
+        indptr, nbr = [0, 1, 3, 4], [1, 0, 2, 1]
+        wt = np.ones(4)
+        got = pairs_within(indptr, nbr, wt, [0, 0, 2], [2, 2, 2], [2.0, 1.5, 0.0])
+        assert got.tolist() == [True, False, True]
+        # Faulting vertex 1 masks every half-edge at it, in both directions.
+        dead = np.full(4, np.inf)
+        assert pairs_within(indptr, nbr, dead, [0], [2], [1e9]).tolist() == [False]
+        with pytest.raises(ValueError):
+            pairs_within(indptr, nbr, wt, [0], [3], [1.0])
+        with pytest.raises(ValueError):
+            pairs_within([0, 3, 1, 4], nbr, wt, [0], [2], [1.0])
+
+    def test_digraphs_keep_the_dict_reference(self):
+        host = gnp_random_digraph(12, 0.4, seed=1)
+        assert _compiled_check(host, host, 3.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +407,10 @@ class TestNoBackendFallback:
             "g = connected_gnp_graph(30, 0.2, seed=1)\n"
             "s = greedy_spanner(g, 3.0, method='auto')\n"
             "assert s.num_edges > 0\n"
+            "from repro.core import sampled_fault_check\n"
+            "from repro.core.verify import _compiled_check\n"
+            "assert _compiled_check(s, g, 3.0) is None\n"
+            "assert sampled_fault_check(g, g, 3.0, 1, trials=3, seed=0)\n"
             "status, x, obj = solve_standard_form(\n"
             "    np.array([[1.0, 1.0]]), np.array([2.0]),\n"
             "    np.array([-1.0, 0.0]), method='auto')\n"

@@ -19,12 +19,20 @@ from repro.core import (
     sampled_fault_check,
     unsatisfied_edges,
 )
+from repro.cli import main
+from repro.core.edge_faults import (
+    _edge_spanner_holds,
+    is_edge_fault_tolerant_spanner,
+    sampled_edge_fault_check,
+)
+from repro.core.verify import _spanner_holds_after_faults
 from repro.errors import FaultToleranceError
 from repro.graph import (
     DiGraph,
     complete_digraph,
     complete_graph,
     cycle_graph,
+    dump_json,
     gnp_random_digraph,
     knapsack_gap_gadget,
     path_graph,
@@ -96,6 +104,50 @@ class TestExhaustiveVerifier:
         h.remove_edge(0, 1)
         # With enough trials the empty/one-vertex fault sets expose it.
         assert not sampled_fault_check(h, g, k=20, r=1, trials=200, seed=1)
+
+
+def _k4_with_spanner_missing(vertex):
+    """Host K4 and, as spanner, the triangle on the other three vertices."""
+    g = complete_graph(4)
+    h = g.copy()
+    h.remove_vertex(vertex)
+    return h, g
+
+
+class TestSpannerMissingHostVertex:
+    """A host vertex the spanner lacks is unreachable, wherever it sits.
+
+    The missing vertex first in host order used to raise ``VertexNotFound``
+    from the Dijkstra started at it; last in host order it was already
+    reported as a violation by the searches from its neighbours.
+    """
+
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_verifiers_reject(self, missing):
+        h, g = _k4_with_spanner_missing(missing)
+        assert not is_fault_tolerant_spanner(h, g, 3, 1)
+        assert not sampled_fault_check(h, g, 3, 1, trials=10, seed=0)
+        assert first_violating_fault_set(h, g, 3, 1) == ()
+        assert not is_edge_fault_tolerant_spanner(h, g, 3, 1)
+        assert not sampled_edge_fault_check(h, g, 3, 1, trials=10, seed=0)
+
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_dict_reference_rejects_unless_the_vertex_is_faulted(self, missing):
+        h, g = _k4_with_spanner_missing(missing)
+        assert not _spanner_holds_after_faults(h, g, 3, ())
+        assert not _edge_spanner_holds(h, g, 3, ())
+        # Faulting the missing vertex removes every demand at it.
+        assert _spanner_holds_after_faults(h, g, 3, (missing,))
+
+    def test_cli_prints_fail_and_exits_2(self, tmp_path, capsys):
+        h, g = _k4_with_spanner_missing(0)
+        host_path, spanner_path = str(tmp_path / "g.json"), str(tmp_path / "h.json")
+        dump_json(g, host_path)
+        dump_json(h, spanner_path)
+        code = main(["verify", host_path, spanner_path, "--k", "3", "--r", "1",
+                     "--mode", "exhaustive"])
+        assert code == 2
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestLemma31:
