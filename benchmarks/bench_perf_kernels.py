@@ -46,6 +46,15 @@ The fault-set verifier runs on the compiled tier too:
   Dijkstra, over verify-sampled's instance (a ``theorem21`` r = 2
   spanner of G(400, 0.05)) and 20 seeded fault sets.
 
+The spanner service's distance reads run on the compiled tier too:
+
+* **serve query** (``serve_query_compiled``) — ``SpannerService``
+  replaying a 90/10 read/write stream on serve-mixed's host (BA, m = 5,
+  r = 1), answering ``QUERY_DIST`` with the C target-stopped Dijkstra
+  over rows every spanner write edits in place, vs the reference read
+  path (a CSR snapshot rebuilt after each write, then the interpreted
+  Dijkstra) that machines without a compiler run.
+
 The compiled pairs are skipped (with a printed note) when the backend
 cannot build/load, so the committed baseline from a full container
 always carries them but a bare environment can still run the rest.
@@ -98,6 +107,10 @@ MIN_COMPILED_GREEDY_SPEEDUP = 3.0
 #: Acceptance floor for the compiled fault-set check over the dict
 #: reference at n = 400 (measured in the hundreds).
 MIN_COMPILED_FAULT_CHECK_SPEEDUP = 50.0
+
+#: Acceptance floor for a service replay with compiled QUERY_DIST reads
+#: over the reference read path at n = 10^4 (the ROADMAP's 10x target).
+MIN_COMPILED_SERVE_QUERY_SPEEDUP = 10.0
 
 
 def _clock(fn, repeats: int = 1) -> float:
@@ -194,6 +207,60 @@ def bench_fault_check_compiled(
          "valid": sum(verdicts)},
         fast_key="compiled_seconds",
     )
+
+
+def bench_serve_query_compiled(n: int = 10_000, num_ops: int = 400) -> dict:
+    """Compiled QUERY_DIST over write-maintained rows vs the reference reads.
+
+    serve-mixed's shape: a Barabási–Albert (m = 5) host, an r = 1
+    service and a seeded 90/10 read/write stream, replayed through both
+    read paths. The reference side is the same service with its rows
+    dropped, which is the path a machine without a compiler runs (CSR
+    snapshot after each write, interpreted Dijkstra). The ``OpResult``
+    lists are asserted equal before timing. Each timed repeat replays
+    the stream on a freshly built service; the build is not timed.
+    """
+    from repro.graph import barabasi_albert_graph
+    from repro.serve import SpannerService, WorkloadGenerator, read_write_weights
+
+    host = barabasi_albert_graph(n, 5, seed=3)
+    stream = WorkloadGenerator(
+        host, seed=7, weights=read_write_weights(0.9)
+    ).generate(num_ops)
+
+    def service(compiled):
+        fresh = SpannerService(host.copy(), r=1, seed=0)
+        if not compiled:
+            fresh._rows = None  # serve QUERY_DIST by the reference path
+        return fresh
+
+    def replay_seconds(compiled, repeats):
+        best = float("inf")
+        for _ in range(repeats):
+            fresh = service(compiled)
+            best = min(best, _clock(lambda: fresh.apply_all(stream)))
+        return best
+
+    answers = [res.to_dict() for res in service(True).apply_all(stream)]
+    reference = service(False)
+    assert answers == [res.to_dict() for res in reference.apply_all(stream)]
+    assert reference._rows is None  # no full rebuild brought the rows back
+    t_fast = replay_seconds(True, 3)
+    t_slow = replay_seconds(False, 2)
+    return {
+        "name": "serve_query_compiled",
+        "n": n,
+        "m": host.num_edges,
+        "params": {
+            "host": "barabasi_albert(m=5)", "r": 1, "read_ratio": 0.9,
+            "ops": num_ops,
+            "queries": sum(res["type"] == "QUERY_DIST" for res in answers),
+            "reference": "csr_snapshot + dijkstra",
+        },
+        "dict_seconds": t_slow,
+        "compiled_seconds": t_fast,
+        "speedup": t_slow / t_fast,
+    }
 
 
 def _random_standard_lp(seed: int, m: int, n: int):
@@ -566,12 +633,13 @@ def run_benchmarks() -> list:
         rows.append(bench_greedy_compiled())
         rows.append(bench_simplex_compiled())
         rows.append(bench_fault_check_compiled())
+        rows.append(bench_serve_query_compiled())
     else:
         print(
             "note: compiled backend unavailable "
             f"({compiled_unavailable_reason()}); skipping greedy_compiled, "
-            "simplex_compiled and fault_check_compiled — do not commit a "
-            "baseline from this run"
+            "simplex_compiled, fault_check_compiled and serve_query_compiled "
+            "— do not commit a baseline from this run"
         )
     payload = {
         "description": "CSR fast-path kernels vs dict implementations",
@@ -630,6 +698,11 @@ def _assert_headline(rows) -> None:
         assert (
             by_name["fault_check_compiled"]["speedup"]
             >= MIN_COMPILED_FAULT_CHECK_SPEEDUP
+        )
+        # Service replays with compiled distance reads at n = 10^4.
+        assert (
+            by_name["serve_query_compiled"]["speedup"]
+            >= MIN_COMPILED_SERVE_QUERY_SPEEDUP
         )
 
 

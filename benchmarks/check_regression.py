@@ -35,7 +35,12 @@ MIN_SMOKE_SPEEDUP = 1.0
 
 #: Benchmark names that need the optional C backend (:mod:`repro.compiled`).
 _COMPILED_PAIRS = frozenset(
-    {"greedy_compiled", "simplex_compiled", "fault_check_compiled"}
+    {
+        "greedy_compiled",
+        "simplex_compiled",
+        "fault_check_compiled",
+        "serve_query_compiled",
+    }
 )
 
 
@@ -66,6 +71,7 @@ def smoke_rows() -> list:
         rows.append(bench.bench_greedy_compiled(n=160, p=0.12))
         rows.append(bench.bench_simplex_compiled(m=24, n=48))
         rows.append(bench.bench_fault_check_compiled(n=120, p=0.1, trials=4))
+        rows.append(bench.bench_serve_query_compiled(n=1000, num_ops=200))
     return rows
 
 

@@ -1,15 +1,22 @@
 """Optional compiled (C) backend for the last interpreter-bound hot loops.
 
-The two kernels the ROADMAP called out — the greedy spanner's bounded
-bidirectional Dijkstra (:mod:`repro.spanners.greedy`) and the simplex
-pivot loop (:mod:`repro.lp.simplex`) — are shipped as a single C99
-source file (``_kernels.c``) that this module compiles on demand with
-the system C compiler and loads through :mod:`ctypes`. The fault-set
-verifier (:mod:`repro.core.verify`) reuses the greedy kernel's bounded
-search through :mod:`repro.compiled.pairs`. No python
-package dependency is involved: the backend is *available* exactly when
-a C compiler (``cc``/``gcc``/``clang``) is on ``PATH`` or a previously
-built library is already cached.
+One C99 source file (``_kernels.c``), which this module compiles on
+demand with the system C compiler and loads through :mod:`ctypes`,
+holds four entry points:
+
+* the greedy spanner's bounded bidirectional Dijkstra
+  (:mod:`repro.spanners.greedy`, wrapped by :mod:`repro.compiled.greedy`);
+* the same bounded search, batched over one CSR graph, for the
+  fault-set verifier (:mod:`repro.core.verify`, wrapped by
+  :mod:`repro.compiled.pairs`);
+* a target-stopped Dijkstra over write-maintained rows, which answers
+  the spanner service's ``QUERY_DIST`` (:mod:`repro.serve.rows`,
+  wrapped by :mod:`repro.compiled.point`);
+* the simplex pivot loop (:mod:`repro.lp.simplex`).
+
+No python package dependency is involved: the backend is *available*
+exactly when a C compiler (``cc``/``gcc``/``clang``) is on ``PATH`` or
+a previously built library is already cached.
 
 Dispatch contract (the ``method="compiled"`` tier):
 
@@ -122,6 +129,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, p_i64, p_i64, p_f64,   # n, indptr, nbr, wt
         i64, p_i64, p_i64, p_f64,   # num_q, qu, qv, bound
         ctypes.POINTER(ctypes.c_uint8),  # out
+    ]
+    lib.repro_point_dist.restype = i64
+    lib.repro_point_dist.argtypes = [
+        i64, p_i64, p_i64,          # n, start, len
+        p_i64, p_f64,               # nbr, wt
+        i64, i64, p_f64,            # s, t, out
     ]
     lib.repro_simplex_run.restype = ctypes.c_int
     lib.repro_simplex_run.argtypes = [

@@ -8,7 +8,9 @@
  *
  * plus repro_pairs_within, which reuses the greedy kernel's bounded
  * search for the fault-set verifier (core/verify.py): one query per
- * surviving host edge, on the spanner's CSR snapshot.
+ * surviving host edge, on the spanner's CSR snapshot; and
+ * repro_point_dist, the spanner service's QUERY_DIST (serve/rows.py):
+ * CSRGraph.dijkstra_idx(target=) over rows the service edits in place.
  *
  * The port preserves the reference semantics operation-for-operation:
  * the same IEEE-754 double arithmetic, the same tolerances, the same
@@ -400,6 +402,78 @@ done:
     heap_free(&hf);
     heap_free(&hb);
     return fail ? -1 : failed;
+}
+
+/* ------------------------------------------------------------------ */
+/* Service reads: one target-stopped Dijkstra over growable rows.      */
+/* ------------------------------------------------------------------ */
+
+/* *out = d(s, t) in the graph whose vertex v owns the row
+ * nbr/wt[start[v] .. start[v] + len[v]); +inf when t is unreachable.
+ * Returns 0, or -1 on allocation failure. The search is
+ * CSRGraph.dijkstra_idx(target=) operation-for-operation: one source,
+ * the same strict relaxation nd < dist[u], and it stops when t
+ * settles. Its distance is the minimum over paths of the left-to-right
+ * weight sum, which every correct Dijkstra returns bit-for-bit, so the
+ * answer equals the dict reference's. Rows are read in place. */
+int64_t repro_point_dist(
+    int64_t n, const int64_t *start, const int64_t *len,
+    const int64_t *nbr, const double *wt,
+    int64_t s, int64_t t, double *out)
+{
+    *out = INFINITY;
+    if (s == t) {
+        *out = 0.0;
+        return 0;
+    }
+    double *dist = (double *)malloc((size_t)n * sizeof(double));
+    unsigned char *settled = (unsigned char *)calloc((size_t)n, 1);
+    heap_t h = {0};
+    int fail = 0;
+    if (dist == NULL || settled == NULL || heap_init(&h, 64)) {
+        fail = 1;
+        goto done;
+    }
+    for (int64_t v = 0; v < n; v++)
+        dist[v] = INFINITY;
+    dist[s] = 0.0;
+    if (heap_push(&h, 0.0, s)) {
+        fail = 1;
+        goto done;
+    }
+    while (h.len) {
+        double d = h.d[0];
+        int64_t v = h.v[0];
+        heap_pop(&h);
+        if (settled[v])
+            continue; /* stale heap entry */
+        settled[v] = 1;
+        if (v == t) {
+            *out = d;
+            break;
+        }
+        const int64_t *to = nbr + start[v];
+        const double *w = wt + start[v];
+        for (int64_t e = 0; e < len[v]; e++) {
+            int64_t u = to[e];
+            if (settled[u])
+                continue;
+            double nd = d + w[e];
+            if (nd < dist[u]) {
+                dist[u] = nd;
+                if (heap_push(&h, nd, u)) {
+                    fail = 1;
+                    goto done;
+                }
+            }
+        }
+    }
+
+done:
+    free(dist);
+    free(settled);
+    heap_free(&h);
+    return fail ? -1 : 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -98,7 +98,7 @@ class BaseGraph:
     @staticmethod
     def _check_weight(weight: float) -> float:
         weight = float(weight)
-        if weight < 0:
+        if not weight >= 0:  # also rejects NaN, which compares false
             raise NegativeWeightError(f"edge weight must be nonnegative, got {weight}")
         return weight
 

@@ -26,6 +26,19 @@ reporting ``degraded`` — the invariant the robustness tests pin down.
 Lazy policies (``eager=False``) deliberately defer repairs to batch
 damage, running degraded until :meth:`SpannerService.repair` is called
 or the next repair trigger.
+
+The read path. ``READ_NBRS`` reads the dict spanner. ``QUERY_DIST``
+depends on the compiled backend (:mod:`repro.compiled`):
+
+* with it, the service keeps :class:`repro.serve.rows.SpannerRows`, an
+  index-space copy of the spanner's adjacency that every spanner write
+  edits in place (all writes go through ``SpannerService._write``), and
+  answers with one C target-stopped Dijkstra over those rows: no
+  snapshot is rebuilt after a write and no Dijkstra is interpreted;
+* without it, the service warms the spanner's CSR snapshot (rebuilt
+  after each write) and runs :func:`repro.graph.paths.dijkstra` with
+  ``target=``, which stays the reference the compiled answers are
+  pinned to, bit for bit (``tests/test_serve_rows.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from ..compiled import compiled_available
 from ..core.verify import IncrementalFT2Verifier
 from ..errors import InvalidSpec
 from ..graph.csr import (
@@ -48,6 +62,7 @@ from ..graph.paths import dijkstra
 from ..session import Session
 from ..spec import FaultModel, SpannerSpec
 from .repair import stream_ft2_spanner  # noqa: F401  (re-exported tier)
+from .rows import SpannerRows
 from .workload import (
     ADD_EDGE,
     ADD_NODE,
@@ -258,8 +273,7 @@ class SpannerService:
             raise InvalidSpec(
                 f"algorithm {spec.algorithm!r} did not produce a spanner graph"
             )
-        self.spanner = spanner
-        self.verifier = IncrementalFT2Verifier(graph, self.r, spanner)
+        self._adopt(spanner)
 
     # -- introspection -------------------------------------------------
 
@@ -299,15 +313,32 @@ class SpannerService:
 
     # -- spanner bookkeeping -------------------------------------------
 
+    def _adopt(self, spanner: BaseGraph) -> None:
+        """Serve ``spanner``: a fresh verifier, and rows for the C reads."""
+        self.spanner = spanner
+        self.verifier = IncrementalFT2Verifier(self.host, self.r, spanner)
+        self._rows = SpannerRows(spanner) if compiled_available() else None
+
+    def _write(self, method: str, *args: Any) -> None:
+        """Apply one spanner write to the dict graph, then to the rows.
+
+        Every spanner mutation goes through here (``add_vertex``,
+        ``remove_vertex``, ``add_edge``, ``remove_edge``), so the rows
+        that answer ``QUERY_DIST`` never miss one.
+        """
+        getattr(self.spanner, method)(*args)
+        if self._rows is not None:
+            getattr(self._rows, method)(*args)
+
     def _buy(self, u: Vertex, v: Vertex) -> None:
         """Add host edge ``(u, v)`` to the spanner (graph + verifier)."""
         if not self.spanner.has_edge(u, v):
-            self.spanner.add_edge(u, v, self.host.weight(u, v))
+            self._write("add_edge", u, v, self.host.weight(u, v))
             self.verifier.add_edge(u, v)
             self.stats.repaired_edges += 1
 
     def _drop_spanner_edge(self, u: Vertex, v: Vertex) -> None:
-        self.spanner.remove_edge(u, v)
+        self._write("remove_edge", u, v)
         self.verifier.remove_edge(u, v)
 
     # -- repair tiers --------------------------------------------------
@@ -401,8 +432,7 @@ class SpannerService:
         report = self.session.build(self.spec, graph=self.host)
         spanner = report.spanner
         assert spanner is not None  # checked at construction time
-        self.spanner = spanner
-        self.verifier = IncrementalFT2Verifier(self.host, self.r, spanner)
+        self._adopt(spanner)
 
     def repair(self, tier: Optional[str] = None) -> Optional[str]:
         """Run one repair, choosing the tier from current damage.
@@ -439,7 +469,7 @@ class SpannerService:
             if host.has_vertex(v):
                 return False
             host.add_vertex(v)
-            spanner.add_vertex(v)
+            self._write("add_vertex", v)
             verifier.add_host_vertex(v)
             return True
         if kind == ADD_EDGE:
@@ -448,8 +478,8 @@ class SpannerService:
                 return False
             weight = float(op.params.get("weight", 1.0))
             host.add_edge(u, v, weight)
-            spanner.add_vertex(u)
-            spanner.add_vertex(v)
+            self._write("add_vertex", u)
+            self._write("add_vertex", v)
             verifier.add_host_edge(u, v)
             return True
         if kind == DEL_EDGE:
@@ -457,7 +487,7 @@ class SpannerService:
             if not host.has_edge(u, v):
                 return False
             if spanner.has_edge(u, v):
-                spanner.remove_edge(u, v)
+                self._write("remove_edge", u, v)
             verifier.remove_host_edge(u, v)
             host.remove_edge(u, v)
             return True
@@ -468,7 +498,7 @@ class SpannerService:
         verifier.remove_host_vertex(v)
         host.remove_vertex(v)
         if spanner.has_vertex(v):
-            spanner.remove_vertex(v)
+            self._write("remove_vertex", v)
         return True
 
     def _answer(self, op: Operation) -> Tuple[bool, Any]:
@@ -477,12 +507,15 @@ class SpannerService:
             u, v = op.param("u"), op.param("v")
             if not spanner.has_vertex(u) or not spanner.has_vertex(v):
                 return False, None
-            if spanner.num_vertices >= MIN_DISPATCH_VERTICES:
-                # Targeted dijkstra only rides an *already-built* CSR
-                # snapshot; warming it here is amortized by the version
-                # cache across every read until the spanner next mutates.
-                csr_snapshot(spanner)
-            dist = dijkstra(spanner, u, target=v).get(v)
+            if self._rows is not None:
+                dist = self._rows.distance(u, v)
+            else:
+                if spanner.num_vertices >= MIN_DISPATCH_VERTICES:
+                    # Targeted dijkstra only rides an *already-built* CSR
+                    # snapshot; warming it here is amortized by the version
+                    # cache across every read until the spanner next mutates.
+                    csr_snapshot(spanner)
+                dist = dijkstra(spanner, u, target=v).get(v)
             if dist is None or math.isinf(dist):
                 return True, None
             return True, dist

@@ -19,6 +19,8 @@ the stream.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence
 
@@ -60,6 +62,18 @@ class Operation:
         if self.type not in OP_TYPES:
             raise InvalidSpec(
                 f"operation type must be one of {OP_TYPES}, got {self.type!r}"
+            )
+        # A bad weight is rejected here, before any op of a trace runs:
+        # JSON reads NaN and Infinity literals, and NaN passes `< 0`.
+        weight = self.params.get("weight", 1.0)
+        if self.type == ADD_EDGE and not (
+            isinstance(weight, numbers.Real)
+            and not isinstance(weight, bool)
+            and math.isfinite(weight)
+            and weight >= 0
+        ):
+            raise InvalidSpec(
+                f"ADD_EDGE weight must be a finite number >= 0, got {weight!r}"
             )
 
     @property

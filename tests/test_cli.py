@@ -537,6 +537,19 @@ class TestServe:
             stream_ft2_spanner(final, 1)
         )
 
+    def test_serve_refuses_a_trace_with_a_nan_weight(
+        self, dense_path, tmp_path, capsys
+    ):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"format": "repro-workload", "version": 1, "ops": ['
+            '{"type": "ADD_EDGE", "params": {"u": 0, "v": 1, "weight": NaN}}]}'
+        )
+        assert main(["serve", dense_path, str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert "weight" in captured.err
+        assert captured.out == ""
+
     def test_serve_human_table(self, dense_path, workload_path, capsys):
         assert main(["serve", dense_path, workload_path]) == 0
         out = capsys.readouterr().out

@@ -71,6 +71,13 @@ class TestGraphEdges:
         with pytest.raises(NegativeWeightError):
             g.add_edge(1, 2, -0.5)
 
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_nan_weight_rejected(self, cls):
+        g = cls()
+        with pytest.raises(NegativeWeightError):
+            g.add_edge(1, 2, float("nan"))
+        assert g.num_edges == 0
+
     def test_reweighting_does_not_double_count(self):
         g = Graph()
         g.add_edge(1, 2, 1.0)

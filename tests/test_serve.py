@@ -156,6 +156,28 @@ class TestOperation:
         with open(path) as a, open(path2) as b:
             assert a.read() == b.read()
 
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), -1.0, "1.0", True, None]
+    )
+    def test_add_edge_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(InvalidSpec, match="weight"):
+            Operation(ADD_EDGE, {"u": 0, "v": 1, "weight": weight})
+
+    def test_add_edge_weight_defaults_and_integers_pass(self):
+        assert Operation(ADD_EDGE, {"u": 0, "v": 1}).params == {"u": 0, "v": 1}
+        Operation(ADD_EDGE, {"u": 0, "v": 1, "weight": 0})
+
+    def test_load_rejects_a_nan_weight_before_any_op_runs(self, tmp_path):
+        # Python's json reads the NaN literal; the trace must not load.
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"format": "repro-workload", "version": 1, "ops": ['
+            '{"type": "ADD_NODE", "params": {"v": "x"}}, '
+            '{"type": "ADD_EDGE", "params": {"u": 0, "v": 1, "weight": NaN}}]}'
+        )
+        with pytest.raises(InvalidSpec, match="weight"):
+            load_workload(str(path))
+
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = str(tmp_path / "junk.json")
         with open(path, "w") as handle:
