@@ -12,11 +12,11 @@ Paper claims:
 
 What we measure: total LOCAL rounds and their decomposition for Algorithm 2
 across n (fitting rounds / log² n), its cost against the centralized LP
-optimum, the conversion's rounds-per-iteration constant, and — since the
-array round engine landed (PR 5) — the conversion's round/message scaling
-up to n = 200 communication graphs, simulated end to end on the engine
-(``method="csr"``). The Algorithm 2 family stays at n ≤ 28 because its
-cost is the per-cluster LP solves, not the simulator.
+optimum, the conversion's rounds-per-iteration constant, and the
+conversion's round/message scaling up to n = 200 communication graphs,
+simulated end to end on the LOCAL round loop. The Algorithm 2 family
+stays at n ≤ 28 because its cost is the per-cluster LP solves, not the
+simulator.
 
 Shape to hold: Algorithm 2's rounds/log² n stays within a constant band;
 its output is valid with cost within an O(log n)-consistent factor of LP*;
@@ -41,8 +41,6 @@ NS = [10, 14, 20, 28]
 R = 1
 
 #: Communication-graph sizes for the Corollary 2.4 conversion (E9c).
-#: n >= 48 rides the array round engine; forced explicitly so the
-#: benchmark always exercises it end to end.
 CONV_NS = [52, 100, 200]
 CONV_ITERATIONS = 8
 
@@ -80,7 +78,7 @@ def sweep():
         SpannerSpec(
             "distributed-ft", stretch=3, faults=FaultModel.vertex(R),
             seed=53, params={"iterations": CONV_ITERATIONS},
-            graph=conv_hosts[n], method="csr",
+            graph=conv_hosts[n],
         )
         for n in CONV_NS
     ]
@@ -123,7 +121,7 @@ def sweep():
 
     scale_rows = []
     for n, report in zip(CONV_NS, reports[conv_end:]):
-        assert report.resolved_method == "csr"
+        assert report.resolved_method == "dict"
         assert session.verify(
             report, graph=conv_hosts[n], mode="sampled", trials=20, seed=54
         )
@@ -170,7 +168,7 @@ def test_e9_distributed(benchmark):
             for row in scale_rows
         ],
         title=(
-            "E9c: conversion at engine scale (array round engine, "
+            "E9c: conversion at scale (LOCAL round loop, "
             f"α = {CONV_ITERATIONS})"
         ),
     )
@@ -188,7 +186,7 @@ def test_e9_distributed(benchmark):
         assert row["per_iteration"] <= 4.0
     rounds = [row["rounds"] for row in conv_rows]
     assert rounds[1] > rounds[0] and rounds[2] > rounds[1]
-    # Engine scale (E9c): the per-iteration round constant stays ~k + 1
+    # At scale (E9c): the per-iteration round constant stays ~k + 1
     # as n grows toward 200 — rounds depend on k, not n (Corollary 2.4) —
     # while message volume grows with the communication graph.
     for row in scale_rows:

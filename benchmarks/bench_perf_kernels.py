@@ -21,14 +21,6 @@ PR 2 routed the rest of the algorithm stack onto the kernels:
 * **padded decomposition** (Lemma 3.7) — batched unit-weight limited
   SSSP balls vs per-center dict BFS.
 
-PR 5 rewired the LOCAL-model simulator:
-
-* **round engine** (``engine_vs_dict_rounds``) — the array-backed
-  half-edge scatter engine vs the reference dict-of-dict round loop, on
-  a deliberately thin fan-out node program so the timing isolates the
-  simulator substrate (message routing, inbox construction, round
-  bookkeeping) rather than any algorithm's local computation.
-
 PR 10 added the optional compiled (C) tier:
 
 * **greedy compiled** (``greedy_compiled``) — the bounded bidirectional
@@ -83,7 +75,6 @@ from repro.core.verify import (
     unsatisfied_edges,
 )
 from repro.distributed import sample_padded_decomposition
-from repro.distsim import NodeAlgorithm, run_algorithm
 from repro.graph import connected_gnp_graph, gnp_random_graph
 from repro.spanners import (
     baswana_sen_spanner,
@@ -469,51 +460,6 @@ def bench_decomposition(n: int = 400, p: float = 0.03) -> dict:
     return _pair_row("padded_decomposition", g, fast, slow, {"p": p})
 
 
-class _FanoutNode(NodeAlgorithm):
-    """Thin flood program: broadcast + inbox sum per round, then halt.
-
-    The per-round local computation is a single integer sum, so a
-    simulation of this node measures the simulator substrate itself —
-    the regime the E9 distributed sweeps stress (message fan-out across
-    many rounds), with no algorithm cost diluting the comparison.
-    """
-
-    def __init__(self, rounds: int):
-        self.rounds = rounds
-
-    def on_start(self, ctx):
-        ctx.broadcast(0)
-
-    def on_round(self, ctx, inbox):
-        total = 0
-        for _sender, hops in inbox.items():
-            total += hops
-        if ctx.round >= self.rounds:
-            ctx.halt(result=total)
-        else:
-            ctx.broadcast(ctx.round)
-
-
-def bench_engine_rounds(n: int = 400, p: float = 0.03, rounds: int = 24) -> dict:
-    """LOCAL round engine vs the reference dict loop (PR 5).
-
-    Both paths run the same seeded simulation and are asserted identical
-    (round count, message count, per-node results) before timing.
-    """
-    g = connected_gnp_graph(n, p, seed=8)
-    node = _FanoutNode(rounds)
-    fast = lambda: run_algorithm(g, lambda v: node, seed=1, method="csr")  # noqa: E731
-    slow = lambda: run_algorithm(g, lambda v: node, seed=1, method="dict")  # noqa: E731
-    a, b = fast(), slow()
-    assert (a.rounds, a.messages_sent, a.results) == (
-        b.rounds, b.messages_sent, b.results
-    )
-    return _pair_row(
-        "engine_vs_dict_rounds", g, fast, slow,
-        {"p": p, "rounds": rounds, "messages": a.messages_sent},
-    )
-
-
 def bench_edge_conversion(n: int = 400, p: float = 0.05, r: int = 2,
                           iters: int = 20) -> dict:
     """theorem21-edge: edge-masked views of one snapshot vs edge_subgraph.
@@ -540,78 +486,6 @@ def bench_edge_conversion(n: int = 400, p: float = 0.05, r: int = 2,
     )
 
 
-def bench_distributed_ft(n: int = 200, p: float = 0.6, r: int = 2,
-                         iters: int = 8, rounds: int = 16) -> dict:
-    """Corollary 2.4 ops loop: masked-view simulations vs rebuilt subgraphs.
-
-    E9's regime — per-iteration :class:`FaultScenario` sampling at
-    ``p_survive = 1/r`` over an ``n = 200`` communication graph, one
-    simulation per scenario. The LOCAL model does not charge for local
-    computation, so the node program is the thin fan-out flood — the
-    pair isolates the per-sampling *ops* (survivor handling, context
-    setup, message routing). The csr path keeps faulty engine nodes
-    silent on a masked SurvivorView of one host snapshot; the dict
-    reference rebuilds ``induced_subgraph`` and a fresh simulation
-    context per iteration (the pinned materialized-subgraph path).
-    """
-    from repro.core.conversion import survival_probability
-    from repro.graph import FaultScenario
-    from repro.rng import derive_rng, ensure_rng
-
-    g = connected_gnp_graph(n, p, seed=3)
-    verts = list(g.vertices())
-    node = _FanoutNode(rounds)
-    p_survive = survival_probability(r)
-    seed = 11
-
-    # The scenarios are fixed inputs (a sweep replays them from seed
-    # provenance — see Session.scenario), so they are sampled once, with
-    # the Corollary 2.4 RNG discipline, outside the timed loops.
-    rng = ensure_rng(seed)
-    it_rngs = [derive_rng(rng, i) for i in range(iters)]
-    scenarios = [
-        FaultScenario.sample_vertices(
-            verts, p_survive, it_rngs[i], seed=seed, iteration=i
-        )
-        for i in range(iters)
-    ]
-
-    def sim_seed(i):
-        replay = ensure_rng(seed)
-        for j in range(i + 1):
-            it_rng = derive_rng(replay, j)
-        return it_rng
-
-    def fast():
-        out = []
-        for i in range(iters):
-            sim = run_algorithm(
-                g, lambda v: node, seed=sim_seed(i), method="csr",
-                scenario=scenarios[i],
-            )
-            out.append((sim.rounds, sim.messages_sent,
-                        sorted(sim.results.items())))
-        return out
-
-    def slow():
-        out = []
-        for i in range(iters):
-            fault = scenarios[i].fault_set()
-            sub = g.induced_subgraph([v for v in verts if v not in fault])
-            sim = run_algorithm(sub, lambda v: node, seed=sim_seed(i),
-                                method="dict")
-            out.append((sim.rounds, sim.messages_sent,
-                        sorted(sim.results.items())))
-        return out
-
-    assert fast() == slow()
-    return _pair_row(
-        "distributed_ft_loop", g, fast, slow,
-        {"p": p, "r": r, "iterations": iters, "rounds": rounds},
-        fast_repeats=5,
-    )
-
-
 def run_benchmarks() -> list:
     from repro.compiled import compiled_available, compiled_unavailable_reason
 
@@ -625,9 +499,7 @@ def run_benchmarks() -> list:
         bench_distance_oracle(),
         bench_clpr(),
         bench_decomposition(),
-        bench_engine_rounds(),
         bench_edge_conversion(),
-        bench_distributed_ft(),
     ]
     if compiled_available():
         rows.append(bench_greedy_compiled())
@@ -678,13 +550,9 @@ def _assert_headline(rows) -> None:
     # PR 2 headline kernels: the clustering spanners at n = 400.
     assert by_name["thorup_zwick"]["speedup"] >= MIN_HEADLINE_SPEEDUP
     assert by_name["baswana_sen"]["speedup"] >= MIN_HEADLINE_SPEEDUP
-    # PR 5: the round engine must clearly beat the dict loop on the
-    # substrate-isolating fan-out pair (measured ~2x; margin for CI).
-    assert by_name["engine_vs_dict_rounds"]["speedup"] >= 1.3
-    # Zero-copy fault scenarios: both per-survivor loops must beat the
-    # materialized-subgraph reference by 3x at full size.
+    # Zero-copy fault scenarios: the edge-fault conversion loop must
+    # beat the materialized-subgraph reference by 3x at full size.
     assert by_name["theorem21_edge_loop"]["speedup"] >= 3.0
-    assert by_name["distributed_ft_loop"]["speedup"] >= 3.0
     # The remaining rewired paths must at least never lose to dict.
     for name in ("tz_distance_oracle", "clpr_baseline", "padded_decomposition"):
         assert by_name[name]["speedup"] >= 1.0

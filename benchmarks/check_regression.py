@@ -63,9 +63,7 @@ def smoke_rows() -> list:
         bench.bench_distance_oracle(n=160, p=0.15),
         bench.bench_clpr(n=64),
         bench.bench_decomposition(n=160, p=0.06),
-        bench.bench_engine_rounds(n=160, p=0.08, rounds=16),
         bench.bench_edge_conversion(n=160, p=0.08, iters=8),
-        bench.bench_distributed_ft(n=96, p=0.1, iters=4),
     ]
     if compiled_available():
         rows.append(bench.bench_greedy_compiled(n=160, p=0.12))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, Sequence, Set
 
 from ..errors import FaultToleranceError, InvalidSpec, InvalidStretch
-from ..graph.csr import SurvivorView, snapshot
+from ..graph.csr import METHODS, SurvivorView, snapshot
 from ..graph.graph import BaseGraph
 from ..graph.scenario import FaultScenario
 from ..registry import register_algorithm
@@ -78,6 +78,14 @@ def base_algorithm_caller(
     return bound
 
 
+def _require_method(method: str) -> None:
+    """Reject a ``method`` outside :data:`repro.graph.csr.METHODS`."""
+    if method not in METHODS:
+        raise FaultToleranceError(
+            f"method must be one of {METHODS}, got {method!r}"
+        )
+
+
 def engine_resolved_method(method: str) -> str:
     """The dispatch tier a greedy-base conversion actually engages.
 
@@ -85,11 +93,10 @@ def engine_resolved_method(method: str) -> str:
     oversampling engine on the host CSR snapshot, whose greedy kernel is
     ``"compiled"`` when the optional C backend serves the request and
     ``"csr"`` otherwise — the value the registry adapters report as
-    ``resolved_method`` so build reports name the true path.
+    ``resolved_method`` so build reports name the true path. These are
+    exactly the greedy dispatch rule's values.
     """
-    if method == "dict":
-        return "dict"
-    return "compiled" if _greedy_check_method(method) == "compiled" else "csr"
+    return _greedy_check_method(method)
 
 
 @dataclass
@@ -171,7 +178,7 @@ class _OversamplingEngine:
     dispatch rule: ``"auto"`` rides the compiled C kernel when
     :mod:`repro.compiled` is available (every masked survivor iteration
     benefits, since surviving ids feed the kernel unchanged) and the
-    interpreted indexed kernel otherwise; ``"compiled"`` requires the
+    interpreted ``"csr"`` kernel otherwise; ``"compiled"`` requires the
     backend. :attr:`resolved_method` records the tier actually engaged
     (``"compiled"`` or ``"csr"``) for honest build reports.
     """
@@ -365,11 +372,7 @@ def fault_tolerant_spanner(
         raise FaultToleranceError(
             f"survival_prob must be in (0, 1], got {survival_prob}"
         )
-    if method not in ("auto", "csr", "dict", "indexed", "compiled"):
-        raise FaultToleranceError(
-            f"method must be 'auto', 'csr', 'indexed', 'dict', or "
-            f"'compiled', got {method!r}"
-        )
+    _require_method(method)
     use_engine = base_algorithm is greedy_spanner and method != "dict"
     base_algorithm = base_algorithm_caller(base_algorithm, method)
 
@@ -467,11 +470,7 @@ def fault_tolerant_spanner_until_valid(
     """
     if r < 1:
         raise FaultToleranceError("the adaptive variant requires r >= 1")
-    if method not in ("auto", "csr", "dict", "indexed", "compiled"):
-        raise FaultToleranceError(
-            f"method must be 'auto', 'csr', 'indexed', 'dict', or "
-            f"'compiled', got {method!r}"
-        )
+    _require_method(method)
     use_engine = base_algorithm is greedy_spanner and method != "dict"
     base_algorithm = base_algorithm_caller(base_algorithm, method)
     union = type(graph)()
@@ -703,5 +702,5 @@ def _registry_build_adaptive(graph: BaseGraph, spec, seed):
     stats = conversion_stats_dict(result.stats)
     stats["until_valid"] = knobs
     if spec.param("base_algorithm", "greedy") == "greedy":
-        stats["resolved_method"] = "dict" if spec.method == "dict" else "csr"
+        stats["resolved_method"] = engine_resolved_method(spec.method)
     return result, stats

@@ -45,6 +45,7 @@ from .conversion import (
     ConversionResult,
     ConversionStats,
     _OversamplingEngine,
+    _require_method,
     base_algorithm_caller,
     conversion_stats_dict,
     engine_resolved_method,
@@ -114,11 +115,7 @@ def edge_fault_tolerant_spanner(
         raise InvalidStretch(f"stretch must be >= 1, got {k}")
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")
-    if method not in ("auto", "csr", "dict", "indexed", "compiled"):
-        raise FaultToleranceError(
-            f"method must be 'auto', 'csr', 'indexed', 'dict', or "
-            f"'compiled', got {method!r}"
-        )
+    _require_method(method)
     if scenarios is not None:
         scenarios = list(scenarios)
         if not scenarios:

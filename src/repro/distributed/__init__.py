@@ -7,10 +7,12 @@ Algorithm 2's cluster-decomposed LP with local rounding (Theorem 3.9).
 The two end-to-end pipelines self-register in :mod:`repro.registry` as
 ``distributed-ft`` and ``distributed-ft2`` (capability flag
 ``distributed=True``), so they build through the same
-:class:`repro.session.Session` front door as the centralized algorithms,
-and their ``method=`` switch (array round engine vs reference dict
-simulator, see :mod:`repro.distsim`) threads through
-:class:`repro.spec.SpannerSpec` like every other dispatch decision.
+:class:`repro.session.Session` front door as the centralized algorithms.
+Every LOCAL protocol here runs on the one round loop of
+:mod:`repro.distsim`, so ``distributed-ft`` has a single path and
+reports ``resolved_method="dict"`` whatever ``SpannerSpec.method`` says;
+``distributed-ft2`` keeps ``method=`` for its centralized Lemma 3.7
+sampler (:func:`sample_padded_decomposition`).
 :func:`repro.distsim.communication_graph` is re-exported here because
 every entry point in this package runs on the undirected communication
 topology of its (possibly directed) problem graph.

@@ -269,6 +269,7 @@ def distributed_ft2_spanner(
 )
 def _registry_build(graph: BaseGraph, spec, seed):
     """Spec adapter: ``SpannerSpec -> distributed_ft2_spanner``."""
+    from ..graph.csr import resolve_method
     from ..spec import require_fault_kind, require_stretch
 
     require_stretch(spec, 2)
@@ -290,5 +291,8 @@ def _registry_build(graph: BaseGraph, spec, seed):
         "lp_iterations": result.lp.iterations,
         "lp_cost": result.lp.lp_cost,
         "rounding_attempts": result.rounding.attempts,
+        # The Lemma 3.7 sampler dispatches on the communication graph,
+        # which has the host's vertex set.
+        "resolved_method": resolve_method(spec.method, graph.num_vertices),
     }
     return result, stats

@@ -243,21 +243,17 @@ def distributed_padded_decomposition(
     p: float = DEFAULT_P,
     radius_cap: Optional[int] = None,
     seed: RandomLike = None,
-    *,
-    method: str = "auto",
 ) -> Tuple[PaddedDecomposition, SimulationResult]:
     """Run the Lemma 3.7 algorithm in the simulator.
 
     Returns the decomposition plus the simulation result (whose ``rounds``
-    field realizes the O(log n) round bound). ``method`` selects the
-    simulator's execution path (array round engine vs reference dict
-    loop); both are seed-identical.
+    field realizes the O(log n) round bound).
     """
     cap = radius_cap if radius_cap is not None else default_radius_cap(
         graph.num_vertices
     )
     algorithm = PaddedDecompositionAlgorithm(p=p, radius_cap=cap)
-    sim = run_algorithm(graph, lambda v: algorithm, seed=seed, method=method)
+    sim = run_algorithm(graph, lambda v: algorithm, seed=seed)
     assignment = dict(sim.results)
     radii = {v: sim.states[v]["radius"] for v in assignment}
     decomposition = PaddedDecomposition(

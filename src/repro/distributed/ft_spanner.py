@@ -22,7 +22,6 @@ from typing import Hashable, List, Optional
 
 from ..core.conversion import resolve_iterations, survival_probability
 from ..errors import DistributedError
-from ..graph.csr import resolve_method, snapshot
 from ..graph.graph import Graph
 from ..registry import register_algorithm
 from ..rng import RandomLike, derive_rng, ensure_rng
@@ -54,8 +53,6 @@ def distributed_ft_spanner(
     schedule: str = "light",
     constant: float = 16.0,
     seed: RandomLike = None,
-    *,
-    method: str = "auto",
 ) -> DistributedFTResult:
     """Distributed r-fault-tolerant (2k-1)-spanner (Corollary 2.4).
 
@@ -63,15 +60,7 @@ def distributed_ft_spanner(
     ``k`` here is the Baswana–Sen level count (stretch ``2k - 1``). The
     default schedule is "light" (``r² log n``) because the simulator runs
     every round explicitly; pass ``schedule="theorem"`` for the full
-    ``r³ log n`` of the statement. ``method`` selects the execution
-    path for every per-iteration run, resolved once against the *host*:
-    on the CSR path each iteration's sampling becomes a
-    :class:`repro.graph.csr.SurvivorView` over one shared host snapshot
-    — engine nodes that sampled "faulty" simply stay silent on the
-    masked view, and no per-iteration subgraph, snapshot, or engine
-    routing table is ever rebuilt. ``method="dict"`` stays the pinned
-    reference (materialized ``induced_subgraph`` per iteration); the
-    two paths are seed-identical.
+    ``r³ log n`` of the statement.
     """
     if graph.directed:
         raise DistributedError("run on the undirected communication graph")
@@ -83,7 +72,7 @@ def distributed_ft_spanner(
     union.add_vertices(graph.vertices())
 
     if r == 0:
-        spanner, sim = distributed_baswana_sen(graph, k, seed=rng, method=method)
+        spanner, sim = distributed_baswana_sen(graph, k, seed=rng)
         for u, v, w in spanner.edges():
             union.add_edge(u, v, w)
         return DistributedFTResult(
@@ -100,40 +89,17 @@ def distributed_ft_spanner(
     total_messages = 0
     survivor_sizes: List[int] = []
     vertices = list(graph.vertices())
-    resolved = resolve_method(method, n)
 
-    if resolved == "csr" and n:
-        # Zero-copy loop: one host snapshot and one host weights map,
-        # reused by every iteration's masked view. The survivor draw is
-        # the same one-random()-per-vertex stream the dict loop consumes.
-        snap = snapshot(graph)
-        weights = {v: dict(graph.neighbor_items(v)) for v in vertices}
-        for i in range(alpha):
-            it_rng = derive_rng(rng, i)
-            alive = [it_rng.random() < p_survive for _v in vertices]
-            survivor_sizes.append(sum(alive))
-            view = snap.survivor_view(alive)
-            spanner, sim = distributed_baswana_sen(
-                graph, k, seed=it_rng, method="csr", scenario=view,
-                weights=weights,
-            )
-            total_rounds += max(sim.rounds, 1)
-            total_messages += sim.messages_sent
-            for u, v, w in spanner.edges():
-                union.add_edge(u, v, w)
-    else:
-        for i in range(alpha):
-            it_rng = derive_rng(rng, i)
-            survivors = [v for v in vertices if it_rng.random() < p_survive]
-            survivor_sizes.append(len(survivors))
-            sub = graph.induced_subgraph(survivors)
-            spanner, sim = distributed_baswana_sen(
-                sub, k, seed=it_rng, method="dict"
-            )
-            total_rounds += max(sim.rounds, 1)
-            total_messages += sim.messages_sent
-            for u, v, w in spanner.edges():
-                union.add_edge(u, v, w)
+    for i in range(alpha):
+        it_rng = derive_rng(rng, i)
+        survivors = [v for v in vertices if it_rng.random() < p_survive]
+        survivor_sizes.append(len(survivors))
+        sub = graph.induced_subgraph(survivors)
+        spanner, sim = distributed_baswana_sen(sub, k, seed=it_rng)
+        total_rounds += max(sim.rounds, 1)
+        total_messages += sim.messages_sent
+        for u, v, w in spanner.edges():
+            union.add_edge(u, v, w)
 
     return DistributedFTResult(
         spanner=union,
@@ -156,16 +122,9 @@ def distributed_ft_spanner(
 )
 def _registry_build(graph: Graph, spec, seed):
     """Spec adapter: ``SpannerSpec -> distributed_ft_spanner``."""
-    from ..graph.csr import resolve_method
     from ..spec import require_fault_kind, stretch_to_levels
 
     require_fault_kind(spec, "vertex", "none")
-    # Resolve "auto" once against the host and force every per-iteration
-    # simulation onto that path: the iterations run on survivor
-    # *subgraphs*, which would otherwise re-resolve per subgraph size
-    # and make the report's resolved_method (derived from the host by
-    # the session) misstate which engine actually ran.
-    resolved = resolve_method(spec.method, graph.num_vertices)
     result = distributed_ft_spanner(
         graph,
         stretch_to_levels(spec, parameter="k"),
@@ -174,13 +133,11 @@ def _registry_build(graph: Graph, spec, seed):
         schedule=spec.param("schedule", "light"),
         constant=spec.param("constant", 16.0),
         seed=seed,
-        method=resolved,
     )
     stats = {
         "iterations": result.iterations,
         "total_rounds": result.total_rounds,
         "total_messages": result.total_messages,
         "survivor_sizes": list(result.survivor_sizes),
-        "resolved_method": resolved,
     }
     return result, stats

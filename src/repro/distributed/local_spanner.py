@@ -25,7 +25,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from ..distsim.node import NodeAlgorithm, NodeContext
 from ..distsim.runtime import SimulationResult, run_algorithm
 from ..errors import DistributedError
-from ..graph.csr import SurvivorView, snapshot
 from ..graph.graph import BaseGraph, Graph
 from ..rng import RandomLike, ensure_rng
 
@@ -182,72 +181,32 @@ def distributed_baswana_sen(
     k: int,
     seed: RandomLike = None,
     sample_probability: Optional[float] = None,
-    *,
-    method: str = "auto",
-    scenario=None,
-    weights: Optional[Dict[Vertex, Dict[Vertex, float]]] = None,
 ) -> Tuple[Graph, SimulationResult]:
     """Run the distributed Baswana–Sen (2k-1)-spanner.
 
     Returns the spanner (union of all nodes' bought edges) and the
     simulation result; ``result.rounds`` is ``k + 1`` — realizing the
     O(k)-round bound Corollary 2.4 needs from its base construction.
-    ``method`` selects the simulator's execution path (seed-identical
-    either way).
-
-    ``scenario`` (a :class:`repro.graph.scenario.FaultScenario` or a
-    :class:`repro.graph.csr.SurvivorView` over ``graph``'s snapshot)
-    runs the protocol on the surviving subgraph without materializing
-    it: faulted nodes stay silent in the simulator, and all accounting
-    (sample probability, round/message counts, the spanner's vertex
-    set) matches running on the materialized survivor subgraph exactly.
-    ``weights`` optionally supplies the host's ``{v: {u: w}}`` adjacency
-    map so repeated scenario runs over one host share it; nodes only
-    ever read live-neighbor entries, so the full host map is safe on
-    any masked view.
     """
     if graph.directed:
         raise DistributedError("the distributed spanner runs on undirected graphs")
     if k < 1:
         raise DistributedError(f"k must be >= 1, got {k}")
-    view = None
-    if scenario is not None:
-        if isinstance(scenario, SurvivorView):
-            view = scenario
-        else:
-            view = snapshot(graph).survivor_view(scenario)
+    n = graph.num_vertices
     spanner = Graph()
-    if view is None:
-        n = graph.num_vertices
-        m = graph.num_edges
-        spanner.add_vertices(graph.vertices())
-    else:
-        csr = view.csr
-        alive_idx = view.surviving_vertex_indices()
-        n = len(alive_idx)
-        m = view.num_surviving_edges
-        spanner.add_vertices(csr.verts[i] for i in alive_idx)
-    if n == 0 or m == 0:
+    spanner.add_vertices(graph.vertices())
+    if n == 0 or graph.num_edges == 0:
         return spanner, SimulationResult(rounds=0, messages_sent=0)
     if k == 1:
-        if view is None:
-            for u, v, w in graph.edges():
-                spanner.add_edge(u, v, w)
-        else:
-            verts = csr.verts
-            for e in view.surviving_edge_ids():
-                spanner.add_edge(
-                    verts[csr.edge_u[e]], verts[csr.edge_v[e]], csr.edge_w[e]
-                )
+        for u, v, w in graph.edges():
+            spanner.add_edge(u, v, w)
         return spanner, SimulationResult(rounds=0, messages_sent=0)
     rng = ensure_rng(seed)
     salt = rng.getrandbits(63)
     p = sample_probability if sample_probability is not None else n ** (-1.0 / k)
-    if weights is None:
-        weights = {v: dict(graph.neighbor_items(v)) for v in graph.vertices()}
+    weights = {v: dict(graph.neighbor_items(v)) for v in graph.vertices()}
     node = BaswanaSenNode(k=k, p=p, salt=salt, weights=weights)
-    sim = run_algorithm(graph, lambda v: node, seed=rng, method=method,
-                        scenario=view)
+    sim = run_algorithm(graph, lambda v: node, seed=rng)
     for bought in sim.results.values():
         for (a, b) in bought:
             spanner.add_edge(a, b, graph.weight(a, b))

@@ -81,15 +81,12 @@ def distributed_lemma31_check(
     graph: BaseGraph,
     r: int,
     seed: RandomLike = None,
-    *,
-    method: str = "auto",
 ) -> Tuple[bool, List[EdgeKey], SimulationResult]:
     """Run the 2-round LOCAL verification.
 
     Returns ``(valid, violations, simulation_result)``. The communication
     topology is :func:`repro.distsim.communication_graph` of the host
-    (Section 3.5's bidirectional-communication convention); ``method``
-    selects the simulator's execution path.
+    (Section 3.5's bidirectional-communication convention).
     """
     if r < 0:
         raise DistributedError(f"r must be nonnegative, got {r}")
@@ -108,7 +105,7 @@ def distributed_lemma31_check(
             spanner_in.setdefault(u, set()).add(v)
 
     verifier = LocalLemma31Verifier(r, host_out, spanner_out, spanner_in)
-    sim = run_algorithm(comm, lambda v: verifier, seed=seed, method=method)
+    sim = run_algorithm(comm, lambda v: verifier, seed=seed)
     violations: List[EdgeKey] = []
     for result in sim.results.values():
         violations.extend(result or ())

@@ -3,15 +3,10 @@
 In each round every node may send an unbounded-size message to each of its
 neighbours; after ``t`` rounds a node's state is a function of its
 radius-``t`` neighbourhood. The distributed algorithms of Sections 2 and
-3.5 run on this substrate.
-
-Two interchangeable execution paths implement the round semantics: the
-reference dict loop in :mod:`repro.distsim.runtime` and the array-backed
-:class:`~repro.distsim.engine.ArrayRoundEngine`, selected per run through
-``Simulation(..., method="auto"|"csr"|"dict")`` and pinned seed-identical.
+3.5 run on this substrate, all on the one round loop in
+:mod:`repro.distsim.runtime`.
 """
 
-from .engine import ArrayRoundEngine, InboxView
 from .message import Message
 from .node import NodeAlgorithm, NodeContext
 from .runtime import (
@@ -25,8 +20,6 @@ from .trace import RoundRecord, SimulationTracer
 
 __all__ = [
     "AlgorithmFactory",
-    "ArrayRoundEngine",
-    "InboxView",
     "Message",
     "NodeAlgorithm",
     "NodeContext",

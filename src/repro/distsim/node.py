@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..errors import ProtocolViolation
 
@@ -85,20 +85,13 @@ class NodeAlgorithm:
     """Base class for LOCAL-model node programs.
 
     Subclasses override :meth:`on_start` (round 0, no inbox) and
-    :meth:`on_round` (every later round, with the inbox of messages sent
-    in the previous round, as a ``{sender: content}`` mapping). The
-    inbox is a plain dict on the reference simulator path and a
-    read-only dict-shaped view on the array-engine path (see
-    :mod:`repro.distsim.engine`); on both, its items are stable after
-    the round, but keyed access (``inbox[sender]`` / ``.get`` / ``in``)
-    is only guaranteed during the ``on_round`` call that received it —
-    the engine view raises :class:`~repro.errors.ProtocolViolation` on
-    later keyed access rather than risk a silent divergence.
+    :meth:`on_round` (every later round, with the inbox of messages sent in
+    the previous round, as a ``{sender: content}`` dict).
     """
 
     def on_start(self, ctx: NodeContext) -> None:
         """Round 0 hook: initialize state, send first messages."""
 
-    def on_round(self, ctx: NodeContext, inbox: Mapping[Vertex, Any]) -> None:
+    def on_round(self, ctx: NodeContext, inbox: Dict[Vertex, Any]) -> None:
         """Per-round hook; call ``ctx.halt()`` when done."""
         raise NotImplementedError

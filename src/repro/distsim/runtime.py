@@ -11,13 +11,9 @@ The simulator charges one round per synchronous step and reports total
 rounds and message count; the LOCAL model does not charge for local
 computation or message size.
 
-Two execution paths share these semantics: the reference dict-of-dict
-round loop below, and the array-backed :class:`~repro.distsim.engine.
-ArrayRoundEngine`, which scatters messages over the half-edge arrays of
-a CSR snapshot. :class:`Simulation` dispatches between them through the
-library's one ``method="auto"|"csr"|"dict"`` rule
-(:func:`repro.graph.csr.resolve_method`); both paths are pinned
-output- and RNG-stream-identical per seed.
+The simulator has one execution path, the dict-of-dict round loop
+below; its outputs, traces and RNG streams are a pure function of the
+graph, the node program and the seed.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable
 
 from ..errors import DistributedError
-from ..graph.csr import SurvivorView, resolve_method, snapshot
 from ..graph.graph import BaseGraph, Graph
 from ..rng import RandomLike, derive_rng, ensure_rng
 from .node import NodeAlgorithm, NodeContext
@@ -43,8 +38,7 @@ def communication_graph(graph: BaseGraph) -> Graph:
     Section 3.5 convention: communication along an edge is bidirectional
     even when the problem graph is directed, so a directed instance
     communicates over its undirected collapse. Undirected graphs are
-    returned *unchanged* (the same instance), so cached CSR snapshots —
-    and therefore the round engine's index tables — stay shared.
+    returned *unchanged* (the same instance, no copy).
     """
     return graph.to_undirected() if graph.directed else graph
 
@@ -60,22 +54,7 @@ class SimulationResult:
 
 
 class Simulation:
-    """Run a node algorithm over a communication graph.
-
-    ``method`` selects the execution path (see
-    :func:`repro.graph.csr.resolve_method`): ``"dict"`` is the reference
-    loop below, ``"csr"`` the array-backed round engine, and ``"auto"``
-    picks the engine at and above the kernel layer's dispatch size. The
-    two are seed-identical, so the choice is performance-only.
-
-    ``scenario`` restricts execution to the surviving subgraph of a
-    :class:`repro.graph.scenario.FaultScenario` (or a prebuilt
-    :class:`repro.graph.csr.SurvivorView` over the host's snapshot):
-    the engine path runs zero-copy on the masked view — faulted nodes
-    stay silent, nothing is rebuilt — while the dict path stays the
-    pinned reference by materializing the survivor subgraph. ``auto``
-    dispatch then keys on the *surviving* vertex count.
-    """
+    """Run a node algorithm over a communication graph."""
 
     def __init__(
         self,
@@ -83,8 +62,6 @@ class Simulation:
         factory: AlgorithmFactory,
         seed: RandomLike = None,
         tracer=None,
-        method: str = "auto",
-        scenario=None,
     ) -> None:
         if graph.directed:
             raise DistributedError(
@@ -95,32 +72,9 @@ class Simulation:
         self.factory = factory
         #: Optional :class:`~repro.distsim.trace.SimulationTracer`.
         self.tracer = tracer
-        view: "SurvivorView | None" = None
-        if scenario is not None:
-            if isinstance(scenario, SurvivorView):
-                view = scenario
-            else:
-                view = snapshot(graph).survivor_view(scenario)
-        #: The execution path this simulation resolved to ("csr"/"dict").
-        self.resolved_method = resolve_method(
-            method,
-            view.num_surviving_vertices if view is not None else graph.num_vertices,
-        )
         rng = ensure_rng(seed)
-        self._engine = None
         self._contexts: Dict[Vertex, NodeContext] = {}
         self._algorithms: Dict[Vertex, NodeAlgorithm] = {}
-        if self.resolved_method == "csr":
-            from .engine import ArrayRoundEngine
-
-            self._engine = ArrayRoundEngine(
-                graph, factory, rng, tracer=tracer, view=view
-            )
-            return
-        if view is not None and view.is_masked:
-            # Reference semantics of a scenario run: the dict loop on the
-            # materialized survivor subgraph.
-            graph = view.to_graph()
         for i, v in enumerate(graph.vertices()):
             ctx = NodeContext(
                 node=v,
@@ -132,9 +86,6 @@ class Simulation:
 
     def run(self, max_rounds: int = 10_000) -> SimulationResult:
         """Execute rounds until every node halts (or ``max_rounds``)."""
-        if self._engine is not None:
-            self._engine.tracer = self.tracer
-            return self._engine.run(max_rounds=max_rounds)
         contexts = self._contexts
         algorithms = self._algorithms
         messages_sent = 0
@@ -190,9 +141,6 @@ def run_algorithm(
     factory: AlgorithmFactory,
     seed: RandomLike = None,
     max_rounds: int = 10_000,
-    method: str = "auto",
-    scenario=None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulation`."""
-    return Simulation(graph, factory, seed=seed, method=method,
-                      scenario=scenario).run(max_rounds=max_rounds)
+    return Simulation(graph, factory, seed=seed).run(max_rounds=max_rounds)

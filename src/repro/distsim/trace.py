@@ -104,9 +104,9 @@ class SimulationTracer:
 
         Vertex ``repr`` keeps arbitrary hashable vertex types
         serializable while staying deterministic, so two traces of the
-        same seeded simulation — across processes, hash seeds, or
-        execution paths — serialize to identical bytes. This is what the
-        CI ``distsim-smoke`` step diffs.
+        same seeded simulation — across processes or hash seeds —
+        serialize to identical bytes. This is what the CI
+        ``distsim-smoke`` step diffs.
         """
         return {
             "format": "repro-trace",

@@ -92,9 +92,6 @@ class CSRGraph:
         "_edge_v_np",
         "_half_np",
         "_sp_kernels",
-        "_engine_tables",
-        "_engine_nbrs",
-        "_engine_nbr_idx",
         "_uv_eid",
     )
 
@@ -113,16 +110,6 @@ class CSRGraph:
         self._edge_v_np = None
         self._half_np = None
         self._sp_kernels = None
-        #: Routing tables of the LOCAL-model round engine (half-edge
-        #: sources + per-vertex out-slot maps), built lazily by
-        #: :class:`repro.distsim.engine.ArrayRoundEngine` and cached here
-        #: because the snapshot is immutable.
-        self._engine_tables = None
-        #: Per-vertex neighbor-label and receiver-index tuples for the
-        #: round engine's unmasked contexts — also engine-owned, also
-        #: safe to cache here because the snapshot is immutable.
-        self._engine_nbrs = None
-        self._engine_nbr_idx = None
         #: Lazy ``(u_idx, v_idx) -> edge id`` table (undirected pairs are
         #: normalized) for translating :class:`FaultScenario` edge lists.
         self._uv_eid = None
@@ -685,12 +672,12 @@ class SurvivorView:
     alive); ``edge_alive`` masks unique edge ids (``None`` = all alive) —
     an edge survives iff both endpoints are alive *and* its id is alive,
     so vertex- and edge-fault scenarios share this one view type.
-    ``surviving_edge_ids`` / ``half_alive`` / ``masked_weights`` are each
-    computed lazily once (one vectorized O(m) pass with NumPy).
+    ``surviving_edge_ids`` / ``masked_weights`` are each computed lazily
+    once (one vectorized O(m) pass with NumPy).
     """
 
     __slots__ = ("csr", "alive", "edge_alive", "scenario", "_edge_ids",
-                 "_alive_np", "_half_ok_np", "_half_alive", "_masked_wt")
+                 "_alive_np", "_half_ok_np", "_masked_wt")
 
     def __init__(self, csr: CSRGraph, alive: Optional[Sequence] = None,
                  edge_alive: Optional[Sequence] = None, scenario=None):
@@ -703,7 +690,6 @@ class SurvivorView:
         self._edge_ids: Optional[List[int]] = None
         self._alive_np = None
         self._half_ok_np = None
-        self._half_alive = None
         self._masked_wt = None
 
     @property
@@ -724,12 +710,6 @@ class SurvivorView:
         if self.alive is None:
             return self.csr.num_vertices
         return sum(1 for a in self.alive if a)
-
-    def surviving_vertex_indices(self) -> List[int]:
-        """Alive vertex indices, in host vertex order."""
-        if self.alive is None:
-            return list(range(self.csr.num_vertices))
-        return [i for i, a in enumerate(self.alive) if a]
 
     def surviving_edge_ids(self) -> List[int]:
         if self._edge_ids is None:
@@ -805,36 +785,6 @@ class SurvivorView:
                 ok = edge_ok if ok is None else ok & edge_ok
             self._half_ok_np = ok
         return self._half_ok_np
-
-    def half_alive(self) -> Optional[List[bool]]:
-        """Per-half-edge-slot survivor list (``None`` = nothing masked).
-
-        Slot ``p`` is alive iff its source vertex, target vertex, and
-        edge id all survive — the mask the round engine consults when
-        scattering broadcasts. A plain list, because the engine reads it
-        with scalar indexing inside interpreted loops.
-        """
-        if not self.is_masked:
-            return None
-        if self._half_alive is None:
-            ok = self._half_ok()
-            if ok is not None:
-                self._half_alive = ok.tolist()
-            else:
-                csr = self.csr
-                alive, edge_alive = self.alive, self.edge_alive
-                indptr, nbr, eid = csr.indptr, csr.nbr, csr.eid
-                out = [True] * len(nbr)
-                for v in range(csr.num_vertices):
-                    v_ok = alive is None or alive[v]
-                    for p in range(indptr[v], indptr[v + 1]):
-                        out[p] = bool(
-                            v_ok
-                            and (alive is None or alive[nbr[p]])
-                            and (edge_alive is None or edge_alive[eid[p]])
-                        )
-                self._half_alive = out
-        return self._half_alive
 
     def masked_weights(self):
         """Half-edge weight vector with ``+inf`` on dead slots.

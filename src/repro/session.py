@@ -186,6 +186,9 @@ class Session:
         resolved = resolve_method(
             spec.method, host.num_vertices, compiled_path=info.compiled_path
         )
+        if not (info.csr_path or info.compiled_path):
+            # One implementation: no size rule picks a tier for it.
+            resolved = "dict"
         # Only algorithms with a CSR path consume a host snapshot; for
         # the rest (LP/rounding and LOCAL-simulator pipelines) building
         # one would be pure waste and would inflate the reuse counters.
@@ -198,8 +201,8 @@ class Session:
         elapsed = time.perf_counter() - started
         stats = dict(stats)
         # A builder that dispatches differently from the generic size
-        # rule (e.g. greedy's always-on indexed kernel) reports the path
-        # it actually took.
+        # rule (e.g. greedy's always-on interpreted kernel) reports the
+        # path it actually took.
         resolved = stats.pop("resolved_method", resolved)
         report = BuildReport(
             spec=spec,

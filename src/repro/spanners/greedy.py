@@ -28,6 +28,7 @@ from math import inf
 from typing import Hashable, List, Optional, Tuple
 
 from ..errors import InvalidStretch
+from ..graph.csr import METHODS
 from ..graph.graph import BaseGraph
 from ..graph.paths import distance_at_most
 from ..registry import register_algorithm
@@ -223,7 +224,7 @@ def make_greedy_kernel(n: int, directed: bool, resolved: str):
 
 
 def _greedy_indexed(
-    graph: BaseGraph, k: float, max_edges: Optional[int], resolved: str = "indexed"
+    graph: BaseGraph, k: float, max_edges: Optional[int], resolved: str = "csr"
 ) -> BaseGraph:
     verts = list(graph.vertices())
     index = {v: i for i, v in enumerate(verts)}
@@ -241,34 +242,27 @@ def _greedy_indexed(
 def _check_method(method: str) -> str:
     """Normalize the shared ``method`` kwarg for the greedy entry points.
 
-    Accepts the unified ``"auto"|"csr"|"dict"|"compiled"`` vocabulary of
-    :func:`repro.graph.csr.resolve_method` plus the historical
-    ``"indexed"`` alias. The greedy kernel has no snapshot overhead (it
-    indexes once and never builds a CSR), so dispatch ignores graph
-    size: ``csr`` and ``indexed`` resolve to the indexed kernel, and
-    ``auto`` resolves to the compiled kernel whenever the optional C
-    backend (:mod:`repro.compiled`) is available — falling back to the
-    indexed kernel silently when it is not. An explicit ``"compiled"``
+    Accepts exactly :data:`repro.graph.csr.METHODS`. The greedy kernel has
+    no snapshot overhead (it indexes once and never builds a CSR), so
+    dispatch ignores graph size: ``"csr"`` is the interpreted index-space
+    kernel, and ``"auto"`` resolves to the compiled kernel whenever the
+    optional C backend (:mod:`repro.compiled`) is available — falling
+    back to ``"csr"`` silently when it is not. An explicit ``"compiled"``
     raises :class:`repro.errors.CompiledBackendUnavailable` instead of
     downgrading.
     """
-    if method in ("indexed", "csr"):
-        return "indexed"
     if method == "auto":
         from ..compiled import compiled_available
 
-        return "compiled" if compiled_available() else "indexed"
+        return "compiled" if compiled_available() else "csr"
     if method == "compiled":
         from ..compiled import require_compiled
 
         require_compiled()
         return "compiled"
-    if method == "dict":
-        return "dict"
-    raise ValueError(
-        f"method must be 'auto', 'csr', 'indexed', 'dict', or "
-        f"'compiled', got {method!r}"
-    )
+    if method in METHODS:
+        return method
+    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def _greedy_dict(graph: BaseGraph, k: float, max_edges: Optional[int]) -> BaseGraph:
@@ -283,7 +277,7 @@ def _greedy_dict(graph: BaseGraph, k: float, max_edges: Optional[int]) -> BaseGr
     return spanner
 
 
-def greedy_spanner(graph: BaseGraph, k: float, *, method: str = "indexed") -> BaseGraph:
+def greedy_spanner(graph: BaseGraph, k: float, *, method: str = "csr") -> BaseGraph:
     """Build a greedy ``k``-spanner of ``graph``.
 
     Parameters
@@ -295,16 +289,15 @@ def greedy_spanner(graph: BaseGraph, k: float, *, method: str = "indexed") -> Ba
     k:
         Stretch bound, ``k >= 1``.
     method:
-        ``"indexed"`` (default; ``"csr"`` is an accepted alias — see
-        :func:`repro.graph.csr.resolve_method` for the shared
-        vocabulary) runs on the flat-array kernel; ``"auto"`` upgrades
-        to the compiled C kernel (``"compiled"`` requests it
-        explicitly, raising when the backend is unavailable) whenever
+        One of :data:`repro.graph.csr.METHODS`. ``"csr"`` (default)
+        runs the interpreted flat-array kernel; ``"auto"`` upgrades to
+        the compiled C kernel (``"compiled"`` requests it explicitly,
+        raising when the backend is unavailable) whenever
         :mod:`repro.compiled` loads, and ``"dict"`` forces the original
         dict-graph implementation. All tiers produce the same spanner:
-        the compiled kernel replays the indexed kernel's float
+        the compiled kernel replays the interpreted kernel's float
         operations exactly, edge ties are broken by the same stable
-        sort, and the indexed/dict keep/skip decisions agree — exactly on
+        sort, and the csr/dict keep/skip decisions agree — exactly on
         unit/integer weights, and up to float summation order otherwise
         (the bidirectional kernel sums path halves separately, so a path
         length within an ulp of the ``k·w`` slack boundary could in
@@ -325,7 +318,7 @@ def greedy_spanner(graph: BaseGraph, k: float, *, method: str = "indexed") -> Ba
 
 
 def greedy_spanner_size_first(
-    graph: BaseGraph, k: float, max_edges: int, *, method: str = "indexed"
+    graph: BaseGraph, k: float, max_edges: int, *, method: str = "csr"
 ) -> BaseGraph:
     """Greedy spanner truncated at ``max_edges`` edges.
 
@@ -361,7 +354,7 @@ def _registry_build(graph: BaseGraph, spec, seed):
         )
     else:
         spanner = greedy_spanner(graph, spec.stretch, method=spec.method)
-    # Greedy has no snapshot to amortize, so its indexed (or compiled)
-    # kernel runs at every size — report the true path, not the generic
-    # size rule.
+    # Greedy has no snapshot to amortize, so its interpreted (or
+    # compiled) kernel runs at every size — report the true path, not
+    # the generic size rule.
     return spanner, {"resolved_method": _check_method(spec.method)}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.graph import (
@@ -63,3 +66,14 @@ def random_digraph() -> DiGraph:
 def gadget() -> DiGraph:
     """Knapsack-cover gap gadget with r=2."""
     return knapsack_gap_gadget(2, expensive_cost=100.0)
+
+
+@pytest.fixture
+def output_digest():
+    """Short sha256 of a JSON-able seeded output, for pinned-result tests."""
+
+    def digest(obj) -> str:
+        blob = json.dumps(obj, sort_keys=True).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    return digest

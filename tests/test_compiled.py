@@ -443,7 +443,7 @@ class TestNoBackendFallback:
             "from repro.spec import SpannerSpec\n"
             "report = Session().build(\n"
             "    SpannerSpec('greedy', stretch=3), graph=complete_graph(10))\n"
-            "assert report.resolved_method == 'indexed', report.resolved_method\n"
+            "assert report.resolved_method == 'csr', report.resolved_method\n"
             "print('session-ok')\n"
         )
         assert proc.returncode == 0, proc.stderr

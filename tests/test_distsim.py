@@ -1,8 +1,8 @@
 """The LOCAL-model simulator: delivery semantics, halting, accounting.
 
-Both execution paths are covered: the reference dict loop and the
-array-backed round engine (``method="csr"``), which must be output-,
-trace-, and RNG-stream-identical to it on every seeded run.
+The simulator has one execution path, the dict round loop. Its seeded
+outputs, traces and RNG streams are pinned to recorded digests (see
+:class:`TestEngineEquivalence`).
 """
 
 from __future__ import annotations
@@ -173,57 +173,73 @@ class RandomizedFlood(NodeAlgorithm):
             ctx.broadcast(("fwd", ctx.round, ctx.rng.random()))
 
 
-ENGINE_ALGORITHMS = [
+PINNED_ALGORITHMS = [
     lambda: Echo(),
     lambda: HopCounter(),
     lambda: RandomizedFlood(),
 ]
 
 
-def run_both_paths(graph, make_algorithm, seed):
-    """Run one algorithm on both simulator paths with separate parents.
-
-    Returns ``(dict_result, csr_result, dict_tracer, csr_tracer)`` and
-    asserts the two parent generators were consumed identically.
-    """
-    outs, tracers, parents = [], [], []
-    for method in ("dict", "csr"):
-        parent = random.Random(seed)
-        tracer = SimulationTracer(record_edges=True)
-        sim = Simulation(
-            graph, lambda v: make_algorithm(), seed=parent,
-            tracer=tracer, method=method,
-        )
-        assert sim.resolved_method == method
-        outs.append(sim.run())
-        tracers.append(tracer)
-        parents.append(parent)
-    assert parents[0].random() == parents[1].random()
-    return outs[0], outs[1], tracers[0], tracers[1]
+#: ``(algorithm index, n, seed) -> (rounds, messages, digest)`` of the
+#: seeded runs in :meth:`TestEngineEquivalence.test_property_random_graphs`.
+PINNED_RUNS = {
+    (0, 6, 0): (1, 12, "fe3f137d86ef2a73"),
+    (0, 12, 1): (1, 42, "52191a7c0afdb3e8"),
+    (0, 25, 2): (1, 80, "041202d7dc7407a1"),
+    (0, 40, 3): (1, 164, "01213a255de107eb"),
+    (0, 60, 4): (1, 264, "3777b4393d570366"),
+    (1, 6, 0): (4, 12, "7011b74308dc55fe"),
+    (1, 12, 1): (4, 42, "c5ff5890958b2773"),
+    (1, 25, 2): (6, 80, "22a32f5200154564"),
+    (1, 40, 3): (5, 164, "26e0ab90cdefc95a"),
+    (1, 60, 4): (5, 264, "366b1c573d1c08a0"),
+    (2, 6, 0): (3, 26, "3b4b5cd10fa007d0"),
+    (2, 12, 1): (3, 79, "34d2780b6f1ea409"),
+    (2, 25, 2): (3, 158, "9d2832da6e6ceb2e"),
+    (2, 40, 3): (3, 295, "012b5553e04d76fb"),
+    (2, 60, 4): (3, 443, "44d90a87904b5efe"),
+}
 
 
 class TestEngineEquivalence:
-    """dict loop vs array round engine: pinned identical per seed."""
+    """Seeded runs reproduce their recorded outputs exactly.
+
+    The digests were recorded while an array-backed round engine still
+    ran beside this loop and matched it output-, trace- and
+    RNG-stream-for-stream, so they pin the loop to everything either
+    path produced. The protocol checks below are the ones that engine
+    had to mirror.
+    """
 
     @pytest.mark.parametrize("n,p,seed", [
         (6, 0.5, 0), (12, 0.3, 1), (25, 0.15, 2), (40, 0.1, 3), (60, 0.08, 4),
     ])
-    @pytest.mark.parametrize("algorithm_index", range(len(ENGINE_ALGORITHMS)))
-    def test_property_random_graphs(self, n, p, seed, algorithm_index):
+    @pytest.mark.parametrize("algorithm_index", range(len(PINNED_ALGORITHMS)))
+    def test_property_random_graphs(
+        self, n, p, seed, algorithm_index, output_digest
+    ):
         graph = connected_gnp_graph(n, p, seed=seed)
-        make = ENGINE_ALGORITHMS[algorithm_index]
-        a, b, ta, tb = run_both_paths(graph, make, seed=seed + 17)
-        assert a.rounds == b.rounds
-        assert a.messages_sent == b.messages_sent
-        assert a.results == b.results
-        assert a.states == b.states
-        # Trace event sequences: RoundRecord dataclass equality covers
-        # per-round delivery counts, active counts, halt order, and the
-        # (sender, receiver) delivery sequence.
-        assert ta.rounds == tb.rounds
-        assert ta.to_dict() == tb.to_dict()
+        make = PINNED_ALGORITHMS[algorithm_index]
+        parent = random.Random(seed + 17)
+        tracer = SimulationTracer(record_edges=True)
+        result = Simulation(
+            graph, lambda v: make(), seed=parent, tracer=tracer
+        ).run()
+        # The digest covers per-node results and states, the full trace
+        # (delivery counts, halt order, (sender, receiver) sequence) and
+        # the parent generator's next draw (one derived stream per node).
+        doc = {
+            "results": sorted(result.results.items()),
+            "states": sorted(result.states.items()),
+            "trace": tracer.to_dict(),
+            "next_draw": parent.random(),
+        }
+        assert (result.rounds, result.messages_sent, output_digest(doc)) == (
+            PINNED_RUNS[(algorithm_index, n, seed)]
+        )
 
     def test_inbox_view_is_dict_shaped(self):
+        """Each inbox is a plain ``{sender: content}`` dict in sender order."""
         observed = {}
 
         class Probe(NodeAlgorithm):
@@ -231,31 +247,17 @@ class TestEngineEquivalence:
                 ctx.broadcast(("from", ctx.node))
 
             def on_round(self, ctx, inbox):
-                observed[ctx.node] = {
-                    "len": len(inbox),
-                    "truthy": bool(inbox),
-                    "keys": list(inbox),
-                    "items": sorted(inbox.items()),
-                    "values": sorted(inbox.values()),
-                    "contains": ctx.neighbors[0] in inbox,
-                    "get_missing": inbox.get("no-such-node", "default"),
-                    "getitem": inbox[ctx.neighbors[0]],
-                }
+                observed[ctx.node] = (type(inbox), list(inbox.items()))
                 ctx.halt()
 
-        g = complete_graph(5)
-        run_algorithm(g, lambda v: Probe(), method="csr")
-        engine_view = dict(observed)
-        observed.clear()
-        run_algorithm(g, lambda v: Probe(), method="dict")
-        assert engine_view == observed
+        run_algorithm(complete_graph(5), lambda v: Probe())
+        assert sorted(observed) == list(range(5))
+        for v, (kind, items) in observed.items():
+            assert kind is dict
+            assert items == [(u, ("from", u)) for u in range(5) if u != v]
 
     def test_stashed_inbox_keeps_its_items(self):
-        """A view kept across rounds still reads its round's messages.
-
-        Published buckets are never mutated, so iteration/items/len of a
-        stashed inbox match what a stashed dict-path inbox observes.
-        """
+        """An inbox kept across rounds still reads its round's messages."""
 
         class Stasher(NodeAlgorithm):
             def on_start(self, ctx):
@@ -266,79 +268,69 @@ class TestEngineEquivalence:
                     ctx.state["saved"] = inbox
                     ctx.broadcast(("round1", ctx.node))
                 else:
-                    ctx.halt(result=sorted(ctx.state["saved"].items()))
+                    saved = ctx.state["saved"]
+                    first = ctx.neighbors[0]
+                    ctx.halt(result=(
+                        sorted(saved.items()), saved[first], first in saved,
+                        saved.get("no-such-node", "default"),
+                    ))
 
-        outs = [
-            run_algorithm(complete_graph(6), lambda v: Stasher(), method=m)
-            for m in ("dict", "csr")
-        ]
-        assert outs[0].results == outs[1].results
+        result = run_algorithm(complete_graph(6), lambda v: Stasher())
         # the saved round-1 inbox still holds the round-0 broadcasts
-        assert outs[1].results[0][0] == (1, ("round0", 1))
-
-    def test_stashed_inbox_keyed_access_fails_loudly(self):
-        """Keyed access after the round raises instead of diverging.
-
-        The engine cannot serve `inbox[sender]`/.get/`in` once the round
-        is over (the message slots are re-stamped); rather than silently
-        disagreeing with the dict path it raises ProtocolViolation —
-        which .get and `in` do not swallow (they only catch KeyError).
-        """
-
-        class LateKeyed(NodeAlgorithm):
-            def on_start(self, ctx):
-                ctx.broadcast("x")
-
-            def on_round(self, ctx, inbox):
-                if ctx.round == 1:
-                    ctx.state["saved"] = inbox
-                    ctx.broadcast("y")
-                else:
-                    with pytest.raises(ProtocolViolation):
-                        ctx.state["saved"].get(ctx.neighbors[0])
-                    ctx.halt()
-
-        run_algorithm(complete_graph(5), lambda v: LateKeyed(), method="csr")
+        assert result.results[0] == (
+            [(u, ("round0", u)) for u in range(1, 6)],
+            ("round0", 1), True, "default",
+        )
 
     def test_engine_protocol_enforcement(self):
-        class BadTarget(NodeAlgorithm):
-            def on_start(self, ctx):
-                ctx.send("nowhere", "boom")
+        """A broadcast collides with any same-round send, in either order."""
 
-        class DoubleSend(NodeAlgorithm):
+        class SendThenBroadcast(NodeAlgorithm):
             def on_start(self, ctx):
-                for n in ctx.neighbors:
-                    ctx.send(n, 1)
-                    ctx.send(n, 2)
+                ctx.send(ctx.neighbors[0], 1)
+                ctx.broadcast(2)
 
-        with pytest.raises(ProtocolViolation):
-            run_algorithm(path_graph(2), lambda v: BadTarget(), method="csr")
-        with pytest.raises(ProtocolViolation):
-            run_algorithm(path_graph(2), lambda v: DoubleSend(), method="csr")
+        class BroadcastThenSend(NodeAlgorithm):
+            def on_start(self, ctx):
+                ctx.broadcast(1)
+                ctx.send(ctx.neighbors[-1], 2)
+
+        class LonelyBroadcast(NodeAlgorithm):
+            def on_start(self, ctx):
+                ctx.broadcast(1)
+                ctx.broadcast(2)
+                ctx.halt(result="ok")
+
+        for program in (SendThenBroadcast, BroadcastThenSend):
+            with pytest.raises(ProtocolViolation):
+                run_algorithm(path_graph(3), lambda v: program())
+        # With no neighbours a broadcast sends nothing, so it cannot collide.
+        lonely = Graph()
+        lonely.add_vertex(0)
+        result = run_algorithm(lonely, lambda v: LonelyBroadcast())
+        assert (result.messages_sent, result.results) == (0, {0: "ok"})
 
     def test_engine_max_rounds_guard(self):
-        class Forever(NodeAlgorithm):
-            def on_round(self, ctx, inbox):
-                pass
+        """``max_rounds`` admits exactly that many rounds."""
 
+        class HaltAtFive(NodeAlgorithm):
+            def on_round(self, ctx, inbox):
+                if ctx.round == 5:
+                    ctx.halt()
+
+        result = run_algorithm(path_graph(2), lambda v: HaltAtFive(), max_rounds=5)
+        assert result.rounds == 5
         with pytest.raises(DistributedError):
-            run_algorithm(
-                path_graph(2), lambda v: Forever(), max_rounds=5, method="csr"
-            )
+            run_algorithm(path_graph(2), lambda v: HaltAtFive(), max_rounds=4)
 
     def test_engine_rejects_directed_graph(self):
+        """A digraph is rejected even without arcs; its collapse runs."""
         g = DiGraph()
-        g.add_edge(1, 2)
+        g.add_vertices(range(3))
         with pytest.raises(DistributedError):
-            Simulation(g, lambda v: Echo(), method="csr")
-
-    def test_auto_dispatches_by_size(self):
-        small = Simulation(path_graph(3), lambda v: Echo())
-        large = Simulation(
-            connected_gnp_graph(60, 0.1, seed=1), lambda v: Echo()
-        )
-        assert small.resolved_method == "dict"
-        assert large.resolved_method == "csr"
+            run_algorithm(g, lambda v: HaltImmediately())
+        result = run_algorithm(communication_graph(g), lambda v: HaltImmediately())
+        assert result.rounds == 0
 
 
 class HaltImmediately(NodeAlgorithm):
@@ -352,20 +344,18 @@ class HaltImmediately(NodeAlgorithm):
 
 
 class TestZeroRoundRegressions:
-    """Empty / edgeless simulations must terminate in 0 rounds on both paths."""
+    """Empty / edgeless simulations must terminate in 0 rounds."""
 
-    @pytest.mark.parametrize("method", ["dict", "csr"])
-    def test_empty_graph(self, method):
-        result = run_algorithm(Graph(), lambda v: Echo(), method=method)
+    def test_empty_graph(self):
+        result = run_algorithm(Graph(), lambda v: Echo())
         assert result.rounds == 0
         assert result.messages_sent == 0
         assert result.results == {}
 
-    @pytest.mark.parametrize("method", ["dict", "csr"])
-    def test_isolated_vertices(self, method):
+    def test_isolated_vertices(self):
         g = Graph()
         g.add_vertices(range(7))
-        result = run_algorithm(g, lambda v: HaltImmediately(), method=method)
+        result = run_algorithm(g, lambda v: HaltImmediately())
         assert result.rounds == 0
         assert result.messages_sent == 0
         assert result.results == {v: "done" for v in range(7)}
@@ -392,17 +382,15 @@ class TestCommunicationGraph:
 
 
 _TRACE_SCRIPT = """
-import json, sys
+import json
 from repro.distributed import distributed_padded_decomposition
-from repro.distsim import Simulation, SimulationTracer
 from repro.graph import connected_gnp_graph
 
-method = sys.argv[1]
 g = connected_gnp_graph(30, 0.2, seed=6)
 relabeled = type(g)()
 for u, v, w in g.edges():
     relabeled.add_edge(f"node-{u}", f"node-{v}", w)
-dec, sim = distributed_padded_decomposition(relabeled, seed=9, method=method)
+dec, sim = distributed_padded_decomposition(relabeled, seed=9)
 print(json.dumps({
     "assignment": sorted((u, c) for u, c in dec.assignment.items()),
     "rounds": sim.rounds,
@@ -415,13 +403,12 @@ class TestHashSeedDeterminism:
     """Seeded simulations are identical across hash-randomized processes.
 
     String-labeled vertices make any hidden set-iteration order visible:
-    the engine and the dict loop must both produce one output per seed
-    regardless of PYTHONHASHSEED (the CI ``distsim-smoke`` step diffs the
-    full JSON traces the same way).
+    the simulator must produce one output per seed regardless of
+    PYTHONHASHSEED (the CI ``distsim-smoke`` step diffs the full JSON
+    traces the same way).
     """
 
-    @pytest.mark.parametrize("method", ["csr", "dict"])
-    def test_trace_stable_across_hash_seeds(self, method):
+    def test_trace_stable_across_hash_seeds(self):
         outputs = set()
         for hashseed in ("0", "1", "1234"):
             env = dict(os.environ, PYTHONHASHSEED=hashseed)
@@ -429,7 +416,7 @@ class TestHashSeedDeterminism:
                 filter(None, ["src", os.environ.get("PYTHONPATH")])
             )
             result = subprocess.run(
-                [sys.executable, "-c", _TRACE_SCRIPT, method],
+                [sys.executable, "-c", _TRACE_SCRIPT],
                 capture_output=True,
                 text=True,
                 env=env,

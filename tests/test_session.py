@@ -173,10 +173,20 @@ class TestMethodThreading:
         assert auto.stats.survivor_sizes == forced.stats.survivor_sizes
 
     def test_conversion_rejects_unknown_method(self, host):
+        from repro.core import fault_tolerant_spanner_until_valid
         from repro.errors import FaultToleranceError
 
-        with pytest.raises(FaultToleranceError):
-            fault_tolerant_spanner(host, 3, 1, seed=5, method="gpu")
+        for method in ("gpu", "indexed"):
+            with pytest.raises(FaultToleranceError):
+                fault_tolerant_spanner(host, 3, 1, seed=5, method=method)
+            with pytest.raises(FaultToleranceError):
+                fault_tolerant_spanner_until_valid(
+                    host, 3, 1, lambda union: True, seed=5, method=method
+                )
+            with pytest.raises(FaultToleranceError):
+                edge_fault_tolerant_spanner(host, 3, 1, seed=5, method=method)
+            with pytest.raises(ValueError):
+                greedy_spanner(host, 3, method=method)
 
     def test_method_reaches_custom_base(self, host):
         """A base accepting method= receives the conversion's method."""
@@ -275,7 +285,7 @@ class TestResolvedMethod:
         report = Session().build(SpannerSpec("greedy", stretch=3), graph=graph)
         # greedy dispatches by kernel availability, never by size
         assert report.resolved_method == (
-            "compiled" if compiled_available() else "indexed"
+            "compiled" if compiled_available() else "csr"
         )
 
     def test_theorem21_small_graph_reports_engine_tier(self):
@@ -304,6 +314,49 @@ class TestResolvedMethod:
             SpannerSpec("baswana-sen", stretch=3, seed=1), graph=small
         )
         assert report.resolved_method == "dict"  # n < threshold -> dict
+
+    def test_adaptive_reports_the_theorem21_tier(self):
+        graph = connected_gnp_graph(120, 0.1, seed=3)
+        digraph = gnp_random_digraph(50, 0.06, seed=4)
+        for host in (graph, digraph):
+            for method in ("auto", "csr", "dict"):
+                reports = [
+                    Session().build(
+                        SpannerSpec(name, stretch=3, faults=FaultModel.vertex(1),
+                                    seed=2, params=params, method=method),
+                        graph=host,
+                    )
+                    for name, params in (
+                        ("theorem21", {"iterations": 2}),
+                        ("theorem21-adaptive",
+                         {"until_valid": {"trials": 2}}),
+                    )
+                ]
+                assert reports[1].resolved_method == reports[0].resolved_method
+
+    @pytest.mark.parametrize(
+        "name", ["ft2-approx", "dk10-baseline", "ft2-stream", "distributed-ft"]
+    )
+    def test_single_path_rows_report_dict(self, name):
+        host = connected_gnp_graph(48, 0.15, seed=5)  # at the dispatch size
+        spec = SpannerSpec(name, stretch=2, faults=FaultModel.vertex(1), seed=6)
+        if name == "distributed-ft":
+            spec = SpannerSpec(name, stretch=3, seed=6)
+        for method in ("auto", "csr"):
+            report = Session().build(spec.replace(method=method), graph=host)
+            assert report.resolved_method == "dict"
+        with pytest.raises(ValueError):  # no compiled kernel to request
+            Session().build(spec.replace(method="compiled"), graph=host)
+
+    def test_distributed_ft2_reports_its_sampler_tier(self):
+        for n, expected in ((10, "dict"), (48, "csr")):
+            report = Session().build(
+                SpannerSpec("distributed-ft2", stretch=2,
+                            faults=FaultModel.vertex(1), seed=7,
+                            params={"t": 1}),
+                graph=gnp_random_digraph(n, 0.1, seed=8),
+            )
+            assert report.resolved_method == expected
 
 
 class TestSeedSpawning:
