@@ -4,20 +4,21 @@
 conversion (and its Corollary 2.2 instantiation with the greedy spanner),
 :mod:`repro.core.clpr` the CLPR09 exponential-in-r baseline it improves on,
 and :mod:`repro.core.verify` the exhaustive / sampled / Lemma 3.1 verifiers
-used by tests and benchmarks.
+used by tests and benchmarks. Both fault kinds share that code: the
+conversion's one loop and the verifier's drivers take the kind, and
+:mod:`repro.core.edge_faults` holds the edge-fault entry points as shells
+over them.
 
 The constructors here self-register in :mod:`repro.registry` (names
-``theorem21``, ``theorem21-edge``, ``clpr09``) — the registry, not this
-module list, is the authoritative catalogue of what can be built.
+``theorem21``, ``theorem21-adaptive``, ``theorem21-edge``, ``clpr09``) —
+the registry, not this module list, is the authoritative catalogue of what
+can be built.
 """
 
 from .clpr import CLPRResult, clpr_fault_tolerant_spanner
 from .edge_faults import (
-    edge_fault_sets,
     edge_fault_tolerant_spanner,
-    edge_satisfied_for_edge_faults,
     is_edge_fault_tolerant_spanner,
-    is_edge_ft_2spanner,
     sampled_edge_fault_check,
 )
 from .conversion import (
@@ -51,16 +52,13 @@ __all__ = [
     "clpr_fault_tolerant_spanner",
     "count_fault_sets",
     "count_two_paths",
-    "edge_fault_sets",
     "edge_fault_tolerant_spanner",
     "edge_satisfied",
-    "edge_satisfied_for_edge_faults",
     "fault_sets",
     "fault_tolerant_spanner",
     "fault_tolerant_spanner_until_valid",
     "first_violating_fault_set",
     "is_edge_fault_tolerant_spanner",
-    "is_edge_ft_2spanner",
     "is_fault_tolerant_spanner",
     "is_ft_2spanner",
     "resolve_iterations",

@@ -25,12 +25,11 @@ The expected survivor size is ``n/r`` per iteration, so the union has size
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence, Set
 
 from ..errors import FaultToleranceError, InvalidSpec, InvalidStretch
-from ..graph.csr import METHODS, SurvivorView, snapshot
+from ..graph.csr import METHODS, snapshot
 from ..graph.graph import BaseGraph
 from ..graph.scenario import FaultScenario
 from ..registry import register_algorithm
@@ -41,8 +40,7 @@ from ..spanners.greedy import (
     greedy_spanner,
     make_greedy_kernel,
 )
-
-Vertex = Hashable
+from .verify import _fault_units, _first_violation
 
 #: A base spanner algorithm: (graph, stretch) -> spanning subgraph.
 BaseSpannerAlgorithm = Callable[[BaseGraph, float], BaseGraph]
@@ -76,27 +74,6 @@ def base_algorithm_caller(
         return base_algorithm(graph, k, method=method)
 
     return bound
-
-
-def _require_method(method: str) -> None:
-    """Reject a ``method`` outside :data:`repro.graph.csr.METHODS`."""
-    if method not in METHODS:
-        raise FaultToleranceError(
-            f"method must be one of {METHODS}, got {method!r}"
-        )
-
-
-def engine_resolved_method(method: str) -> str:
-    """The dispatch tier a greedy-base conversion actually engages.
-
-    ``"dict"`` forces the reference pipeline; anything else runs the
-    oversampling engine on the host CSR snapshot, whose greedy kernel is
-    ``"compiled"`` when the optional C backend serves the request and
-    ``"csr"`` otherwise — the value the registry adapters report as
-    ``resolved_method`` so build reports name the true path. These are
-    exactly the greedy dispatch rule's values.
-    """
-    return _greedy_check_method(method)
 
 
 @dataclass
@@ -183,9 +160,10 @@ class _OversamplingEngine:
     (``"compiled"`` or ``"csr"``) for honest build reports.
     """
 
-    def __init__(self, graph: BaseGraph, k: float, method: str = "auto"):
+    def __init__(self, graph: BaseGraph, k: float, kind: str, method: str):
         self.graph = graph
         self.k = k
+        self.kind = kind
         self.csr = snapshot(graph)
         edge_w = self.csr.edge_w
         self.sorted_ids = sorted(range(len(edge_w)), key=edge_w.__getitem__)
@@ -202,77 +180,24 @@ class _OversamplingEngine:
         )
         self.union_ids: Set[int] = set()
 
-    def iterate(self, view) -> List[int]:
-        """Run one oversampling iteration on a survivor view.
+    def step(self, alive: Sequence[bool]) -> List[int]:
+        """Run one oversampling iteration on a survivor mask.
 
-        ``view`` is a :class:`repro.graph.csr.SurvivorView` over this
-        engine's snapshot (vertex- and/or edge-masked — both fault kinds
-        ride the same code path) or a raw vertex survivor mask. Returns
-        the iteration's chosen edge ids (the base spanner of ``G \\ J``);
+        ``alive`` has one flag per host vertex (snapshot order) or, for
+        an edge-fault engine, per host edge (edge-id order). Returns the
+        iteration's chosen edge ids (the base spanner of ``G \\ J``);
         they are also merged into :attr:`union_ids`.
         """
         csr = self.csr
-        if isinstance(view, SurvivorView):
-            surviving = view.filter_edge_ids(self.sorted_ids)
+        if self.kind == "vertex":
+            view = csr.survivor_view(alive)
         else:
-            surviving = csr.filter_edge_ids(self.sorted_ids, view)
+            view = csr.survivor_view(edge_alive=alive)
         chosen = self.kernel.run_edge_ids(
-            surviving, csr.edge_u, csr.edge_v, csr.edge_w, self.k
+            view.filter_edge_ids(self.sorted_ids),
+            csr.edge_u, csr.edge_v, csr.edge_w, self.k,
         )
         self.union_ids.update(chosen)
-        return chosen
-
-    def _account(self, chosen: List[int], stats: "ConversionStats") -> None:
-        stats.iteration_edge_counts.append(len(chosen))
-        stats.union_edge_counts.append(len(self.union_ids))
-
-    def step(self, it_rng, p_survive: float, stats: "ConversionStats") -> List[int]:
-        """One full Theorem 2.1 iteration: draw survivors, build, account.
-
-        Consumes the RNG stream exactly like the dict pipeline (one draw
-        per vertex, in host vertex order). Shared by both conversion
-        drivers so their iteration bodies cannot drift apart.
-        """
-        alive = [it_rng.random() < p_survive for _ in self.csr.verts]
-        stats.survivor_sizes.append(sum(alive))
-        chosen = self.iterate(self.csr.survivor_view(alive))
-        self._account(chosen, stats)
-        return chosen
-
-    def edge_step(self, it_rng, p_survive: float, stats: "ConversionStats") -> List[int]:
-        """One Theorem 2.3-style edge-oversampling iteration.
-
-        Consumes one draw per *edge*, in the host's ``edges()`` order
-        (edge-id order) — exactly the stream the dict pipeline's
-        survivor comprehension draws — and runs the kernel on an
-        edge-masked view of the same host snapshot. ``survivor_sizes``
-        records surviving *edge* counts, matching the dict pipeline's
-        ``sub.num_edges`` accounting.
-        """
-        edge_alive = [
-            it_rng.random() < p_survive for _ in range(self.csr.num_edges)
-        ]
-        stats.survivor_sizes.append(sum(edge_alive))
-        chosen = self.iterate(self.csr.survivor_view(edge_alive=edge_alive))
-        self._account(chosen, stats)
-        return chosen
-
-    def scenario_step(
-        self, scenario, stats: "ConversionStats", *, count_edges: bool = False
-    ) -> List[int]:
-        """One iteration on an explicit :class:`FaultScenario` (no RNG).
-
-        ``count_edges`` makes ``survivor_sizes`` record surviving *edge*
-        counts even for a ``kind="none"`` scenario — the edge pipeline's
-        accounting convention.
-        """
-        view = self.csr.survivor_view(scenario)
-        stats.survivor_sizes.append(
-            view.num_surviving_edges if count_edges or scenario.kind == "edge"
-            else view.num_surviving_vertices
-        )
-        chosen = self.iterate(view)
-        self._account(chosen, stats)
         return chosen
 
     def add_new_edges_to(self, union: BaseGraph, chosen, materialized: Set[int]) -> None:
@@ -300,6 +225,169 @@ class _OversamplingEngine:
         for e in sorted(self.union_ids):
             union.add_edge(verts[csr.edge_u[e]], verts[csr.edge_v[e]], csr.edge_w[e])
         return union
+
+
+def _replay_faults(scenarios, kind: str, units: list, directed: bool) -> list:
+    """Check ``scenarios`` for a ``kind`` conversion; return their failed units.
+
+    Entry ``i`` lists the indices into ``units`` that ``scenarios[i]``
+    names, so its survivor mask is the one a sampled draw would give. On
+    digraphs an edge scenario names arcs, so ``(u, v)`` spares ``(v, u)``;
+    on undirected hosts either orientation names the edge. Naming a
+    vertex or edge the host lacks raises :class:`FaultToleranceError`.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise FaultToleranceError("scenarios must be a non-empty sequence")
+    other = "edge" if kind == "vertex" else "vertex"
+    index = {unit: i for i, unit in enumerate(units)}
+    if kind == "edge" and not directed:
+        index.update({(v, u): i for (u, v), i in list(index.items())})
+    faults = []
+    for sc in scenarios:
+        if not isinstance(sc, FaultScenario):
+            raise FaultToleranceError(
+                f"scenarios must hold FaultScenario values, got {sc!r}"
+            )
+        if sc.kind == other:
+            raise FaultToleranceError(
+                f"the {kind}-fault conversion cannot replay a kind={other!r} "
+                f"scenario; use the {other}-fault conversion"
+            )
+        failed = sc.vertices if kind == "vertex" else sc.edges
+        for unit in failed:
+            if unit not in index:
+                raise FaultToleranceError(
+                    f"scenario names the {kind} {unit!r}, which the host lacks"
+                )
+        faults.append([index[unit] for unit in failed])
+    return faults
+
+
+def _theorem21(
+    graph: BaseGraph, k: float, r: int, kind: str,
+    base_algorithm: BaseSpannerAlgorithm, method: str, seed: RandomLike, *,
+    iterations: Optional[int] = None, schedule: str = "theorem",
+    constant: float = 16.0, survival_prob: Optional[float] = None,
+    scenarios: Optional[Sequence[FaultScenario]] = None,
+    validity_check: Optional[Callable[[BaseGraph], bool]] = None,
+    batch: int = 1, max_iterations: int = 0,
+) -> ConversionResult:
+    """The Theorem 2.1 loop behind all three drivers and both fault kinds.
+
+    Iteration ``i`` draws one ``random() < p`` per fault unit from the
+    ``i``-th derived stream (or replays ``scenarios[i]`` as the same kind
+    of mask), spans the survivor graph and adds it to the union. ``kind``
+    picks only the unit list (:func:`repro.core.verify._fault_units`) and
+    what a mask becomes: ``induced_subgraph`` / ``edge_subgraph`` on the
+    dict path, a vertex- or edge-masked survivor view on the engine path.
+    ``survivor_sizes`` counts surviving units; ``r = 0`` without
+    scenarios is one base run on the host and records ``n``.
+
+    With ``validity_check`` (the adaptive driver) the union is checked
+    after each full batch of ``batch`` iterations; the loop stops at the
+    first accepted batch, or raises at the first batch boundary at or past
+    ``max_iterations``.
+    """
+    if k < 1:
+        raise InvalidStretch(f"stretch must be >= 1, got {k}")
+    if r < 0:
+        raise FaultToleranceError(f"r must be nonnegative, got {r}")
+    if survival_prob is not None and not 0.0 < survival_prob <= 1.0:
+        raise FaultToleranceError(
+            f"survival_prob must be in (0, 1], got {survival_prob}"
+        )
+    if method not in METHODS:
+        raise FaultToleranceError(
+            f"method must be one of {METHODS}, got {method!r}"
+        )
+    if validity_check is not None:
+        if r < 1:
+            raise FaultToleranceError("the adaptive variant requires r >= 1")
+        if batch < 1:
+            raise FaultToleranceError(f"batch must be >= 1, got {batch}")
+    use_engine = base_algorithm is greedy_spanner and method != "dict"
+    base_algorithm = base_algorithm_caller(base_algorithm, method)
+    units = _fault_units(graph, kind)
+    replay = None
+    if scenarios is not None:
+        replay = _replay_faults(scenarios, kind, units, graph.directed)
+
+    union = type(graph)()
+    union.add_vertices(graph.vertices())
+    n = graph.num_vertices
+
+    if r == 0 and replay is None:
+        base = base_algorithm(graph, k)
+        for u, v, w in base.edges():
+            union.add_edge(u, v, w)
+        stats = ConversionStats(
+            iterations=1,
+            survivor_sizes=[n],
+            iteration_edge_counts=[base.num_edges],
+            union_edge_counts=[union.num_edges],
+        )
+        return ConversionResult(spanner=union, stats=stats)
+
+    if replay is not None:
+        alpha = len(replay)
+    elif validity_check is not None:
+        alpha = -(-max_iterations // batch) * batch
+    else:
+        alpha = resolve_iterations(n, r, iterations, schedule, constant)
+    p_survive = (
+        survival_prob if survival_prob is not None else survival_probability(r)
+    )
+    rng = ensure_rng(seed)
+    stats = ConversionStats(iterations=alpha)
+
+    # The default greedy base runs on the CSR fast path: one host
+    # snapshot, per-iteration masked views, integer edge-id union.
+    # Custom base algorithms get the dict pipeline.
+    engine = _OversamplingEngine(graph, k, kind, method) if use_engine else None
+    materialized: Set[int] = set()
+
+    for i in range(alpha):
+        if replay is not None:
+            alive = [True] * len(units)
+            for j in replay[i]:
+                alive[j] = False
+        else:
+            it_rng = derive_rng(rng, i)
+            alive = [it_rng.random() < p_survive for _ in units]
+        stats.survivor_sizes.append(sum(alive))
+        if engine is not None:
+            chosen = engine.step(alive)
+            stats.iteration_edge_counts.append(len(chosen))
+            stats.union_edge_counts.append(len(engine.union_ids))
+            if validity_check is not None:
+                engine.add_new_edges_to(union, chosen, materialized)
+        else:
+            kept = [unit for unit, a in zip(units, alive) if a]
+            if kind == "vertex":
+                sub = graph.induced_subgraph(kept)
+            else:
+                sub = graph.edge_subgraph(kept)
+            base = base_algorithm(sub, k)
+            stats.iteration_edge_counts.append(base.num_edges)
+            for u, v, w in base.edges():
+                union.add_edge(u, v, w)
+            stats.union_edge_counts.append(union.num_edges)
+        if (
+            validity_check is not None
+            and (i + 1) % batch == 0
+            and validity_check(union)
+        ):
+            stats.iterations = i + 1
+            return ConversionResult(spanner=union, stats=stats)
+
+    if validity_check is not None:
+        raise FaultToleranceError(
+            f"no valid r-fault-tolerant spanner after {max_iterations} iterations"
+        )
+    if engine is not None:
+        union = engine.union_graph()
+    return ConversionResult(spanner=union, stats=stats)
 
 
 def fault_tolerant_spanner(
@@ -364,89 +452,11 @@ def fault_tolerant_spanner(
     :class:`ConversionResult` with the union spanner and per-iteration
     accounting.
     """
-    if k < 1:
-        raise InvalidStretch(f"stretch must be >= 1, got {k}")
-    if r < 0:
-        raise FaultToleranceError(f"r must be nonnegative, got {r}")
-    if survival_prob is not None and not 0.0 < survival_prob <= 1.0:
-        raise FaultToleranceError(
-            f"survival_prob must be in (0, 1], got {survival_prob}"
-        )
-    _require_method(method)
-    use_engine = base_algorithm is greedy_spanner and method != "dict"
-    base_algorithm = base_algorithm_caller(base_algorithm, method)
-
-    if scenarios is not None:
-        scenarios = list(scenarios)
-        if not scenarios:
-            raise FaultToleranceError("scenarios must be a non-empty sequence")
-        for sc in scenarios:
-            if not isinstance(sc, FaultScenario):
-                raise FaultToleranceError(
-                    f"scenarios must hold FaultScenario values, got {sc!r}"
-                )
-            if sc.kind == "edge":
-                raise FaultToleranceError(
-                    "the vertex-fault conversion got an edge scenario; "
-                    "use edge_fault_tolerant_spanner for kind='edge'"
-                )
-
-    union = type(graph)()
-    union.add_vertices(graph.vertices())
-    n = graph.num_vertices
-
-    if r == 0 and scenarios is None:
-        base = base_algorithm(graph, k)
-        for u, v, w in base.edges():
-            union.add_edge(u, v, w)
-        stats = ConversionStats(
-            iterations=1,
-            survivor_sizes=[n],
-            iteration_edge_counts=[base.num_edges],
-            union_edge_counts=[union.num_edges],
-        )
-        return ConversionResult(spanner=union, stats=stats)
-
-    if scenarios is not None:
-        alpha = len(scenarios)
-    else:
-        alpha = resolve_iterations(n, r, iterations, schedule, constant)
-    p_survive = (
-        survival_prob if survival_prob is not None else survival_probability(r)
+    return _theorem21(
+        graph, k, r, "vertex", base_algorithm, method, seed,
+        iterations=iterations, schedule=schedule, constant=constant,
+        survival_prob=survival_prob, scenarios=scenarios,
     )
-    rng = ensure_rng(seed)
-    stats = ConversionStats(iterations=alpha)
-    vertices = list(graph.vertices())
-
-    # The default greedy base runs on the CSR fast path: one host
-    # snapshot, per-iteration survivor views, integer edge-id union.
-    # Custom base algorithms still get the dict pipeline below.
-    engine = _OversamplingEngine(graph, k, method) if use_engine else None
-
-    for i in range(alpha):
-        if scenarios is not None:
-            if engine is not None:
-                engine.scenario_step(scenarios[i], stats)
-                continue
-            fault = scenarios[i].fault_set()
-            survivors = [v for v in vertices if v not in fault]
-        else:
-            it_rng = derive_rng(rng, i)
-            if engine is not None:
-                engine.step(it_rng, p_survive, stats)
-                continue
-            survivors = [v for v in vertices if it_rng.random() < p_survive]
-        sub = graph.induced_subgraph(survivors)
-        stats.survivor_sizes.append(sub.num_vertices)
-        base = base_algorithm(sub, k)
-        stats.iteration_edge_counts.append(base.num_edges)
-        for u, v, w in base.edges():
-            union.add_edge(u, v, w)
-        stats.union_edge_counts.append(union.num_edges)
-
-    if engine is not None:
-        union = engine.union_graph()
-    return ConversionResult(spanner=union, stats=stats)
 
 
 def fault_tolerant_spanner_until_valid(
@@ -468,42 +478,10 @@ def fault_tolerant_spanner_until_valid(
     ``method`` is threaded to the base algorithm exactly as in
     :func:`fault_tolerant_spanner`.
     """
-    if r < 1:
-        raise FaultToleranceError("the adaptive variant requires r >= 1")
-    _require_method(method)
-    use_engine = base_algorithm is greedy_spanner and method != "dict"
-    base_algorithm = base_algorithm_caller(base_algorithm, method)
-    union = type(graph)()
-    union.add_vertices(graph.vertices())
-    p_survive = survival_probability(r)
-    rng = ensure_rng(seed)
-    stats = ConversionStats(iterations=0)
-    vertices = list(graph.vertices())
-    engine = _OversamplingEngine(graph, k, method) if use_engine else None
-    materialized: Set[int] = set()
-    done = 0
-    while done < max_iterations:
-        for _ in range(batch):
-            it_rng = derive_rng(rng, done)
-            if engine is not None:
-                chosen = engine.step(it_rng, p_survive, stats)
-                engine.add_new_edges_to(union, chosen, materialized)
-                done += 1
-                continue
-            survivors = [v for v in vertices if it_rng.random() < p_survive]
-            sub = graph.induced_subgraph(survivors)
-            stats.survivor_sizes.append(sub.num_vertices)
-            base = base_algorithm(sub, k)
-            stats.iteration_edge_counts.append(base.num_edges)
-            for u, v, w in base.edges():
-                union.add_edge(u, v, w)
-            stats.union_edge_counts.append(union.num_edges)
-            done += 1
-        if validity_check(union):
-            stats.iterations = done
-            return ConversionResult(spanner=union, stats=stats)
-    raise FaultToleranceError(
-        f"no valid r-fault-tolerant spanner after {max_iterations} iterations"
+    return _theorem21(
+        graph, k, r, "vertex", base_algorithm, method, seed,
+        validity_check=validity_check, batch=batch,
+        max_iterations=max_iterations,
     )
 
 
@@ -556,6 +534,21 @@ def conversion_stats_dict(stats: ConversionStats) -> dict:
     }
 
 
+def _registry_stats(result: ConversionResult, spec) -> dict:
+    """A Theorem 2.1 row's report stats: the accounting, and the tier.
+
+    A greedy base runs the oversampling engine on the host snapshot at
+    every size unless ``method="dict"`` forces the reference pipeline.
+    The engine's kernel is ``"compiled"`` when the C backend serves the
+    request and ``"csr"`` otherwise: exactly the greedy dispatch rule's
+    values, recorded as ``resolved_method`` so reports name the true path.
+    """
+    stats = conversion_stats_dict(result.stats)
+    if spec.param("base_algorithm", "greedy") == "greedy":
+        stats["resolved_method"] = _greedy_check_method(spec.method)
+    return stats
+
+
 @register_algorithm(
     "theorem21",
     summary="Theorem 2.1 fault-oversampling conversion (r vertex faults)",
@@ -583,13 +576,7 @@ def _registry_build(graph: BaseGraph, spec, seed):
         survival_prob=spec.param("survival_prob"),
         method=spec.method,
     )
-    stats = conversion_stats_dict(result.stats)
-    if spec.param("base_algorithm", "greedy") == "greedy":
-        # The greedy-base engine runs on the host snapshot at every
-        # size (compiled kernel when the C backend serves) unless the
-        # dict pipeline was forced.
-        stats["resolved_method"] = engine_resolved_method(spec.method)
-    return result, stats
+    return result, _registry_stats(result, spec)
 
 
 #: Accepted keys of the ``until_valid`` params mapping, with defaults.
@@ -646,21 +633,14 @@ def resolve_validity_check(
                 f"got {value}"
             )
     k, r = spec.stretch, spec.faults.r
-    if knobs["check"] == "exhaustive":
-        from .verify import is_fault_tolerant_spanner
+    trials = knobs["trials"] if knobs["check"] == "sampled" else None
+    check_seed = knobs["seed"]
 
-        def validity(union: BaseGraph) -> bool:
-            return is_fault_tolerant_spanner(union, graph, k, r)
-
-    else:
-        from .verify import sampled_fault_check
-
-        trials, check_seed = knobs["trials"], knobs["seed"]
-
-        def validity(union: BaseGraph) -> bool:
-            return sampled_fault_check(
-                union, graph, k, r, trials=trials, seed=check_seed
-            )
+    def validity(union: BaseGraph) -> bool:
+        violation = _first_violation(
+            union, graph, k, r, "vertex", trials=trials, seed=check_seed
+        )
+        return violation is None
 
     return validity, knobs
 
@@ -699,8 +679,6 @@ def _registry_build_adaptive(graph: BaseGraph, spec, seed):
         seed=seed,
         method=spec.method,
     )
-    stats = conversion_stats_dict(result.stats)
+    stats = _registry_stats(result, spec)
     stats["until_valid"] = knobs
-    if spec.param("base_algorithm", "greedy") == "greedy":
-        stats["resolved_method"] = engine_resolved_method(spec.method)
     return result, stats

@@ -1,15 +1,16 @@
-"""Fault-tolerance verifiers.
+"""Fault-tolerance verifiers, for vertex and edge faults alike.
 
 ``H`` is an r-fault-tolerant k-spanner of ``G`` when, for every fault set
-``F`` with ``|F| <= r``, ``H \\ F`` is a k-spanner of ``G \\ F``. As the
-paper notes after its equation (1), host edges suffice: that holds iff
-every host edge ``(u, v)`` surviving ``F`` has
+``F`` with ``|F| <= r``, ``H \\ F`` is a k-spanner of ``G \\ F``. ``F``
+holds vertices (the paper's model) or edges (Theorem 2.3's sampling
+model). As the paper notes after its equation (1), host edges suffice:
+that holds iff every host edge ``(u, v)`` surviving ``F`` has
 ``d_{H\\F}(u, v) <= k * w(u, v)``. The criterion is exact in both
-directions. A violating edge also violates the all-pairs condition,
-because ``d_{G\\F}(u, v) <= w(u, v)``. Conversely, a shortest path of
-``G \\ F`` is a chain of surviving host edges, and their per-edge bounds
-add up to ``k * d_{G\\F}`` for its endpoints. Every check allows a
-relative slack of ``1e-9``.
+directions and for both kinds. A violating edge also violates the
+all-pairs condition, because ``d_{G\\F}(u, v) <= w(u, v)``. Conversely, a
+shortest path of ``G \\ F`` is a chain of surviving host edges, and their
+per-edge bounds add up to ``k * d_{G\\F}`` for its endpoints. Every check
+allows a relative slack of ``1e-9``.
 
 Three verification regimes, matching how the experiments use them:
 
@@ -21,9 +22,12 @@ Three verification regimes, matching how the experiments use them:
 * :func:`is_ft_2spanner` — *exact and polynomial* for the ``k = 2``
   unit-length case, via the paper's Lemma 3.1: ``H`` is an r-fault-tolerant
   2-spanner iff every host edge is kept or covered by ``r + 1`` length-2
-  paths. This is the verifier behind the Section 3 rounding loop.
+  paths. The same verdict holds for edge faults. This is the verifier
+  behind the Section 3 rounding loop.
 
-The first two check each fault set in one of two ways, with identical
+The first two, and their edge-fault twins in :mod:`repro.core.edge_faults`,
+are shells over one driver, :func:`_first_violation`, which takes the
+fault kind. Each fault set is checked in one of two ways, with identical
 verdicts. With the compiled backend and undirected graphs,
 :class:`_CompiledFaultCheck` runs the per-edge criterion: one bounded
 bidirectional search in C per surviving host edge, on the spanner's
@@ -46,8 +50,9 @@ from ..compiled import compiled_available
 from ..compiled.pairs import pairs_within
 from ..errors import FaultToleranceError
 from ..graph.csr import CSRGraph, snapshot
-from ..graph.graph import BaseGraph, DiGraph, Graph
+from ..graph.graph import BaseGraph
 from ..graph.paths import dijkstra
+from ..graph.scenario import scenario_edge_fault_sets, scenario_fault_sets
 from ..rng import RandomLike, ensure_rng
 
 Vertex = Hashable
@@ -68,7 +73,10 @@ def fault_sets(vertices: Sequence[Vertex], r: int) -> Iterator[Tuple[Vertex, ...
 
 
 def count_fault_sets(n: int, r: int) -> int:
-    """Number of fault sets of size at most ``r`` on ``n`` vertices."""
+    """Number of fault sets of size at most ``r`` over ``n`` units.
+
+    The units are vertices for vertex faults and edges for edge faults.
+    """
     return sum(math.comb(n, i) for i in range(min(r, n) + 1))
 
 
@@ -168,26 +176,59 @@ def _compiled_check(
     return _CompiledFaultCheck(spanner, graph, k)
 
 
+def _fault_units(graph: BaseGraph, kind: str) -> list:
+    """The units fault sets of ``kind`` draw from, in host order.
+
+    Vertices in ``vertices()`` order, or ``(u, v)`` pairs in ``edges()``
+    order (the host snapshot's edge-id order).
+    """
+    if kind == "vertex":
+        return list(graph.vertices())
+    return [(u, v) for u, v, _w in graph.edges()]
+
+
+def _without_edges(graph: BaseGraph, faults: Iterable[Tuple]) -> BaseGraph:
+    """Copy of ``graph`` with the faulted edges removed.
+
+    Fault keys may be given in either orientation for undirected graphs;
+    on digraphs only the named arc goes.
+    """
+    out = graph.copy()
+    for (u, v) in faults:
+        if out.has_edge(u, v):
+            out.remove_edge(u, v)
+    return out
+
+
 def _spanner_holds_after_faults(
     spanner: BaseGraph,
     graph: BaseGraph,
     k: float,
-    faults: Iterable[Vertex],
+    faults: Iterable,
     check: Optional[_CompiledFaultCheck] = None,
+    *,
+    kind: str = "vertex",
 ) -> bool:
-    """Whether ``H \\ F`` is a k-spanner of ``G \\ F`` for vertex faults ``F``.
+    """Whether ``H \\ F`` is a k-spanner of ``G \\ F`` for one fault set ``F``.
 
+    ``faults`` holds vertices or, with ``kind="edge"``, ``(u, v)`` edges.
     With ``check`` (from :func:`_compiled_check`) the per-edge criterion
-    runs in C. Without it this is the dict reference: for every surviving
+    runs in C. Without it this is the dict reference, where only the
+    ``G \\ F`` / ``H \\ F`` copy depends on the kind: for every surviving
     host edge ``(u, v)`` it requires ``d_{H\\F}(u, v) <= k * d_{G\\F}(u, v)``.
     That compares against the post-fault distance instead of ``w(u, v)``,
     yet accepts exactly the same spanners (module docstring).
     """
     if check is not None:
-        return check.vertex_faults(faults)
-    fault_set = set(faults)
-    g_f = graph.without_vertices(fault_set)
-    h_f = spanner.without_vertices(fault_set)
+        return (check.vertex_faults if kind == "vertex" else check.edge_faults)(faults)
+    if kind == "vertex":
+        fault_set = set(faults)
+        g_f = graph.without_vertices(fault_set)
+        h_f = spanner.without_vertices(fault_set)
+    else:
+        fault_list = list(faults)
+        g_f = _without_edges(graph, fault_list)
+        h_f = _without_edges(spanner, fault_list)
     for u in g_f.vertices():
         out = (
             dict(g_f.successor_items(u))
@@ -203,6 +244,42 @@ def _spanner_holds_after_faults(
             if dist_h.get(v, math.inf) > bound * _SLACK:
                 return False
     return True
+
+
+def _first_violation(
+    spanner: BaseGraph, graph: BaseGraph, k: float, r: int, kind: str, *,
+    scenarios: Optional[Iterable] = None, trials: Optional[int] = None,
+    seed: RandomLike = None,
+) -> Optional[tuple]:
+    """The first fault set of ``kind`` that ``spanner`` fails, or ``None``.
+
+    The one driver behind every exhaustive and Monte Carlo entry point,
+    for both kinds. The candidates are the ``scenarios`` when given;
+    else ``trials`` random sets, each a size drawn uniformly from
+    ``{0, ..., r}`` (capped at the unit count) and then a uniform subset
+    of that size; else every set of at most ``r`` units.
+    """
+    if r < 0:
+        raise FaultToleranceError(f"r must be nonnegative, got {r}")
+    units = _fault_units(graph, kind)
+    if scenarios is not None:
+        if kind == "vertex":
+            candidates: Iterable = scenario_fault_sets(scenarios)
+        else:
+            candidates = scenario_edge_fault_sets(scenarios)
+    elif trials is not None:
+        rng = ensure_rng(seed)
+        candidates = (
+            rng.sample(units, rng.randint(0, min(r, len(units))))
+            for _ in range(trials if units else 0)
+        )
+    else:
+        candidates = fault_sets(units, r)
+    check = _compiled_check(spanner, graph, k)
+    for faults in candidates:
+        if not _spanner_holds_after_faults(spanner, graph, k, faults, check, kind=kind):
+            return tuple(faults)
+    return None
 
 
 def is_fault_tolerant_spanner(
@@ -221,30 +298,14 @@ def is_fault_tolerant_spanner(
     tests); otherwise all ``sum_{i<=r} C(n, i)`` fault sets are
     enumerated.
     """
-    if r < 0:
-        raise FaultToleranceError(f"r must be nonnegative, got {r}")
-    if scenarios is None:
-        to_check: Iterable = fault_sets(list(graph.vertices()), r)
-    else:
-        from ..graph.scenario import scenario_fault_sets
-
-        to_check = scenario_fault_sets(scenarios)
-    check = _compiled_check(spanner, graph, k)
-    for faults in to_check:
-        if not _spanner_holds_after_faults(spanner, graph, k, faults, check):
-            return False
-    return True
+    return _first_violation(spanner, graph, k, r, "vertex", scenarios=scenarios) is None
 
 
 def first_violating_fault_set(
     spanner: BaseGraph, graph: BaseGraph, k: float, r: int
 ) -> Optional[Tuple[Vertex, ...]]:
     """Return a fault set witnessing non-tolerance, or None if valid."""
-    check = _compiled_check(spanner, graph, k)
-    for faults in fault_sets(list(graph.vertices()), r):
-        if not _spanner_holds_after_faults(spanner, graph, k, faults, check):
-            return tuple(faults)
-    return None
+    return _first_violation(spanner, graph, k, r, "vertex")
 
 
 def sampled_fault_check(
@@ -261,17 +322,10 @@ def sampled_fault_check(
     then a uniform subset of that size. A False result is a certified
     counterexample; True is only statistical evidence.
     """
-    rng = ensure_rng(seed)
-    vertices = list(graph.vertices())
-    if not vertices:
-        return True
-    check = _compiled_check(spanner, graph, k)
-    for _ in range(trials):
-        size = rng.randint(0, min(r, len(vertices)))
-        faults = rng.sample(vertices, size)
-        if not _spanner_holds_after_faults(spanner, graph, k, faults, check):
-            return False
-    return True
+    violation = _first_violation(
+        spanner, graph, k, r, "vertex", trials=trials, seed=seed
+    )
+    return violation is None
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +394,18 @@ def is_ft_2spanner(spanner: BaseGraph, graph: BaseGraph, r: int) -> bool:
     Assumes unit edge lengths (the Section 3 setting — costs may be
     arbitrary but lengths are 1). Runs in ``O(m · Δ)`` time, polynomial in
     everything, unlike the exhaustive verifier.
+
+    The verdict is the same for *edge* faults: the per-edge condition
+    ("kept, or covered by ``r + 1`` two-paths") is exactly the Lemma 3.1
+    analogue for ``r`` edge faults. Sufficiency: a host edge only needs
+    checking against fault sets that do **not** contain it (otherwise it
+    is not an edge of ``G - F``), so a kept edge always survives for the
+    fault sets that matter; and two-paths with distinct midpoints are
+    pairwise edge-disjoint, so ``r`` edge faults kill at most ``r`` of
+    ``r + 1`` of them. Necessity: with at most ``r`` two-paths and the
+    edge dropped, faulting one edge of each two-path leaves ``u`` and
+    ``v`` without a path of length at most 2. The test suite checks this
+    equivalence against the exhaustive edge-fault verifier.
     """
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")

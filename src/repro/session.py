@@ -52,7 +52,9 @@ from .spec import BuildReport, SpannerSpec
 HostLike = Union[BaseGraph, HostSpec]
 
 #: Fault-set count above which ``verify(mode="auto")`` samples instead of
-#: enumerating (exhaustive verification is exponential in r).
+#: enumerating (exhaustive verification is exponential in r). The count
+#: ranges over the spec's fault units: vertex fault sets for vertex
+#: faults, edge fault sets for edge faults.
 AUTO_EXHAUSTIVE_LIMIT = 5_000
 
 
@@ -307,6 +309,7 @@ class Session:
         a spec with no resolvable seed raises :class:`InvalidSpec`.
         """
         from .core.conversion import survival_probability
+        from .core.verify import _fault_units
         from .graph.scenario import FaultScenario
 
         if iteration < 0:
@@ -328,13 +331,12 @@ class Session:
         rng = ensure_rng(seed)
         for j in range(iteration + 1):
             it_rng = derive_rng(rng, j)
-        if kind == "vertex":
-            return FaultScenario.sample_vertices(
-                host.vertices(), p_survive, it_rng,
-                seed=seed, iteration=iteration,
-            )
-        return FaultScenario.sample_edges(
-            ((u, v) for u, v, _w in host.edges()), p_survive, it_rng,
+        sample = (
+            FaultScenario.sample_vertices if kind == "vertex"
+            else FaultScenario.sample_edges
+        )
+        return sample(
+            _fault_units(host, kind), p_survive, it_rng,
             seed=seed, iteration=iteration,
         )
 
@@ -354,7 +356,9 @@ class Session:
         2-spanner counting check), or ``"auto"`` — which picks lemma31
         for stretch-2 specs, exhaustive enumeration while the fault-set
         count stays under :data:`AUTO_EXHAUSTIVE_LIMIT`, and Monte Carlo
-        sampling beyond.
+        sampling beyond. The count is over the spec's fault units:
+        ``C(n, <= r)`` vertex sets for vertex faults, ``C(m, <= r)`` edge
+        sets for edge faults.
         """
         from .core import (
             count_fault_sets,
@@ -364,7 +368,6 @@ class Session:
         )
         from .core.edge_faults import (
             is_edge_fault_tolerant_spanner,
-            is_edge_ft_2spanner,
             sampled_edge_fault_check,
         )
         from .spanners import is_spanner
@@ -384,29 +387,28 @@ class Session:
         kind, r, k = spec.faults.kind, spec.faults.r, spec.stretch
         if kind == "none" or r == 0:
             return is_spanner(spanner, host, k)
+        if kind == "vertex":
+            units, exhaustive, sampled = (
+                host.num_vertices, is_fault_tolerant_spanner, sampled_fault_check
+            )
+        else:
+            units, exhaustive, sampled = (
+                host.num_edges, is_edge_fault_tolerant_spanner,
+                sampled_edge_fault_check,
+            )
         if mode == "auto":
             if k == 2:
                 mode = "lemma31"
-            elif count_fault_sets(host.num_vertices, r) <= AUTO_EXHAUSTIVE_LIMIT:
+            elif count_fault_sets(units, r) <= AUTO_EXHAUSTIVE_LIMIT:
                 mode = "exhaustive"
             else:
                 mode = "sampled"
-        if kind == "vertex":
-            if mode == "exhaustive":
-                return is_fault_tolerant_spanner(spanner, host, k, r)
-            if mode == "sampled":
-                return sampled_fault_check(
-                    spanner, host, k, r, trials=trials, seed=seed
-                )
-            return is_ft_2spanner(spanner, host, r)
-        # edge faults
         if mode == "exhaustive":
-            return is_edge_fault_tolerant_spanner(spanner, host, k, r)
+            return exhaustive(spanner, host, k, r)
         if mode == "sampled":
-            return sampled_edge_fault_check(
-                spanner, host, k, r, trials=trials, seed=seed
-            )
-        return is_edge_ft_2spanner(spanner, host, r)
+            return sampled(spanner, host, k, r, trials=trials, seed=seed)
+        # Lemma 3.1's verdict is the same for both kinds (is_ft_2spanner).
+        return is_ft_2spanner(spanner, host, r)
 
 
 def build(

@@ -38,7 +38,7 @@ from repro.core import (
     sampled_fault_check,
 )
 from repro.core.conversion import fault_tolerant_spanner
-from repro.core.edge_faults import _edge_spanner_holds, edge_fault_tolerant_spanner
+from repro.core.edge_faults import edge_fault_tolerant_spanner
 from repro.core.verify import _compiled_check, _spanner_holds_after_faults
 from repro.graph import (
     BaseGraph,
@@ -202,8 +202,8 @@ class TestFaultCheckEquivalence:
                 spanner, host, k, faults
             )
             cut = rng.sample(host_edges, rng.randint(0, min(3, len(host_edges))))
-            assert check.edge_faults(cut) == _edge_spanner_holds(
-                spanner, host, k, cut
+            assert check.edge_faults(cut) == _spanner_holds_after_faults(
+                spanner, host, k, cut, kind="edge"
             )
 
     @pytest.mark.parametrize("missing", [0, 3])
@@ -240,7 +240,7 @@ class TestFaultCheckEquivalence:
 
     def test_verifiers_engage_the_compiled_check(self, monkeypatch):
         """With the backend loaded, no fault set reaches the dict reference."""
-        from repro.core import edge_faults
+        from repro.core import verify
 
         host = gnp_random_graph(60, 0.15, seed=8, weight_range=(1.0, 10.0))
         spanner = fault_tolerant_spanner(host, 3.0, 1, seed=2).spanner
@@ -249,7 +249,7 @@ class TestFaultCheckEquivalence:
             raise AssertionError("the dict reference ran")
 
         monkeypatch.setattr(BaseGraph, "without_vertices", refuse)
-        monkeypatch.setattr(edge_faults, "_without_edges", refuse)
+        monkeypatch.setattr(verify, "_without_edges", refuse)
         assert sampled_fault_check(spanner, host, 3.0, 1, trials=30, seed=1)
         assert sampled_edge_fault_check(spanner, host, 3.0, 1, trials=30, seed=1)
 

@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    edge_fault_tolerant_spanner,
     fault_tolerant_spanner,
     fault_tolerant_spanner_until_valid,
     is_fault_tolerant_spanner,
     resolve_iterations,
+    sampled_fault_check,
     survival_probability,
 )
 from repro.errors import FaultToleranceError, InvalidStretch
 from repro.graph import (
     complete_graph,
     connected_gnp_graph,
+    gnp_random_digraph,
     gnp_random_graph,
     is_subgraph,
 )
@@ -144,3 +147,98 @@ class TestAdaptiveVariant:
                 g, 3, 1, validity_check=lambda h: False,
                 batch=2, max_iterations=6,
             )
+
+    def test_until_valid_rejects_stretch_below_one(self):
+        g = complete_graph(4)
+        with pytest.raises(InvalidStretch):
+            fault_tolerant_spanner_until_valid(
+                g, 0.5, 1, validity_check=lambda h: True
+            )
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_until_valid_rejects_empty_batches(self, batch):
+        """A batch that runs no iteration would check the same union forever."""
+        g = complete_graph(4)
+        calls = []
+
+        def never_valid(_union):
+            calls.append(1)
+            if len(calls) > 50:  # a loop that never advances must not hang
+                raise RuntimeError("the adaptive loop did not advance")
+            return False
+
+        with pytest.raises(FaultToleranceError):
+            fault_tolerant_spanner_until_valid(
+                g, 3, 1, validity_check=never_valid, batch=batch,
+                max_iterations=10,
+            )
+        assert not calls
+
+
+def _pinned_hosts():
+    return [
+        gnp_random_graph(40, 0.2, seed=1, weight_range=(1.0, 10.0)),
+        gnp_random_digraph(30, 0.2, seed=1),
+    ]
+
+
+def _pinned_payload(result, directed):
+    edges = sorted(
+        (u, v, w) if directed else (min(u, v), max(u, v), w)
+        for u, v, w in result.spanner.edges()
+    )
+    stats = result.stats
+    return {
+        "edges": edges,
+        "iterations": stats.iterations,
+        "survivor_sizes": stats.survivor_sizes,
+        "iteration_edge_counts": stats.iteration_edge_counts,
+        "union_edge_counts": stats.union_edge_counts,
+    }
+
+
+def _pinned_run(driver, g, r, seed, method):
+    if driver == "vertex":
+        return fault_tolerant_spanner(
+            g, 3, r, schedule="light", constant=2.0, seed=seed, method=method
+        )
+    if driver == "edge":
+        return edge_fault_tolerant_spanner(
+            g, 3, r, constant=2.0, seed=seed, method=method
+        )
+    return fault_tolerant_spanner_until_valid(
+        g, 3, r,
+        lambda h: sampled_fault_check(h, g, 3, r, trials=8, seed=seed),
+        batch=4, max_iterations=400, seed=seed, method=method,
+    )
+
+
+class TestPinnedOutputs:
+    """Seeded outputs of the three drivers, pinned to recorded digests.
+
+    Each digest covers the union's edge set and every ``ConversionStats``
+    field, over r in {0, 1, 2} (adaptive: {1, 2}) and seeds 0 and 1, on
+    a weighted G(40, 0.2) and a G(30, 0.2) digraph. One digest serves
+    every method: the dict reference and the engine tiers agree exactly.
+    """
+
+    EXPECTED = {
+        ("vertex", False): "c1922d991ebfd5f9",
+        ("vertex", True): "c3c58bf0a8137195",
+        ("edge", False): "dff224ce65cdba20",
+        ("edge", True): "17ce8c67e7727d38",
+        ("adaptive", False): "3b643e29eae3e94f",
+        ("adaptive", True): "4308dd990c2a39ff",
+    }
+
+    @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
+    @pytest.mark.parametrize("driver", ["vertex", "edge", "adaptive"])
+    def test_outputs_match_recorded_digests(self, driver, method, output_digest):
+        radii = (1, 2) if driver == "adaptive" else (0, 1, 2)
+        for g in _pinned_hosts():
+            payloads = [
+                _pinned_payload(_pinned_run(driver, g, r, seed, method), g.directed)
+                for seed in (0, 1)
+                for r in radii
+            ]
+            assert output_digest(payloads) == self.EXPECTED[(driver, g.directed)]

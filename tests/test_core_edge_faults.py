@@ -1,4 +1,8 @@
-"""Edge-fault-tolerant spanners: conversion, verifiers, and the k=2 lemma."""
+"""Edge-fault-tolerant spanners: conversion, verifiers, and the k=2 lemma.
+
+Edge faults share the vertex-fault code: fault sets are ``fault_sets``
+over the edge list, and the k = 2 verdict is ``is_ft_2spanner``'s.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    edge_fault_sets,
     edge_fault_tolerant_spanner,
-    edge_satisfied_for_edge_faults,
+    edge_satisfied,
+    fault_sets,
     fault_tolerant_spanner,
     is_edge_fault_tolerant_spanner,
-    is_edge_ft_2spanner,
+    is_ft_2spanner,
     sampled_edge_fault_check,
 )
 from repro.errors import FaultToleranceError, InvalidStretch
@@ -32,13 +36,13 @@ from repro.spanners import greedy_spanner
 class TestEdgeFaultEnumeration:
     def test_enumerates_all_sizes(self):
         edges = [(0, 1), (1, 2), (2, 3)]
-        sets = list(edge_fault_sets(edges, 2))
+        sets = list(fault_sets(edges, 2))
         assert len(sets) == 1 + 3 + 3
         assert () in sets
 
     def test_respects_edge_count_cap(self):
         edges = [(0, 1)]
-        sets = list(edge_fault_sets(edges, 5))
+        sets = list(fault_sets(edges, 5))
         assert len(sets) == 2
 
 
@@ -69,7 +73,7 @@ class TestEdgeFaultVerifiers:
         with pytest.raises(FaultToleranceError):
             is_edge_fault_tolerant_spanner(g, g, 1, -1)
         with pytest.raises(FaultToleranceError):
-            is_edge_ft_2spanner(g, g, -1)
+            is_ft_2spanner(g, g, -1)
 
 
 class TestEdgeFaultConversion:
@@ -102,32 +106,31 @@ class TestEdgeFaultConversion:
         per-edge conditions coincide)."""
         g = complete_digraph(6)
         result = fault_tolerant_spanner(g, 2, 1, iterations=40, seed=6)
-        from repro.core import is_ft_2spanner
-
         if is_ft_2spanner(result.spanner, g, 1):
-            assert is_edge_ft_2spanner(result.spanner, g, 1)
+            assert is_edge_fault_tolerant_spanner(result.spanner, g, 2, 1)
 
 
 class TestEdgeFaultLemma31Analogue:
     def test_kept_edge_suffices(self):
         g = complete_digraph(3)
         h = g.copy()
-        assert edge_satisfied_for_edge_faults(h, 0, 1, r=5)
+        assert edge_satisfied(h, 0, 1, r=5)
 
     def test_midpoint_counting(self):
         g = complete_digraph(5)
         h = g.copy()
         h.remove_edge(0, 1)
-        assert edge_satisfied_for_edge_faults(h, 0, 1, r=2)  # 3 midpoints
-        assert not edge_satisfied_for_edge_faults(h, 0, 1, r=3)
+        assert edge_satisfied(h, 0, 1, r=2)  # 3 midpoints
+        assert not edge_satisfied(h, 0, 1, r=3)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2000), r=st.integers(0, 2))
     def test_lemma_equals_exhaustive_edge_faults(self, seed, r):
         """The k=2 edge-fault condition ≡ the exhaustive definition.
 
-        This is the module's claimed equivalence, checked by enumeration
-        over every edge-fault set on random sub-digraphs.
+        This is the equivalence ``is_ft_2spanner``'s docstring proves,
+        checked by enumeration over every edge-fault set on random
+        sub-digraphs.
         """
         import random
 
@@ -138,6 +141,6 @@ class TestEdgeFaultLemma31Analogue:
         rng = random.Random(seed + 1)
         keep = [(u, v) for u, v, _w in g.edges() if rng.random() < 0.7]
         h = g.edge_subgraph(keep)
-        lemma = is_edge_ft_2spanner(h, g, r)
+        lemma = is_ft_2spanner(h, g, r)
         exhaustive = is_edge_fault_tolerant_spanner(h, g, 2, r)
         assert lemma == exhaustive

@@ -21,7 +21,6 @@ from repro.core import (
 )
 from repro.cli import main
 from repro.core.edge_faults import (
-    _edge_spanner_holds,
     is_edge_fault_tolerant_spanner,
     sampled_edge_fault_check,
 )
@@ -135,7 +134,7 @@ class TestSpannerMissingHostVertex:
     def test_dict_reference_rejects_unless_the_vertex_is_faulted(self, missing):
         h, g = _k4_with_spanner_missing(missing)
         assert not _spanner_holds_after_faults(h, g, 3, ())
-        assert not _edge_spanner_holds(h, g, 3, ())
+        assert not _spanner_holds_after_faults(h, g, 3, (), kind="edge")
         # Faulting the missing vertex removes every demand at it.
         assert _spanner_holds_after_faults(h, g, 3, (missing,))
 

@@ -38,6 +38,7 @@ from repro.graph import (
     FaultScenario,
     Graph,
     complete_digraph,
+    complete_graph,
     connected_gnp_graph,
     csr_snapshot,
     gnp_random_graph,
@@ -289,6 +290,59 @@ class TestConversionOnViews:
             fault_tolerant_spanner(g, 3, 1, scenarios=[])
         with pytest.raises(FaultToleranceError):
             fault_tolerant_spanner(g, 3, 1, scenarios=[("not", "a", "scenario")])
+
+
+class TestScenarioReplayMasks:
+    """A replayed scenario becomes one survivor mask on every path."""
+
+    @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
+    def test_digraph_edge_scenario_drops_only_the_named_arc(self, method):
+        g = complete_digraph(5)
+        rep = edge_fault_tolerant_spanner(
+            g, 1.0, 1, scenarios=[FaultScenario.edge([(0, 1)])], method=method
+        )
+        assert rep.stats.survivor_sizes == [19]
+        assert rep.spanner.num_edges == 19
+        assert rep.spanner.has_edge(1, 0) and not rep.spanner.has_edge(0, 1)
+
+    @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
+    def test_undirected_edge_scenario_accepts_either_orientation(self, method):
+        g = complete_graph(5)
+        for pair in ((0, 1), (1, 0)):
+            rep = edge_fault_tolerant_spanner(
+                g, 1.0, 1, scenarios=[FaultScenario.edge([pair])],
+                method=method,
+            )
+            assert rep.stats.survivor_sizes == [9]
+            assert not rep.spanner.has_edge(0, 1)
+
+    @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
+    def test_vertex_the_host_lacks_is_rejected(self, method):
+        g = complete_graph(5)
+        with pytest.raises(FaultToleranceError, match="99"):
+            fault_tolerant_spanner(
+                g, 3, 1, scenarios=[FaultScenario.vertex([0, 99])],
+                method=method,
+            )
+
+    @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
+    def test_edge_the_host_lacks_is_rejected(self, method):
+        path = Graph()
+        path.add_edge(0, 1)
+        path.add_edge(1, 2)
+        with pytest.raises(FaultToleranceError, match=r"\(0, 2\)"):
+            edge_fault_tolerant_spanner(
+                path, 3, 1, scenarios=[FaultScenario.edge([(0, 2)])],
+                method=method,
+            )
+        # On a digraph the reverse arc is another edge.
+        g = complete_digraph(4)
+        g.remove_edge(0, 1)
+        with pytest.raises(FaultToleranceError, match=r"\(0, 1\)"):
+            edge_fault_tolerant_spanner(
+                g, 3, 1, scenarios=[FaultScenario.edge([(0, 1)])],
+                method=method,
+            )
 
 
 # ---------------------------------------------------------------------------

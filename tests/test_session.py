@@ -454,6 +454,39 @@ class TestVerify:
         )
         assert session.verify(report, graph=comm, mode="sampled")
 
+    def test_auto_counts_edge_fault_sets_for_edge_faults(self, monkeypatch):
+        """Auto sizes an edge-fault report by its C(m, <= r) edge fault sets.
+
+        Here m = 699, so r = 2 gives about 244k edge fault sets and auto
+        must sample; the 2,486 vertex fault sets would have picked
+        exhaustive enumeration.
+        """
+        from repro.core import edge_faults
+
+        comm = connected_gnp_graph(70, 0.3, seed=0)
+        assert comm.num_edges == 699
+        session = Session()
+        report = session.build(
+            SpannerSpec("theorem21-edge", stretch=3, faults=FaultModel.edge(2),
+                        seed=5, params={"iterations": 8}),
+            graph=comm,
+        )
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("auto entered the exhaustive driver")
+
+        sampled = []
+        real_sampled = edge_faults.sampled_edge_fault_check
+
+        def spy(*args, **kwargs):
+            sampled.append(kwargs["trials"])
+            return real_sampled(*args, **kwargs)
+
+        monkeypatch.setattr(edge_faults, "is_edge_fault_tolerant_spanner", refuse)
+        monkeypatch.setattr(edge_faults, "sampled_edge_fault_check", spy)
+        session.verify(report, graph=comm, mode="auto", trials=3)
+        assert sampled == [3]
+
     def test_verify_lemma31(self, digraph):
         session = Session()
         report = session.build(
