@@ -2,10 +2,14 @@
 
 One C99 source file (``_kernels.c``), which this module compiles on
 demand with the system C compiler and loads through :mod:`ctypes`,
-holds four entry points:
+holds five entry points:
 
 * the greedy spanner's bounded bidirectional Dijkstra
   (:mod:`repro.spanners.greedy`, wrapped by :mod:`repro.compiled.greedy`);
+* whole batches of Theorem 2.1 iterations — survivor draws, masked
+  greedy passes and the union — for the conversion
+  (:mod:`repro.core.conversion`, wrapped by
+  :mod:`repro.compiled.oversample`);
 * the same bounded search, batched over one CSR graph, for the
   fault-set verifier (:mod:`repro.core.verify`, wrapped by
   :mod:`repro.compiled.pairs`);
@@ -13,6 +17,14 @@ holds four entry points:
   the spanner service's ``QUERY_DIST`` (:mod:`repro.serve.rows`,
   wrapped by :mod:`repro.compiled.point`);
 * the simplex pivot loop (:mod:`repro.lp.simplex`).
+
+Thread rule: only the Theorem 2.1 batch runs threads. It splits its
+iterations across ``min(CPUs this process may use, iterations in the
+call)`` threads, which it creates and joins inside the one ctypes call
+(ctypes releases the GIL for it): no thread touches a Python object, no
+Python code runs until all are joined, and every output is identical
+at any thread count. There is no knob for the count; ``taskset`` or any
+other affinity mask bounds it.
 
 No python package dependency is involved: the backend is *available*
 exactly when a C compiler (``cc``/``gcc``/``clang``) is on ``PATH`` or
@@ -37,8 +49,9 @@ Environment switches:
 * ``REPRO_COMPILED_CACHE`` — overrides the build-cache directory.
 
 The built library is cached under a name keyed by the SHA-256 of the C
-source, so editing ``_kernels.c`` transparently triggers a rebuild and
-two interpreter versions can share one cache. Cache directory
+source and the compiler flags, so editing ``_kernels.c`` or
+:data:`_CFLAGS` transparently triggers a rebuild and two interpreter
+versions can share one cache. Cache directory
 candidates are tried in order: the explicit override, a ``_build``
 directory next to this package, ``$XDG_CACHE_HOME/repro-compiled``
 (default ``~/.cache/repro-compiled``), and finally a per-user tempdir.
@@ -70,11 +83,13 @@ ENV_CACHE = "REPRO_COMPILED_CACHE"
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 
-#: Compiler invocation: C99, position independent, shared. -ffp-contract=off
-#: forbids fused multiply-add contraction so every float operation rounds
-#: exactly like the numpy/pure-python reference — the compiled-vs-dict
-#: output pinning depends on it.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off"]
+#: Compiler invocation: C99, position independent, shared, with POSIX
+#: threads. -ffp-contract=off forbids fused multiply-add contraction so
+#: every float operation rounds exactly like the numpy/pure-python
+#: reference — the compiled-vs-dict output pinning depends on it.
+_CFLAGS = [
+    "-O2", "-fPIC", "-shared", "-std=c99", "-pthread", "-ffp-contract=off",
+]
 
 _lock = threading.Lock()
 _state = {"checked": False, "lib": None, "reason": None}
@@ -107,8 +122,12 @@ def _find_compiler() -> Optional[str]:
 
 
 def _source_key() -> str:
+    """Cache key of the library: the C source and the flags that build it."""
+    digest = hashlib.sha256()
     with open(_SOURCE, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()[:16]
+        digest.update(handle.read())
+    digest.update("\0".join(["", *_CFLAGS]).encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -116,6 +135,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     f64 = ctypes.c_double
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_f64 = ctypes.POINTER(ctypes.c_double)
+    p_u8 = ctypes.POINTER(ctypes.c_uint8)
     lib.repro_greedy_run_edge_ids.restype = i64
     lib.repro_greedy_run_edge_ids.argtypes = [
         i64, ctypes.c_int,          # n, directed
@@ -124,11 +144,21 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         f64, i64,                   # k, max_edges (-1 = uncapped)
         p_i64,                      # chosen_out
     ]
+    lib.repro_theorem21_batch.restype = i64
+    lib.repro_theorem21_batch.argtypes = [
+        i64, ctypes.c_int, ctypes.c_int,  # n, directed, edge_kind
+        p_i64, i64,                 # sorted ids, m
+        p_i64, p_i64, p_f64,        # edge_u, edge_v, edge_w
+        f64, f64, i64,              # k, p, iterations
+        ctypes.POINTER(ctypes.c_uint64), p_u8,  # seeds or masks (one NULL)
+        i64, p_u8,                  # threads, union mask (in/out)
+        p_i64, p_i64, p_i64, p_i64,  # survivors, chosen, union counts, first
+    ]
     lib.repro_pairs_within.restype = i64
     lib.repro_pairs_within.argtypes = [
         i64, p_i64, p_i64, p_f64,   # n, indptr, nbr, wt
         i64, p_i64, p_i64, p_f64,   # num_q, qu, qv, bound
-        ctypes.POINTER(ctypes.c_uint8),  # out
+        p_u8,                       # out
     ]
     lib.repro_point_dist.restype = i64
     lib.repro_point_dist.argtypes = [

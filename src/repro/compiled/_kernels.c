@@ -6,24 +6,38 @@
  *       IndexedGreedyKernel.run_edge_ids / _reachable_within
  *   repro_simplex_run          <-  lp/simplex.py  _Tableau.run / _pivot
  *
- * plus repro_pairs_within, which reuses the greedy kernel's bounded
- * search for the fault-set verifier (core/verify.py): one query per
- * surviving host edge, on the spanner's CSR snapshot; and
- * repro_point_dist, the spanner service's QUERY_DIST (serve/rows.py):
- * CSRGraph.dijkstra_idx(target=) over rows the service edits in place.
+ * plus three entry points built on the greedy kernel's pieces:
+ *
+ *   repro_theorem21_batch      <-  core/conversion.py  _theorem21
+ *       whole Theorem 2.1 iterations: CPython's MT19937 survivor draws
+ *       (or replayed masks), the masked greedy pass and the union byte
+ *       mask, with the iterations split across threads it creates and
+ *       joins itself;
+ *   repro_pairs_within         the fault-set verifier (core/verify.py):
+ *       one bounded search per surviving host edge, on the spanner's CSR;
+ *   repro_point_dist           the spanner service's QUERY_DIST
+ *       (serve/rows.py): CSRGraph.dijkstra_idx(target=) over rows the
+ *       service edits in place.
  *
  * The port preserves the reference semantics operation-for-operation:
  * the same IEEE-754 double arithmetic, the same tolerances, the same
  * tie-breaks, the same iteration order. Build it with -ffp-contract=off
  * (see compiled/__init__.py) so the compiler cannot fuse a multiply-add
- * into an FMA and round differently from the numpy reference.
+ * into an FMA and round differently from the numpy reference, and with
+ * -pthread for the batch's threads.
  *
  * Every entry point is plain C99 with int64/double arrays so it can be
- * loaded through ctypes with no build-time python dependency. Negative
- * return values signal allocation failure; the python wrappers raise.
+ * loaded through ctypes with no build-time python dependency; ctypes
+ * releases the GIL for the call, and no thread touches a Python object.
+ * Negative return values signal allocation failure; the python wrappers
+ * raise.
  */
 
+#define _POSIX_C_SOURCE 200809L /* pthread_sigmask */
+
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -240,12 +254,168 @@ static int reachable_within(
     }
 }
 
-/* Greedy pass over edge ids pre-sorted by weight. Writes the chosen ids
- * (pick order) into chosen_out (caller-allocated, capacity num_ids) and
- * returns the count; -1 on allocation failure. max_edges < 0 means no
- * cap. The keep/skip decisions are identical to the python kernel: the
- * distance bound is (k * w) * (1 + 1e-12) with the same _EPS slack, and
- * the boolean reachability query is exact. */
+/* Scratch state of greedy passes over one vertex set. Each pass resets
+ * the adjacency lengths and keeps every capacity; the generation stamps
+ * keep counting across passes, so a reset is O(n). */
+typedef struct {
+    int64_t n;
+    adj_t *adj;
+    adj_t *radj; /* == adj when undirected */
+    double *dist_f, *dist_b;
+    int64_t *stamp_f, *stamp_b;
+    int64_t gen;
+    heap_t hf, hb;
+    int64_t *chosen; /* the last pass's chosen positions, in pick order */
+    int64_t num_chosen, chosen_cap;
+} greedy_ws;
+
+static void adj_free(adj_t *a, size_t vn)
+{
+    if (a == NULL)
+        return;
+    for (size_t i = 0; i < vn; i++) {
+        free(a[i].to);
+        free(a[i].w);
+    }
+    free(a);
+}
+
+static void ws_free(greedy_ws *ws)
+{
+    size_t vn = (size_t)(ws->n > 0 ? ws->n : 1);
+    if (ws->radj != ws->adj)
+        adj_free(ws->radj, vn);
+    adj_free(ws->adj, vn);
+    free(ws->dist_f);
+    free(ws->dist_b);
+    free(ws->stamp_f);
+    free(ws->stamp_b);
+    heap_free(&ws->hf);
+    heap_free(&ws->hb);
+    free(ws->chosen);
+}
+
+/* 0 on success, -1 on allocation failure; ws_free is safe after both. */
+static int ws_init(greedy_ws *ws, int64_t n, int directed)
+{
+    size_t vn = (size_t)(n > 0 ? n : 1);
+    memset(ws, 0, sizeof *ws);
+    ws->n = n;
+    ws->adj = (adj_t *)calloc(vn, sizeof(adj_t));
+    ws->radj = directed ? (adj_t *)calloc(vn, sizeof(adj_t)) : ws->adj;
+    ws->dist_f = (double *)malloc(vn * sizeof(double));
+    ws->dist_b = (double *)malloc(vn * sizeof(double));
+    ws->stamp_f = (int64_t *)calloc(vn, sizeof(int64_t));
+    ws->stamp_b = (int64_t *)calloc(vn, sizeof(int64_t));
+    if (ws->adj == NULL || ws->radj == NULL || ws->dist_f == NULL ||
+        ws->dist_b == NULL || ws->stamp_f == NULL || ws->stamp_b == NULL ||
+        heap_init(&ws->hf, 64) || heap_init(&ws->hb, 64))
+        return -1;
+    return 0;
+}
+
+static int chosen_push(greedy_ws *ws, int64_t t)
+{
+    if (ws->num_chosen == ws->chosen_cap) {
+        int64_t cap = ws->chosen_cap ? ws->chosen_cap * 2 : 64;
+        int64_t *nc = (int64_t *)realloc(ws->chosen, (size_t)cap * sizeof(int64_t));
+        if (nc == NULL)
+            return -1;
+        ws->chosen = nc;
+        ws->chosen_cap = cap;
+    }
+    ws->chosen[ws->num_chosen++] = t;
+    return 0;
+}
+
+/* The edges edge_ids[0 .. num) as parallel arrays in that order, so a
+ * pass over them reads memory sequentially. */
+typedef struct {
+    int64_t *u, *v;
+    double *w;
+} edges_t;
+
+static void edges_free(edges_t *g)
+{
+    free(g->u);
+    free(g->v);
+    free(g->w);
+}
+
+/* 0 on success, -1 on allocation failure; edges_free is safe after both. */
+static int edges_gather(
+    edges_t *g, const int64_t *edge_ids, int64_t num,
+    const int64_t *edge_u, const int64_t *edge_v, const double *edge_w)
+{
+    size_t cells = (size_t)(num > 0 ? num : 1);
+    g->u = (int64_t *)malloc(cells * sizeof(int64_t));
+    g->v = (int64_t *)malloc(cells * sizeof(int64_t));
+    g->w = (double *)malloc(cells * sizeof(double));
+    if (g->u == NULL || g->v == NULL || g->w == NULL)
+        return -1;
+    for (int64_t t = 0; t < num; t++) {
+        g->u[t] = edge_u[edge_ids[t]];
+        g->v[t] = edge_v[edge_ids[t]];
+        g->w[t] = edge_w[edge_ids[t]];
+    }
+    return 0;
+}
+
+/* The greedy pass, mirroring IndexedGreedyKernel.run_edge_ids over the
+ * edges g[0 .. num) in order (sorted by weight): skip edge t unless both
+ * endpoints are flagged in alive_v and t in alive_t (NULL = no mask),
+ * and keep each edge whose endpoints the spanner so far cannot connect
+ * within the bound. The chosen positions t land in ws->chosen in pick
+ * order; returns their count, or -1 on allocation failure. max_edges < 0
+ * means no cap. The keep/skip decisions are identical to the python
+ * kernel: the distance bound is (k * w) * (1 + 1e-12) with the same _EPS
+ * slack, and the boolean reachability query is exact. */
+static int64_t greedy_pass(
+    greedy_ws *ws, const edges_t *g, int64_t num,
+    const unsigned char *alive_v, const unsigned char *alive_t,
+    double k, int64_t max_edges)
+{
+    const double eps = 1e-12; /* matches spanners/greedy.py _EPS */
+    adj_t *adj = ws->adj;
+    adj_t *radj = ws->radj;
+    for (int64_t v = 0; v < ws->n; v++) {
+        adj[v].len = 0;
+        radj[v].len = 0;
+    }
+    ws->num_chosen = 0;
+    for (int64_t t = 0; t < num; t++) {
+        if (max_edges >= 0 && ws->num_chosen >= max_edges)
+            break;
+        int64_t ui = g->u[t];
+        int64_t vi = g->v[t];
+        if ((alive_t != NULL && !alive_t[t]) ||
+            (alive_v != NULL && !(alive_v[ui] && alive_v[vi])))
+            continue;
+        double w = g->w[t];
+        int reach = 0;
+        /* An endpoint with no spanner edges yet is unreachable: skip
+         * the query. */
+        if (adj[ui].len && radj[vi].len) {
+            ws->gen += 1;
+            reach = reachable_within(
+                adj, radj, ws->dist_f, ws->stamp_f, ws->dist_b, ws->stamp_b,
+                ws->gen, &ws->hf, &ws->hb, ui, vi, (k * w) * (1.0 + eps));
+            if (reach < 0)
+                return -1;
+        }
+        /* radj == adj when undirected: the second push is then the
+         * reverse half-edge. */
+        if (!reach && (chosen_push(ws, t) || adj_push(&adj[ui], vi, w) ||
+                       adj_push(&radj[vi], ui, w)))
+            return -1;
+    }
+    return ws->num_chosen;
+}
+
+/* One greedy pass over edge ids pre-sorted by weight. Writes the chosen
+ * ids (pick order) into chosen_out (caller-allocated, capacity num_ids)
+ * and returns the count; -1 on allocation failure. max_edges < 0 means
+ * no cap. */
 int64_t repro_greedy_run_edge_ids(
     int64_t n, int directed,
     const int64_t *edge_ids, int64_t num_ids,
@@ -253,88 +423,284 @@ int64_t repro_greedy_run_edge_ids(
     double k, int64_t max_edges,
     int64_t *chosen_out)
 {
-    const double eps = 1e-12; /* matches spanners/greedy.py _EPS */
-    size_t vn = (size_t)(n > 0 ? n : 1);
-    int64_t count = 0;
-    int fail = 0;
+    greedy_ws ws;
+    edges_t g;
+    int64_t count = -1;
+    int fail = ws_init(&ws, n, directed);
+    fail |= edges_gather(&g, edge_ids, num_ids, edge_u, edge_v, edge_w);
+    if (!fail)
+        count = greedy_pass(&ws, &g, num_ids, NULL, NULL, k, max_edges);
+    for (int64_t c = 0; c < count; c++)
+        chosen_out[c] = edge_ids[ws.chosen[c]];
+    edges_free(&g);
+    ws_free(&ws);
+    return count;
+}
 
-    adj_t *adj = (adj_t *)calloc(vn, sizeof(adj_t));
-    adj_t *radj = directed ? (adj_t *)calloc(vn, sizeof(adj_t)) : adj;
-    double *dist_f = (double *)malloc(vn * sizeof(double));
-    double *dist_b = (double *)malloc(vn * sizeof(double));
-    int64_t *stamp_f = (int64_t *)calloc(vn, sizeof(int64_t));
-    int64_t *stamp_b = (int64_t *)calloc(vn, sizeof(int64_t));
-    heap_t hf = {0}, hb = {0};
-    if (adj == NULL || radj == NULL || dist_f == NULL || dist_b == NULL ||
-        stamp_f == NULL || stamp_b == NULL ||
-        heap_init(&hf, 64) || heap_init(&hb, 64)) {
-        fail = 1;
+/* ------------------------------------------------------------------ */
+/* Theorem 2.1: whole batches of oversampling iterations, threaded.    */
+/* ------------------------------------------------------------------ */
+
+/* MT19937 as CPython's Modules/_randommodule.c runs it: mt_seed(s) and
+ * then mt_random() calls give the doubles of random.Random(s).random()
+ * for every 0 <= s < 2**64. */
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t state[MT_N];
+    int index;
+} mt_t;
+
+static void mt_init_genrand(mt_t *mt, uint32_t s)
+{
+    uint32_t *st = mt->state;
+    st[0] = s;
+    for (int i = 1; i < MT_N; i++)
+        st[i] = 1812433253U * (st[i - 1] ^ (st[i - 1] >> 30)) + (uint32_t)i;
+    mt->index = MT_N;
+}
+
+/* init_by_array on the seed's 32-bit little-endian words; random_seed
+ * keys a seed below 2**32 (0 included) by one word. */
+static void mt_seed(mt_t *mt, uint64_t seed)
+{
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    size_t len = key[1] ? 2 : 1;
+    uint32_t *st = mt->state;
+    size_t i = 1, j = 0;
+    mt_init_genrand(mt, 19650218U);
+    for (size_t k = MT_N; k; k--) { /* max(MT_N, len) rounds */
+        st[i] = (st[i] ^ ((st[i - 1] ^ (st[i - 1] >> 30)) * 1664525U)) +
+                key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            st[0] = st[MT_N - 1];
+            i = 1;
+        }
+        if (j >= len)
+            j = 0;
+    }
+    for (size_t k = MT_N - 1; k; k--) {
+        st[i] = (st[i] ^ ((st[i - 1] ^ (st[i - 1] >> 30)) * 1566083941U)) -
+                (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            st[0] = st[MT_N - 1];
+            i = 1;
+        }
+    }
+    st[0] = 0x80000000U;
+}
+
+static uint32_t mt_genrand_uint32(mt_t *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t *st = mt->state;
+    uint32_t y;
+    if (mt->index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (st[kk] & 0x80000000U) | (st[kk + 1] & 0x7fffffffU);
+            st[kk] = st[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (st[kk] & 0x80000000U) | (st[kk + 1] & 0x7fffffffU);
+            st[kk] = st[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (st[MT_N - 1] & 0x80000000U) | (st[0] & 0x7fffffffU);
+        st[MT_N - 1] = st[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt->index = 0;
+    }
+    y = st[mt->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.Random.random(): 53 random bits, genrand_res53. */
+static double mt_random(mt_t *mt)
+{
+    uint32_t a = mt_genrand_uint32(mt) >> 5;
+    uint32_t b = mt_genrand_uint32(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* One batch call's inputs, read by every share, and its per-iteration
+ * and per-edge outputs. */
+typedef struct {
+    int64_t n, m, units, iterations;
+    int directed;
+    const int64_t *ids;
+    edges_t sorted;             /* the edges in ids order */
+    int64_t *pos;               /* edge kind: each id's place in ids; else NULL */
+    double k, p;
+    const uint64_t *seeds;      /* NULL when masks are given */
+    const unsigned char *masks; /* iterations x units */
+    int64_t *survivors, *chosen, *first;
+} batch_t;
+
+/* Iterations start, start + stride, ... of one batch. */
+typedef struct {
+    const batch_t *b;
+    int64_t start, stride;
+    int fail;
+} share_t;
+
+/* Lower *slot to i unless it holds a smaller iteration already. Any
+ * interleaving of these compare-and-swaps leaves the minimum. */
+static void lower_to(int64_t *slot, int64_t i)
+{
+    int64_t cur = __atomic_load_n(slot, __ATOMIC_RELAXED);
+    while (cur > i && !__atomic_compare_exchange_n(
+                          slot, &cur, i, 0, __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+        ;
+}
+
+static void *run_share(void *arg)
+{
+    share_t *s = (share_t *)arg;
+    const batch_t *b = s->b;
+    greedy_ws ws;
+    mt_t mt;
+    /* Survivor flags by vertex, or by place in ids for the edge kind. */
+    unsigned char *alive =
+        (unsigned char *)malloc((size_t)(b->units > 0 ? b->units : 1));
+    if (ws_init(&ws, b->n, b->directed) || alive == NULL) {
+        s->fail = 1;
         goto done;
     }
-
-    int64_t gen = 0;
-    for (int64_t t = 0; t < num_ids; t++) {
-        if (max_edges >= 0 && count >= max_edges)
+    for (int64_t i = s->start; i < b->iterations; i += s->stride) {
+        const unsigned char *given =
+            b->masks != NULL ? b->masks + i * b->units : NULL;
+        int64_t survivors = 0;
+        if (given == NULL)
+            mt_seed(&mt, b->seeds[i]);
+        for (int64_t u = 0; u < b->units; u++) {
+            unsigned char a = given != NULL ? given[u] : mt_random(&mt) < b->p;
+            alive[b->pos != NULL ? b->pos[u] : u] = a;
+            survivors += a;
+        }
+        int64_t count = greedy_pass(
+            &ws, &b->sorted, b->m, b->pos != NULL ? NULL : alive,
+            b->pos != NULL ? alive : NULL, b->k, -1);
+        if (count < 0) {
+            s->fail = 1;
             break;
-        int64_t e = edge_ids[t];
-        int64_t ui = edge_u[e];
-        int64_t vi = edge_v[e];
-        double w = edge_w[e];
-        int reach = 0;
-        /* An endpoint with no spanner edges yet is unreachable: skip
-         * the query. */
-        if (adj[ui].len && radj[vi].len) {
-            gen += 1;
-            reach = reachable_within(
-                adj, radj, dist_f, stamp_f, dist_b, stamp_b, gen,
-                &hf, &hb, ui, vi, (k * w) * (1.0 + eps));
-            if (reach < 0) {
-                fail = 1;
-                goto done;
-            }
         }
-        if (!reach) {
-            chosen_out[count++] = e;
-            if (adj_push(&adj[ui], vi, w)) {
-                fail = 1;
-                goto done;
-            }
-            if (directed) {
-                if (adj_push(&radj[vi], ui, w)) {
-                    fail = 1;
-                    goto done;
-                }
-            } else {
-                if (adj_push(&adj[vi], ui, w)) {
-                    fail = 1;
-                    goto done;
-                }
-            }
-        }
+        b->survivors[i] = survivors;
+        b->chosen[i] = count;
+        for (int64_t c = 0; c < count; c++)
+            lower_to(&b->first[b->ids[ws.chosen[c]]], i);
     }
-
 done:
-    if (adj != NULL) {
-        for (size_t i = 0; i < vn; i++) {
-            free(adj[i].to);
-            free(adj[i].w);
+    free(alive);
+    ws_free(&ws);
+    return NULL;
+}
+
+/* Theorem 2.1 iterations 0 .. iterations - 1 in one call. Iteration i
+ * keeps the fault units (vertices, or edge ids when edge_kind) that
+ * masks[i] flags, or else each unit whose draw is below p, drawing once
+ * per unit in unit order from MT19937 seeded with seeds[i] (exactly
+ * random.Random(seeds[i]).random() < p). It runs the greedy pass over
+ * the weight-sorted ids that survive and merges the chosen ids into
+ * union_mask, one byte per edge id (in/out). survivors[i] and chosen[i]
+ * count iteration i's surviving units and chosen ids; union_counts[i] is
+ * the union's size after iterations 0..i; first[e] is the first
+ * iteration that chose e, or -1 when the union held e before the call or
+ * no iteration chose it. Returns the union's size, or -1 on allocation
+ * failure (union_mask is then unchanged).
+ *
+ * The iterations are dealt round-robin to `threads` shares. The calling
+ * thread runs share 0, and any share whose thread could not start, then
+ * joins the rest; the workers block every signal, so handlers run on the
+ * calling thread once the call returns. No output depends on the thread
+ * count: an iteration writes only its own slots, and first[e] is the
+ * minimum over the iterations that chose e, lowered by compare-and-swap.
+ * Extra memory is O(m) for the edges gathered in ids order, which all
+ * shares read, plus O(n + units) scratch per share: none of it grows
+ * with the iteration count. ids must be a permutation of 0 .. m - 1. */
+int64_t repro_theorem21_batch(
+    int64_t n, int directed, int edge_kind,
+    const int64_t *ids, int64_t m,
+    const int64_t *edge_u, const int64_t *edge_v, const double *edge_w,
+    double k, double p, int64_t iterations,
+    const uint64_t *seeds, const unsigned char *masks,
+    int64_t threads, unsigned char *union_mask,
+    int64_t *survivors, int64_t *chosen, int64_t *union_counts,
+    int64_t *first)
+{
+    batch_t b = {n, m, edge_kind ? m : n, iterations, directed, ids,
+                 {NULL, NULL, NULL}, NULL, k, p, seeds, masks,
+                 survivors, chosen, first};
+    int64_t size = 0;
+    for (int64_t e = 0; e < m; e++) {
+        first[e] = union_mask[e] ? -1 : iterations; /* iterations: unchosen */
+        size += union_mask[e] != 0;
+    }
+    if (threads > iterations)
+        threads = iterations;
+    if (threads < 1)
+        threads = 1;
+    share_t *shares = (share_t *)calloc((size_t)threads, sizeof(share_t));
+    pthread_t *tids = (pthread_t *)calloc((size_t)threads, sizeof(pthread_t));
+    unsigned char *started = (unsigned char *)calloc((size_t)threads, 1);
+    int fail = edges_gather(&b.sorted, ids, m, edge_u, edge_v, edge_w);
+    if (edge_kind) {
+        b.pos = (int64_t *)malloc((size_t)(m > 0 ? m : 1) * sizeof(int64_t));
+        fail |= b.pos == NULL;
+        for (int64_t t = 0; !fail && t < m; t++)
+            b.pos[ids[t]] = t;
+    }
+    fail |= shares == NULL || tids == NULL || started == NULL;
+    if (!fail) {
+        sigset_t all, old;
+        for (int64_t t = 0; t < threads; t++) {
+            shares[t].b = &b;
+            shares[t].start = t;
+            shares[t].stride = threads;
+        }
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        for (int64_t t = 1; t < threads; t++)
+            started[t] = pthread_create(&tids[t], NULL, run_share, &shares[t]) == 0;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+        run_share(&shares[0]);
+        for (int64_t t = 1; t < threads; t++) {
+            if (started[t])
+                pthread_join(tids[t], NULL);
+            else
+                run_share(&shares[t]);
+        }
+        for (int64_t t = 0; t < threads; t++)
+            fail |= shares[t].fail;
+    }
+    free(shares);
+    free(tids);
+    free(started);
+    edges_free(&b.sorted);
+    free(b.pos);
+    if (fail)
+        return -1;
+    for (int64_t i = 0; i < iterations; i++)
+        union_counts[i] = 0;
+    for (int64_t e = 0; e < m; e++) {
+        if (first[e] == iterations) {
+            first[e] = -1;
+        } else if (first[e] >= 0) {
+            union_mask[e] = 1;
+            union_counts[first[e]] += 1;
         }
     }
-    if (directed && radj != NULL) {
-        for (size_t i = 0; i < vn; i++) {
-            free(radj[i].to);
-            free(radj[i].w);
-        }
-        free(radj);
+    for (int64_t i = 0; i < iterations; i++) {
+        size += union_counts[i];
+        union_counts[i] = size;
     }
-    free(adj);
-    free(dist_f);
-    free(dist_b);
-    free(stamp_f);
-    free(stamp_b);
-    heap_free(&hf);
-    heap_free(&hb);
-    return fail ? -1 : count;
+    return size;
 }
 
 /* ------------------------------------------------------------------ */
@@ -493,9 +859,9 @@ int repro_simplex_run(
     int64_t max_iterations, double entering_tol,
     double tol, double dual_tol)
 {
-    double *red = (double *)malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    unsigned char *basic =
-        (unsigned char *)malloc((size_t)(n > 0 ? n : 1));
+    size_t cols = (size_t)(n > 0 ? n : 1);
+    double *red = (double *)malloc(cols * sizeof(double));
+    unsigned char *basic = (unsigned char *)malloc(cols);
     if (red == NULL || basic == NULL) {
         free(red);
         free(basic);
@@ -518,7 +884,7 @@ int repro_simplex_run(
         for (int64_t j = 0; j < n; j++)
             red[j] = c[j] - red[j];
 
-        memset(basic, 0, (size_t)n);
+        memset(basic, 0, cols);
         for (int64_t i = 0; i < m; i++)
             basic[basis[i]] = 1;
 

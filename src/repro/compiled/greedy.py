@@ -4,16 +4,16 @@ Same constructor, same ``run``/``run_edge_ids`` surface, same outputs:
 the C kernel ports the bounded bidirectional Dijkstra operation-for-
 operation (identical ``_EPS`` slack, identical relaxation arithmetic),
 so the keep/skip decisions — and therefore the chosen edge-id lists —
-are pinned identical to the python kernel. The Theorem 2.1 conversion
-engine swaps this class in under ``method="compiled"`` and every masked
-:class:`~repro.graph.csr.SurvivorView` iteration rides it for free,
-because survivor subsamples are just pre-filtered id sequences.
+are pinned identical to the python kernel. The greedy spanner's
+``method="compiled"`` runs on it; the Theorem 2.1 conversion instead
+runs whole batches of passes in one call
+(:mod:`repro.compiled.oversample`), on the same C pass function.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,34 +32,19 @@ def _ptr_f64(arr: np.ndarray):
 
 
 class CompiledGreedyKernel:
-    """Reusable greedy-pass state backed by the compiled C kernel.
+    """Greedy-pass state backed by the compiled C kernel.
 
-    Mirrors :class:`~repro.spanners.greedy.IndexedGreedyKernel`: one
-    instance serves many greedy passes over (subsets of) the same
-    indexed edge list — the conversion loop's ``α`` iterations share a
-    single instance, and the endpoint/weight arrays they keep passing
-    are converted to C layout once and memoized by object identity.
+    Mirrors :class:`~repro.spanners.greedy.IndexedGreedyKernel`: the
+    same constructor and ``run``/``run_edge_ids`` surface, and the same
+    chosen ids.
     """
 
-    __slots__ = ("n", "directed", "_lib", "_cache")
+    __slots__ = ("n", "directed", "_lib")
 
     def __init__(self, n: int, directed: bool):
         self.n = n
         self.directed = directed
         self._lib = require_compiled()
-        # id(list) -> (strong ref keeping the id stable, converted array)
-        self._cache: Dict[int, Tuple[object, np.ndarray]] = {}
-
-    def _convert(self, seq, dtype) -> np.ndarray:
-        if isinstance(seq, np.ndarray) and seq.dtype == dtype:
-            return np.ascontiguousarray(seq)
-        key = id(seq)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is seq:
-            return hit[1]
-        arr = np.ascontiguousarray(np.asarray(seq, dtype=dtype))
-        self._cache[key] = (seq, arr)
-        return arr
 
     def run(
         self,
@@ -72,7 +57,8 @@ class CompiledGreedyKernel:
         edge_v = [e[1] for e in edges]
         edge_w = [e[2] for e in edges]
         chosen = self.run_edge_ids(
-            range(len(edges)), edge_u, edge_v, edge_w, k, max_edges=max_edges
+            np.arange(len(edges), dtype=np.int64), edge_u, edge_v, edge_w, k,
+            max_edges=max_edges,
         )
         return [edges[e] for e in chosen]
 
@@ -91,21 +77,13 @@ class CompiledGreedyKernel:
         ids in pick order as plain python ints, exactly like the
         interpreted kernel.
         """
-        # Per-iteration id sequences are fresh objects — convert without
-        # memoizing (caching them would only grow the table); the no-op
-        # case (already int64, e.g. filter_edge_ids output) stays free.
-        if isinstance(edge_ids, np.ndarray) and edge_ids.dtype == np.int64:
-            ids = np.ascontiguousarray(edge_ids)
-        else:
-            ids = np.fromiter(edge_ids, dtype=np.int64) if isinstance(
-                edge_ids, range
-            ) else np.ascontiguousarray(np.asarray(edge_ids, dtype=np.int64))
+        ids = np.ascontiguousarray(edge_ids, dtype=np.int64)
         num_ids = int(ids.shape[0])
         if num_ids == 0:
             return []
-        u = self._convert(edge_u, np.int64)
-        v = self._convert(edge_v, np.int64)
-        w = self._convert(edge_w, np.float64)
+        u = np.ascontiguousarray(edge_u, dtype=np.int64)
+        v = np.ascontiguousarray(edge_v, dtype=np.int64)
+        w = np.ascontiguousarray(edge_w, dtype=np.float64)
         out = np.empty(num_ids, dtype=np.int64)
         count = self._lib.repro_greedy_run_edge_ids(
             self.n,

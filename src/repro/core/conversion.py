@@ -33,12 +33,12 @@ from ..graph.csr import METHODS, snapshot
 from ..graph.graph import BaseGraph
 from ..graph.scenario import FaultScenario
 from ..registry import register_algorithm
-from ..rng import RandomLike, derive_rng, ensure_rng
+from ..rng import RandomLike, derive_rng, derive_seed, ensure_rng
 from ..spanners.bounds import conversion_iterations, conversion_iterations_light
 from ..spanners.greedy import (
+    IndexedGreedyKernel,
     _check_method as _greedy_check_method,
     greedy_spanner,
-    make_greedy_kernel,
 )
 from .verify import _fault_units, _first_violation
 
@@ -140,28 +140,31 @@ def resolve_iterations(
 
 
 class _OversamplingEngine:
-    """Shared fast path for the Theorem 2.1 iteration body.
+    """The Theorem 2.1 iteration body for the default greedy base.
 
-    Built once per conversion: snapshots the host into CSR arrays, sorts
-    the edge ids by weight once (stable, so ties keep ``edges()`` order),
-    and reuses one :class:`IndexedGreedyKernel` across all ``α``
-    iterations. Each iteration reduces to (a) one vectorized O(m) pass
-    filtering the pre-sorted id list through the survivor bitmask — no
-    ``induced_subgraph`` dict is ever built — and (b) a greedy kernel run
-    over the surviving ids. The union spanner is a plain set of integer
-    edge ids until :meth:`union_graph` materializes it.
+    Built once per conversion: snapshots the host into CSR arrays and
+    sorts the edge ids by weight once (stable, so ties keep ``edges()``
+    order). No ``induced_subgraph`` dict is ever built, and the union is
+    a set of integer edge ids until :meth:`union_graph` materializes it.
 
-    ``method`` picks the kernel behind step (b) through the greedy
-    dispatch rule: ``"auto"`` rides the compiled C kernel when
-    :mod:`repro.compiled` is available (every masked survivor iteration
-    benefits, since surviving ids feed the kernel unchanged) and the
-    interpreted ``"csr"`` kernel otherwise; ``"compiled"`` requires the
-    backend. :attr:`resolved_method` records the tier actually engaged
-    (``"compiled"`` or ``"csr"``) for honest build reports.
+    ``method`` picks the tier through the greedy dispatch rule, and
+    :attr:`resolved_method` records the one engaged for honest build
+    reports. ``"auto"`` selects ``"compiled"`` when :mod:`repro.compiled`
+    loads and ``"csr"`` otherwise; an explicit ``"compiled"`` requires
+    the backend.
+
+    * ``"compiled"``: :meth:`run_compiled` runs a whole batch of
+      iterations in one C call (:func:`repro.compiled.oversample
+      .oversample`): survivor draws from each iteration's child seed or a
+      replayed mask, the masked greedy pass, and the union as a byte mask
+      over edge ids. The call splits the iterations across CPU threads.
+    * ``"csr"`` (no compiler): :meth:`step` runs one iteration, filtering
+      the weight-sorted ids through a survivor view into the interpreted
+      :class:`~repro.spanners.greedy.IndexedGreedyKernel`; the union is
+      a set of ids.
     """
 
     def __init__(self, graph: BaseGraph, k: float, kind: str, method: str):
-        self.graph = graph
         self.k = k
         self.kind = kind
         self.csr = snapshot(graph)
@@ -175,18 +178,27 @@ class _OversamplingEngine:
             pass
         resolved = _greedy_check_method(method)
         self.resolved_method = "compiled" if resolved == "compiled" else "csr"
-        self.kernel = make_greedy_kernel(
-            self.csr.num_vertices, self.csr.directed, resolved
-        )
-        self.union_ids: Set[int] = set()
+        if self.resolved_method == "compiled":
+            csr = self.csr
+            self._arrays = (
+                np.asarray(csr.edge_u, dtype=np.int64),
+                np.asarray(csr.edge_v, dtype=np.int64),
+                np.asarray(csr.edge_w, dtype=np.float64),
+            )
+            self.union_mask = np.zeros(csr.num_edges, dtype=np.uint8)
+        else:
+            self.kernel = IndexedGreedyKernel(
+                self.csr.num_vertices, self.csr.directed
+            )
+            self.union_ids: Set[int] = set()
 
-    def step(self, alive: Sequence[bool]) -> List[int]:
-        """Run one oversampling iteration on a survivor mask.
+    def step(self, alive: Sequence[bool], stats: ConversionStats) -> List[int]:
+        """Run one interpreted iteration on a survivor mask.
 
         ``alive`` has one flag per host vertex (snapshot order) or, for
-        an edge-fault engine, per host edge (edge-id order). Returns the
-        iteration's chosen edge ids (the base spanner of ``G \\ J``);
-        they are also merged into :attr:`union_ids`.
+        an edge-fault engine, per host edge (edge-id order). Records the
+        iteration's chosen and union counts in ``stats`` and returns the
+        ids it added to the union, in pick order.
         """
         csr = self.csr
         if self.kind == "vertex":
@@ -197,34 +209,74 @@ class _OversamplingEngine:
             view.filter_edge_ids(self.sorted_ids),
             csr.edge_u, csr.edge_v, csr.edge_w, self.k,
         )
-        self.union_ids.update(chosen)
-        return chosen
+        new = [e for e in chosen if e not in self.union_ids]
+        self.union_ids.update(new)
+        stats.iteration_edge_counts.append(len(chosen))
+        stats.union_edge_counts.append(len(self.union_ids))
+        return new
 
-    def add_new_edges_to(self, union: BaseGraph, chosen, materialized: Set[int]) -> None:
-        """Incrementally materialize ``chosen`` ids into ``union``.
+    def run_compiled(self, p: float, stats: ConversionStats, *,
+                     seeds=None, faults=None):
+        """Run a batch of iterations in one compiled call.
 
-        Skips ids already added (``materialized`` is the caller-held
-        record), so the adaptive driver can keep one persistent union
-        graph instead of rebuilding it every validity check.
+        Give one child seed per iteration (drawn ``random() < p`` per
+        unit in C), or one list of failed unit indices per iteration
+        (scenario replay). Records every iteration's counts in ``stats``
+        and returns the per-edge-id first-iteration array of
+        :func:`~repro.compiled.oversample.oversample`.
+        """
+        import numpy as np
+
+        from ..compiled.oversample import oversample
+
+        masks = None
+        if faults is not None:
+            units = self.csr.num_vertices if self.kind == "vertex" else self.csr.num_edges
+            masks = np.ones((len(faults), units), dtype=bool)
+            for row, failed in enumerate(faults):
+                masks[row, failed] = False
+        _size, survivors, chosen, union_counts, first = oversample(
+            self.csr.num_vertices, self.csr.directed, self.kind,
+            self.sorted_ids, *self._arrays, self.k, p, self.union_mask,
+            seeds=seeds, masks=masks,
+        )
+        stats.survivor_sizes.extend(survivors.tolist())
+        stats.iteration_edge_counts.extend(chosen.tolist())
+        stats.union_edge_counts.extend(union_counts.tolist())
+        return first
+
+    def pick_order(self, first) -> List[int]:
+        """The ids a compiled batch added, in the order :meth:`step` returns them.
+
+        That is by first iteration, then by position in the weight-sorted
+        list (each pass picks in that order).
+        """
+        import numpy as np
+
+        new = np.flatnonzero(first >= 0)
+        position = np.empty_like(self.sorted_ids)
+        position[self.sorted_ids] = np.arange(len(self.sorted_ids))
+        return new[np.lexsort((position[new], first[new]))].tolist()
+
+    def add_new_edges_to(self, union: BaseGraph, ids: Sequence[int]) -> None:
+        """Add the edges ``ids`` to ``union``, in order.
+
+        The adaptive driver keeps one persistent union graph and adds
+        each iteration's new edges, instead of rebuilding the union for
+        every validity check.
         """
         csr = self.csr
         verts = csr.verts
-        for e in chosen:
-            if e not in materialized:
-                materialized.add(e)
-                union.add_edge(
-                    verts[csr.edge_u[e]], verts[csr.edge_v[e]], csr.edge_w[e]
-                )
+        for e in ids:
+            union.add_edge(verts[csr.edge_u[e]], verts[csr.edge_v[e]], csr.edge_w[e])
 
     def union_graph(self) -> BaseGraph:
-        """Materialize the union spanner as a dict graph (all host vertices)."""
-        csr = self.csr
-        union = type(self.graph)()
-        union.add_vertices(csr.verts)
-        verts = csr.verts
-        for e in sorted(self.union_ids):
-            union.add_edge(verts[csr.edge_u[e]], verts[csr.edge_v[e]], csr.edge_w[e])
-        return union
+        """Materialize the union spanner (all host vertices), in edge-id order."""
+        if self.resolved_method == "compiled":
+            ids = self.union_mask.nonzero()[0].tolist()
+        else:
+            ids = sorted(self.union_ids)
+        return self.csr.materialize_edge_ids(ids)
 
 
 def _replay_faults(scenarios, kind: str, units: list, directed: bool) -> list:
@@ -280,16 +332,24 @@ def _theorem21(
     of mask), spans the survivor graph and adds it to the union. ``kind``
     picks only the unit list (:func:`repro.core.verify._fault_units`) and
     what a mask becomes: ``induced_subgraph`` / ``edge_subgraph`` on the
-    dict path, a vertex- or edge-masked survivor view on the engine path.
+    dict path, a vertex- or edge-masked survivor on the engine path.
     ``survivor_sizes`` counts surviving units; ``r = 0`` without
     scenarios is one base run on the host and records ``n``.
+
+    Which tier runs the iterations: a custom base algorithm, or
+    ``method="dict"``, runs this loop on dict graphs, one iteration at a
+    time. The default greedy base runs on :class:`_OversamplingEngine`:
+    on the ``"csr"`` tier one interpreted :meth:`~_OversamplingEngine
+    .step` per iteration, on the ``"compiled"`` tier one C call per run
+    (per batch for the adaptive driver) that draws from the child seeds
+    :func:`repro.rng.derive_seed` gives, exactly as ``derive_rng`` would.
 
     With ``validity_check`` (the adaptive driver) the union is checked
     after each full batch of ``batch`` iterations; the loop stops at the
     first accepted batch, or raises at the first batch boundary at or past
     ``max_iterations``.
     """
-    if k < 1:
+    if not k >= 1:  # NaN fails every comparison
         raise InvalidStretch(f"stretch must be >= 1, got {k}")
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")
@@ -342,43 +402,57 @@ def _theorem21(
     stats = ConversionStats(iterations=alpha)
 
     # The default greedy base runs on the CSR fast path: one host
-    # snapshot, per-iteration masked views, integer edge-id union.
-    # Custom base algorithms get the dict pipeline.
+    # snapshot, masked survivors, integer edge-id union. Custom base
+    # algorithms get the dict pipeline.
     engine = _OversamplingEngine(graph, k, kind, method) if use_engine else None
-    materialized: Set[int] = set()
 
-    for i in range(alpha):
-        if replay is not None:
-            alive = [True] * len(units)
-            for j in replay[i]:
-                alive[j] = False
-        else:
-            it_rng = derive_rng(rng, i)
-            alive = [it_rng.random() < p_survive for _ in units]
-        stats.survivor_sizes.append(sum(alive))
-        if engine is not None:
-            chosen = engine.step(alive)
-            stats.iteration_edge_counts.append(len(chosen))
-            stats.union_edge_counts.append(len(engine.union_ids))
-            if validity_check is not None:
-                engine.add_new_edges_to(union, chosen, materialized)
-        else:
-            kept = [unit for unit, a in zip(units, alive) if a]
-            if kind == "vertex":
-                sub = graph.induced_subgraph(kept)
+    compiled = engine is not None and engine.resolved_method == "compiled"
+    # The adaptive driver checks the union after each batch; a full run
+    # is one chunk, which the compiled tier runs in one call.
+    chunk = batch if validity_check is not None else alpha
+    for start in range(0, alpha, chunk):
+        stop = min(start + chunk, alpha)
+        if compiled:
+            if replay is not None:
+                first = engine.run_compiled(
+                    p_survive, stats, faults=replay[start:stop]
+                )
             else:
-                sub = graph.edge_subgraph(kept)
-            base = base_algorithm(sub, k)
-            stats.iteration_edge_counts.append(base.num_edges)
-            for u, v, w in base.edges():
-                union.add_edge(u, v, w)
-            stats.union_edge_counts.append(union.num_edges)
+                seeds = [derive_seed(rng, i) for i in range(start, stop)]
+                first = engine.run_compiled(p_survive, stats, seeds=seeds)
+            if validity_check is not None:
+                engine.add_new_edges_to(union, engine.pick_order(first))
+        else:
+            for i in range(start, stop):
+                if replay is not None:
+                    alive = [True] * len(units)
+                    for j in replay[i]:
+                        alive[j] = False
+                else:
+                    it_rng = derive_rng(rng, i)
+                    alive = [it_rng.random() < p_survive for _ in units]
+                stats.survivor_sizes.append(sum(alive))
+                if engine is not None:
+                    new = engine.step(alive, stats)
+                    if validity_check is not None:
+                        engine.add_new_edges_to(union, new)
+                else:
+                    kept = [unit for unit, a in zip(units, alive) if a]
+                    if kind == "vertex":
+                        sub = graph.induced_subgraph(kept)
+                    else:
+                        sub = graph.edge_subgraph(kept)
+                    base = base_algorithm(sub, k)
+                    stats.iteration_edge_counts.append(base.num_edges)
+                    for u, v, w in base.edges():
+                        union.add_edge(u, v, w)
+                    stats.union_edge_counts.append(union.num_edges)
         if (
             validity_check is not None
-            and (i + 1) % batch == 0
+            and stop % batch == 0
             and validity_check(union)
         ):
-            stats.iterations = i + 1
+            stats.iterations = stop
             return ConversionResult(spanner=union, stats=stats)
 
     if validity_check is not None:

@@ -205,24 +205,6 @@ class IndexedGreedyKernel:
         return chosen
 
 
-def make_greedy_kernel(n: int, directed: bool, resolved: str):
-    """The greedy kernel for a resolved method: compiled or interpreted.
-
-    ``resolved`` is the output of :func:`_check_method` —
-    ``"compiled"`` returns a
-    :class:`repro.compiled.greedy.CompiledGreedyKernel` (raising
-    :class:`repro.errors.CompiledBackendUnavailable` when the backend
-    cannot load), anything else the interpreted
-    :class:`IndexedGreedyKernel`. Both expose the same
-    ``run``/``run_edge_ids`` surface and produce identical outputs.
-    """
-    if resolved == "compiled":
-        from ..compiled.greedy import CompiledGreedyKernel
-
-        return CompiledGreedyKernel(n, directed)
-    return IndexedGreedyKernel(n, directed)
-
-
 def _greedy_indexed(
     graph: BaseGraph, k: float, max_edges: Optional[int], resolved: str = "csr"
 ) -> BaseGraph:
@@ -230,7 +212,12 @@ def _greedy_indexed(
     index = {v: i for i, v in enumerate(verts)}
     edges = [(index[u], index[v], w) for u, v, w in graph.edges()]
     edges.sort(key=lambda e: e[2])  # stable: ties keep edges() order
-    kernel = make_greedy_kernel(len(verts), graph.directed, resolved)
+    if resolved == "compiled":
+        from ..compiled.greedy import CompiledGreedyKernel
+
+        kernel = CompiledGreedyKernel(len(verts), graph.directed)
+    else:
+        kernel = IndexedGreedyKernel(len(verts), graph.directed)
     chosen = kernel.run(edges, k, max_edges=max_edges)
     spanner = type(graph)()
     spanner.add_vertices(verts)
@@ -309,7 +296,7 @@ def greedy_spanner(graph: BaseGraph, k: float, *, method: str = "csr") -> BaseGr
     A spanning subgraph ``H`` with ``d_H(u, v) <= k * w`` for every edge
     ``(u, v, w)`` of ``graph`` — hence a k-spanner of ``graph``.
     """
-    if k < 1:
+    if not k >= 1:  # NaN fails every comparison
         raise InvalidStretch(f"stretch must be >= 1, got {k}")
     resolved = _check_method(method)
     if resolved == "dict":
@@ -326,7 +313,7 @@ def greedy_spanner_size_first(
     contains the ``max_edges`` greedily-chosen lightest necessary edges and
     is a valid k-spanner only if the budget was not exhausted.
     """
-    if k < 1:
+    if not k >= 1:  # NaN fails every comparison
         raise InvalidStretch(f"stretch must be >= 1, got {k}")
     if max_edges < 0:
         raise ValueError(f"max_edges must be nonnegative, got {max_edges}")

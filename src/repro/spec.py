@@ -199,7 +199,7 @@ class SpannerSpec:
             self.stretch, (int, float)
         ):
             raise InvalidSpec(f"stretch must be a number, got {self.stretch!r}")
-        if self.stretch < 1:
+        if not self.stretch >= 1:  # NaN fails every comparison
             raise InvalidSpec(f"stretch must be >= 1, got {self.stretch}")
         if not isinstance(self.faults, FaultModel):
             raise InvalidSpec(

@@ -165,6 +165,225 @@ class TestGreedyEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Theorem 2.1 batches: one C call vs the interpreted loop and dict
+# ---------------------------------------------------------------------------
+
+
+def _matching_arrays(count):
+    """Edge arrays of a perfect matching: greedy keeps every survivor."""
+    u = np.arange(0, 2 * count, 2, dtype=np.int64)
+    return (
+        np.arange(count, dtype=np.int64), u, u + 1, np.ones(count),
+    )
+
+
+def _c_draws_below(seed, p, count):
+    """Bit ``i``: draw ``i`` of the C batch's MT19937 for ``seed`` is below ``p``.
+
+    One edge-fault iteration on a perfect matching keeps exactly the edges
+    whose draw is below ``p``, so the union mask is the survivor mask.
+    """
+    from repro.compiled.oversample import oversample
+
+    ids, u, v, w = _matching_arrays(count)
+    union = np.zeros(count, dtype=np.uint8)
+    oversample(2 * count, False, "edge", ids, u, v, w, 1.0, p, union, seeds=[seed])
+    return union.astype(bool)
+
+
+def _conversion_run(driver, graph, k, r, method, seed=3):
+    from repro.core.conversion import fault_tolerant_spanner_until_valid
+
+    if driver == "vertex":
+        return fault_tolerant_spanner(
+            graph, k, r, iterations=12, seed=seed, method=method
+        )
+    if driver == "edge":
+        return edge_fault_tolerant_spanner(
+            graph, k, r, iterations=12, seed=seed, method=method
+        )
+    return fault_tolerant_spanner_until_valid(
+        graph, k, r,
+        lambda h: sampled_fault_check(h, graph, k, r, trials=6, seed=seed),
+        batch=3, max_iterations=300, seed=seed, method=method,
+    )
+
+
+def _outputs(result):
+    stats = result.stats
+    return (
+        list(result.spanner.edges()), stats.iterations, stats.survivor_sizes,
+        stats.iteration_edge_counts, stats.union_edge_counts,
+    )
+
+
+def _batch_hosts():
+    return [
+        gnp_random_graph(40, 0.2, seed=5, weight_range=(1.0, 10.0)),
+        connected_gnp_graph(40, 0.2, seed=5),
+        gnp_random_digraph(36, 0.2, seed=5),
+    ]
+
+
+@needs_backend
+class TestTheorem21Batch:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    def test_mt19937_matches_random_random(self):
+        """Each checked C draw equals ``random.Random(seed).random()`` exactly.
+
+        At threshold ``x`` (the Python draw) the C draw is not below it,
+        and at the next double up it is, so the two doubles are equal; the
+        whole masks must also order every other draw like Python's.
+        1,300 draws cross two MT19937 state refills.
+        """
+        count = 1300
+        seeds = self.SEEDS + [random.Random(99).getrandbits(64) for _ in range(12)]
+        for seed in seeds:
+            stream = random.Random(seed)
+            xs = np.array([stream.random() for _ in range(count)])
+            picks = [0, 1, 311, 312, 313, 623, 624, 1299]
+            picks += random.Random(seed % 1000).sample(range(count), 8)
+            for j in picks:
+                for p in (xs[j], np.nextafter(xs[j], 2.0)):
+                    assert (_c_draws_below(seed, p, count) == (xs < p)).all()
+        # Long streams, one threshold each.
+        for seed in (0, 2**64 - 1, 12345678901234567):
+            stream = random.Random(seed)
+            xs = np.array([stream.random() for _ in range(100_000)])
+            assert (_c_draws_below(seed, 0.5, 100_000) == (xs < 0.5)).all()
+
+    @pytest.mark.parametrize("driver", ["vertex", "edge"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_batch_matches_csr_and_dict(self, driver, r, k):
+        for graph in _batch_hosts():
+            batch = _outputs(_conversion_run(driver, graph, k, r, "compiled"))
+            assert batch == _outputs(_conversion_run(driver, graph, k, r, "csr"))
+            ref = _outputs(_conversion_run(driver, graph, k, r, "dict"))
+            assert sorted(batch[0]) == sorted(ref[0])
+            assert batch[1:] == ref[1:]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_adaptive_batches_match_csr_and_dict(self, r):
+        """One call per batch; new edges join the union in pick order."""
+        for graph in _batch_hosts():
+            batch = _outputs(_conversion_run("adaptive", graph, 3, r, "compiled"))
+            assert batch == _outputs(_conversion_run("adaptive", graph, 3, r, "csr"))
+            ref = _outputs(_conversion_run("adaptive", graph, 3, r, "dict"))
+            assert sorted(batch[0]) == sorted(ref[0])
+            assert batch[1:] == ref[1:]
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_replayed_scenarios_match_csr_and_dict(self, kind):
+        for graph in _batch_hosts():
+            rng = random.Random(4)
+            vertices = list(graph.vertices())
+            edges = [(u, v) for u, v, _w in graph.edges()]
+            if kind == "vertex":
+                scenarios = [FaultScenario.vertex(rng.sample(vertices, 12))
+                             for _ in range(5)] + [FaultScenario.none()]
+                build = fault_tolerant_spanner
+            else:
+                scenarios = [FaultScenario.edge(rng.sample(edges, 40))
+                             for _ in range(5)] + [FaultScenario.none()]
+                build = edge_fault_tolerant_spanner
+            runs = {
+                method: _outputs(build(graph, 3.0, 2, scenarios=scenarios,
+                                       method=method))
+                for method in ("compiled", "csr", "dict")
+            }
+            assert runs["compiled"] == runs["csr"]
+            assert sorted(runs["compiled"][0]) == sorted(runs["dict"][0])
+            assert runs["compiled"][1:] == runs["dict"][1:]
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, monkeypatch):
+        """1, 2, 3 and 7 threads (more than the cores) give equal outputs.
+
+        The thread count comes from the CPU-count lookup, patched here.
+        The builds run in a daemon thread joined with a timeout, so a
+        deadlock fails the test instead of hanging it.
+        """
+        import threading
+
+        from repro.compiled import oversample as module
+
+        host = gnp_random_graph(300, 0.05, seed=2, weight_range=(1.0, 10.0))
+        digraph = gnp_random_digraph(120, 0.08, seed=2)
+        ids, u, v, w = _matching_arrays(50)
+        outputs = {}
+
+        def build_all(threads):
+            monkeypatch.setattr(module, "usable_cpus", lambda: threads)
+            got = [
+                _outputs(fault_tolerant_spanner(host, 3.0, 2, iterations=40, seed=1)),
+                _outputs(edge_fault_tolerant_spanner(host, 3.0, 2, iterations=40, seed=1)),
+                _outputs(fault_tolerant_spanner(digraph, 3.0, 1, iterations=40, seed=1)),
+                _outputs(_conversion_run("adaptive", digraph, 3.0, 1, "auto")),
+            ]
+            union = np.zeros(50, dtype=np.uint8)
+            union[::7] = 1  # edges held before the call report -1
+            result = module.oversample(
+                100, False, "edge", ids, u, v, w, 1.0, 0.3, union,
+                seeds=range(1, 31),
+            )
+            got.append([union.tolist()] + [np.asarray(x).tolist() for x in result])
+            outputs[threads] = got
+
+        for threads in (1, 2, 3, 7):
+            worker = threading.Thread(target=build_all, args=(threads,), daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive(), f"{threads} threads did not finish"
+            assert threads in outputs
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+        assert outputs[7] == outputs[1]
+
+    def test_no_per_iteration_kernel_call(self, monkeypatch):
+        """The compiled tier runs whole batches: the per-pass kernel never runs."""
+        from repro.compiled.greedy import CompiledGreedyKernel
+        from repro.spanners.greedy import IndexedGreedyKernel
+
+        graph = gnp_random_graph(60, 0.15, seed=8, weight_range=(1.0, 10.0))
+        expected = [_outputs(_conversion_run(d, graph, 3.0, 1, "auto"))
+                    for d in ("vertex", "edge", "adaptive")]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a per-iteration greedy kernel ran")
+
+        monkeypatch.setattr(CompiledGreedyKernel, "run_edge_ids", refuse)
+        monkeypatch.setattr(IndexedGreedyKernel, "run_edge_ids", refuse)
+        for driver, want in zip(("vertex", "edge", "adaptive"), expected):
+            assert _outputs(_conversion_run(driver, graph, 3.0, 1, "auto")) == want
+
+    def test_oversample_validates_its_arrays(self):
+        from repro.compiled.oversample import oversample
+
+        ids, u, v, w = _matching_arrays(4)
+        union = np.zeros(4, dtype=np.uint8)
+        args = (8, False, "vertex", ids, u, v, w, 3.0, 0.5)
+        first = oversample(*args, union, seeds=[7, 8])[-1]
+        assert first.shape == (4,) and union.sum() == (first >= 0).sum()
+        with pytest.raises(ValueError, match="uint8"):
+            oversample(*args, np.zeros(4, dtype=bool), seeds=[7])
+        with pytest.raises(ValueError, match="length"):
+            oversample(*args, np.zeros(5, dtype=np.uint8), seeds=[7])
+        with pytest.raises(ValueError, match="range"):
+            oversample(8, False, "vertex", ids, u + 1, v + 1, w, 3.0, 0.5,
+                       union, seeds=[7])
+        with pytest.raises(ValueError, match="permutation"):
+            oversample(8, False, "vertex", np.zeros(4, dtype=np.int64), u, v, w,
+                       3.0, 0.5, union, seeds=[7])
+        with pytest.raises(ValueError, match="exactly one"):
+            oversample(*args, union)
+        with pytest.raises(ValueError, match="shape"):
+            oversample(*args, union, masks=np.ones((2, 4), dtype=bool))
+        with pytest.raises(ValueError, match="kind"):
+            oversample(8, False, "arc", ids, u, v, w, 3.0, 0.5, union, seeds=[7])
+
+
+# ---------------------------------------------------------------------------
 # Fault-set verifier: compiled per-edge check vs the dict reference
 # ---------------------------------------------------------------------------
 
@@ -382,6 +601,19 @@ class TestDispatchSurface:
     @needs_backend
     def test_available_backend_reports_no_reason(self):
         assert compiled_unavailable_reason() is None
+
+    def test_library_name_keys_the_compiler_flags(self, monkeypatch):
+        """A cached library built with other flags is never loaded."""
+        from repro import compiled
+
+        key = compiled._source_key()
+        monkeypatch.setattr(compiled, "_CFLAGS", [*compiled._CFLAGS, "-DREPRO_X"])
+        assert compiled._source_key() != key
+        monkeypatch.setattr(
+            compiled, "_CFLAGS",
+            [f for f in compiled._CFLAGS if f not in ("-ffp-contract=off", "-DREPRO_X")],
+        )
+        assert compiled._source_key() != key
 
 
 def _run_in_subprocess(code: str) -> subprocess.CompletedProcess:

@@ -56,6 +56,16 @@ class TestParameters:
         with pytest.raises(FaultToleranceError):
             fault_tolerant_spanner(g, 3, -1)
 
+    @pytest.mark.parametrize("method", ["dict", "auto"])
+    def test_nan_stretch_is_rejected(self, method):
+        """NaN fails ``k < 1`` too; it must not build the whole host."""
+        g = gnp_random_graph(30, 0.3, seed=1, weight_range=(1.0, 5.0))
+        for r in (0, 1):
+            with pytest.raises(InvalidStretch):
+                fault_tolerant_spanner(g, math.nan, r, method=method)
+            with pytest.raises(InvalidStretch):
+                edge_fault_tolerant_spanner(g, math.nan, r, method=method)
+
 
 class TestConversionOutput:
     def test_r0_equals_single_base_run(self):
@@ -242,3 +252,31 @@ class TestPinnedOutputs:
                 for r in radii
             ]
             assert output_digest(payloads) == self.EXPECTED[(driver, g.directed)]
+
+    #: ``edges()`` order is output too: ``--out`` files and
+    #: ``--include-spanner`` sweeps serialize it. The full-run drivers
+    #: list the union in edge-id order; the adaptive driver in the order
+    #: each iteration picked its new edges. The dict reference builds its
+    #: union in another order, so only the engine tiers are pinned.
+    EXPECTED_ORDER = {
+        ("vertex", False): "0d4d5f7ae8146e36",
+        ("vertex", True): "e9b65609c5557792",
+        ("edge", False): "e1c9a15207f55c91",
+        ("edge", True): "25115e3b0dc67bba",
+        ("adaptive", False): "33064da612c2edec",
+        ("adaptive", True): "00f8616c8eb39893",
+    }
+
+    @pytest.mark.parametrize("method", ["csr", "auto"])
+    @pytest.mark.parametrize("driver", ["vertex", "edge", "adaptive"])
+    def test_edge_order_matches_recorded_digests(
+        self, driver, method, output_digest
+    ):
+        radii = (1, 2) if driver == "adaptive" else (0, 1, 2)
+        for g in _pinned_hosts():
+            orders = [
+                list(_pinned_run(driver, g, r, seed, method).spanner.edges())
+                for seed in (0, 1)
+                for r in radii
+            ]
+            assert output_digest(orders) == self.EXPECTED_ORDER[(driver, g.directed)]

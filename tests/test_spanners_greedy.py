@@ -31,6 +31,14 @@ class TestGreedyCorrectness:
         with pytest.raises(InvalidStretch):
             greedy_spanner(path_graph(3), 0.5)
 
+    @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
+    def test_rejects_nan_stretch(self, method):
+        """NaN fails ``k < 1`` too; it must not keep every host edge."""
+        with pytest.raises(InvalidStretch):
+            greedy_spanner(path_graph(3), math.nan, method=method)
+        with pytest.raises(InvalidStretch):
+            greedy_spanner_size_first(path_graph(3), math.nan, 2, method=method)
+
     def test_k1_returns_whole_graph(self):
         g = complete_graph(5)
         h = greedy_spanner(g, 1)

@@ -120,6 +120,7 @@ class TestValidation:
             ({"params": {"fn": len}}, "JSON"),
             ({"params": {1: "x"}}, "params keys"),
             ({"graph": 42}, "graph"),
+            ({"stretch": float("nan")}, "stretch"),
         ],
     )
     def test_invalid_fields(self, kwargs, needle):
@@ -150,6 +151,15 @@ class TestValidation:
         with pytest.raises(InvalidSpec) as excinfo:
             SpannerSpec.from_dict(doc)
         assert "stretchh" in str(excinfo.value)
+
+    def test_from_dict_rejects_nan_stretch(self):
+        """``json`` reads a bare NaN; the spec must not build the whole host."""
+        text = SpannerSpec("greedy", stretch=3).to_json()
+        doc = json.loads(text.replace('"stretch": 3', '"stretch": NaN'))
+        assert doc["stretch"] != doc["stretch"]
+        with pytest.raises(InvalidSpec) as excinfo:
+            SpannerSpec.from_dict(doc)
+        assert "stretch" in str(excinfo.value)
 
     def test_from_dict_rejects_wrong_format_and_version(self):
         with pytest.raises(InvalidSpec):
