@@ -58,6 +58,19 @@ The Theorem 2.1 conversion runs whole on the compiled tier too:
   snapshot, the sort and the RNG contract, so the ratio isolates the
   iteration loop.
 
+Sweeps start their shard children from the warm supervisor:
+
+* **LP sweep plan** (``sweep_lp_plan``) — ``run_sweep(plan, workers=2)``
+  of an ``ft2-approx`` plan of lp-sweep's shape (Theorem 3.3: LP (4) by
+  row generation, then Algorithm 1's rounding), with the shard children
+  forked, as on Linux when no other thread outlives a fork, vs spawned,
+  which the same supervisor does while a second thread is alive (a
+  parked ``threading.Thread`` here) and on every other platform. The
+  ratio is the child start-up (interpreter, ``import repro``) that
+  forking saves. It is skipped (with a printed note) where the
+  supervisor would spawn anyway: off Linux, or while a native thread
+  that outlives a fork is alive.
+
 The compiled pairs are skipped (with a printed note) when the backend
 cannot build/load, so the committed baseline from a full container
 always carries them but a bare environment can still run the rest.
@@ -118,6 +131,10 @@ MIN_COMPILED_THEOREM21_SPEEDUP = 5.0
 #: Acceptance floor for a service replay with compiled QUERY_DIST reads
 #: over the reference read path at n = 10^4 (the ROADMAP's 10x target).
 MIN_COMPILED_SERVE_QUERY_SPEEDUP = 10.0
+
+#: Acceptance floor for an lp-sweep plan at ``workers=2`` with forked
+#: shard children over spawned ones (1.53x measured on a 2-vCPU VM).
+MIN_FORKED_SWEEP_SPEEDUP = 1.2
 
 
 def _clock(fn, repeats: int = 1) -> float:
@@ -529,6 +546,63 @@ def bench_edge_conversion(n: int = 400, p: float = 0.05, r: int = 2,
     )
 
 
+def forked_sweeps_available() -> bool:
+    """Whether the supervisor would fork its shard children here."""
+    from repro.sched.worker import _start_method
+
+    return _start_method() == "fork"
+
+
+def bench_sweep_lp_plan(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict:
+    """An ft2-approx plan through ``run_sweep(workers=2)``: forked vs spawned.
+
+    ``hosts`` seeded cost-weighted G(n, p) digraphs, stretch 2,
+    r ∈ {1, 2}: the shape and size of lp-sweep's plan. The spawned side
+    parks a second thread for the duration of the call, which is what
+    makes the supervisor spawn; no parameter selects the start method.
+    Both sides' reports (spanners included) are asserted equal first.
+    ``n`` and ``m`` of the row are the first host's.
+    """
+    import threading
+
+    from repro import HostSpec, run_sweep
+    from repro.sweep import emit_grid_plan
+
+    table = {
+        f"g{h}": HostSpec(
+            "gnp-digraph",
+            params={"n": n, "p": p, "cost_range": [1.0, 10.0]}, seed=h,
+        )
+        for h in range(hosts)
+    }
+    plan = emit_grid_plan(
+        ["ft2-approx"], [2], [1, 2], hosts=table, seeds=1, seed_base=5,
+        name="bench-lp",
+    )
+
+    def forked():
+        return run_sweep(plan, workers=2, include_spanner=True)
+
+    def spawned():
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait, daemon=True)
+        parked.start()
+        try:
+            return run_sweep(plan, workers=2, include_spanner=True)
+        finally:
+            release.set()
+            parked.join()
+
+    docs = [report.to_dict() for report in forked()]
+    assert docs == [report.to_dict() for report in spawned()]
+    return _pair_row(
+        "sweep_lp_plan", table["g0"].materialize(), forked, spawned,
+        {"p": p, "hosts": hosts, "specs": len(plan), "r": [1, 2],
+         "workers": 2},
+        fast_key="fork_seconds", slow_key="spawn_seconds",
+    )
+
+
 def run_benchmarks() -> list:
     from repro.compiled import compiled_available, compiled_unavailable_reason
 
@@ -544,6 +618,13 @@ def run_benchmarks() -> list:
         bench_decomposition(),
         bench_edge_conversion(),
     ]
+    if forked_sweeps_available():
+        rows.append(bench_sweep_lp_plan())
+    else:
+        print(
+            "note: shard children are not forked here; skipping "
+            "sweep_lp_plan — do not commit a baseline from this run"
+        )
     if compiled_available():
         rows.append(bench_greedy_compiled())
         rows.append(bench_theorem21_compiled())
@@ -568,6 +649,10 @@ def run_benchmarks() -> list:
     return rows
 
 
+def _seconds(row, *keys) -> float:
+    return next(row[key] for key in keys if key in row)
+
+
 def _report(rows) -> None:
     from repro.analysis import print_table
 
@@ -576,8 +661,8 @@ def _report(rows) -> None:
         [
             [
                 row["name"], row["n"], row["m"],
-                round(row.get("dict_seconds", row.get("csr_seconds")), 4),
-                round(row.get("compiled_seconds", row.get("csr_seconds")), 4),
+                round(_seconds(row, "dict_seconds", "spawn_seconds", "csr_seconds"), 4),
+                round(_seconds(row, "compiled_seconds", "fork_seconds", "csr_seconds"), 4),
                 round(row["speedup"], 1),
             ]
             for row in rows
@@ -601,6 +686,10 @@ def _assert_headline(rows) -> None:
     # The remaining rewired paths must at least never lose to dict.
     for name in ("tz_distance_oracle", "clpr_baseline", "padded_decomposition"):
         assert by_name[name]["speedup"] >= 1.0
+    # Forked shard children skip the interpreter start and `import repro`
+    # that spawned ones pay, on lp-sweep's plan, where they fork.
+    if "sweep_lp_plan" in by_name:
+        assert by_name["sweep_lp_plan"]["speedup"] >= MIN_FORKED_SWEEP_SPEEDUP
     # PR 10: the compiled tier, when the backend loaded. The greedy
     # Dijkstra must beat dict by 3x at n = 400 (the acceptance
     # criterion); the simplex pivot loop must at least never lose.

@@ -51,7 +51,8 @@ def smoke_rows() -> list:
     The compiled-tier pairs run only when the optional C backend loads;
     without it they are excused from the baseline-coverage check (see
     :func:`check`) rather than failed — a machine without a C compiler
-    must still be able to run the gate.
+    must still be able to run the gate. The forked-vs-spawned sweep pair
+    likewise runs, and is required, only where the supervisor forks.
     """
     from repro.compiled import compiled_available
 
@@ -66,6 +67,8 @@ def smoke_rows() -> list:
         bench.bench_decomposition(n=160, p=0.06),
         bench.bench_edge_conversion(n=160, p=0.08, iters=8),
     ]
+    if bench.forked_sweeps_available():
+        rows.append(bench.bench_sweep_lp_plan(hosts=6))
     if compiled_available():
         rows.append(bench.bench_greedy_compiled(n=160, p=0.12))
         rows.append(bench.bench_theorem21_compiled(n=400, p=0.03, iterations=8))
@@ -117,6 +120,14 @@ def check(rows=None) -> list:
                 f"{sorted(excused)} from the coverage check"
             )
         missing -= excused
+    if "sweep_lp_plan" in missing and not bench.forked_sweeps_available():
+        # Off Linux, or with a native thread that outlives a fork, both
+        # sides of the pair would spawn: there is nothing to measure.
+        print(
+            "note: shard children are not forked here; skipping "
+            "['sweep_lp_plan'] from the coverage check"
+        )
+        missing.discard("sweep_lp_plan")
     assert not missing, (
         f"kernels in the committed baseline but absent from the smoke suite: {missing}"
     )

@@ -13,6 +13,7 @@ for the paper's Ellipsoid-with-separation-oracle argument (Lemma 3.2).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
@@ -87,6 +88,25 @@ class LPSolution:
         return self.values.get(name, 0.0)
 
 
+class _Rows:
+    """Append-only CSR rows: offsets, column indices, coefficients, rhs."""
+
+    def __init__(self) -> None:
+        self.indptr = array("q", [0])
+        self.indices = array("q")
+        self.data = array("d")
+        self.rhs = array("d")
+
+    def append(self, indices, data, rhs: float) -> None:
+        self.indices.extend(indices)
+        self.data.extend(data)
+        self.indptr.append(len(self.indices))
+        self.rhs.append(rhs)
+
+    def pieces(self) -> tuple:
+        return self.indptr, self.indices, self.data, self.rhs
+
+
 class LinearProgram:
     """A minimization LP with named variables and sparse constraints."""
 
@@ -95,6 +115,10 @@ class LinearProgram:
         self._variables: Dict[VarName, Variable] = {}
         self._order: List[VarName] = []
         self.constraints: List[Constraint] = []
+        # Every constraint once more, as it is added, in matrix form:
+        # ``<=`` and ``>=`` rows (the latter negated) and ``==`` rows.
+        self._ub_rows = _Rows()
+        self._eq_rows = _Rows()
 
     # ------------------------------------------------------------------
     # Model building
@@ -161,7 +185,38 @@ class LinearProgram:
                 clean[var] = float(coeff)
         constraint = Constraint(coeffs=clean, sense=sense, rhs=float(rhs), name=name)
         self.constraints.append(constraint)
+        cols = [self._variables[var].index for var in clean]
+        if sense == EQUAL:
+            self._eq_rows.append(cols, clean.values(), constraint.rhs)
+        else:
+            sign = 1.0 if sense == LESS_EQUAL else -1.0
+            self._ub_rows.append(
+                cols, [sign * coeff for coeff in clean.values()], sign * constraint.rhs
+            )
         return constraint
+
+    def matrix_form(self) -> Tuple[list, list, tuple, tuple]:
+        """The model as ``min c x`` s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq``.
+
+        Returns ``(c, bounds, ub, eq)``: the objective coefficients and
+        ``(lower, upper)`` bounds (``None`` where infinite) in declaration
+        order, and each block as CSR pieces ``(indptr, indices, data,
+        rhs)`` of :mod:`array` arrays, in the order the constraints were
+        added. ``>=`` rows are negated into the ``<=`` block. The blocks
+        are kept as constraints are added, so no call walks the rows;
+        they are the model's own arrays and grow with it, so callers copy
+        what they keep.
+        """
+        variables = [self._variables[name] for name in self._order]
+        c = [var.objective for var in variables]
+        bounds = [
+            (
+                None if math.isinf(var.lower) else var.lower,
+                None if (var.upper is None or math.isinf(var.upper)) else var.upper,
+            )
+            for var in variables
+        ]
+        return c, bounds, self._ub_rows.pieces(), self._eq_rows.pieces()
 
     # ------------------------------------------------------------------
     # Solving

@@ -1,8 +1,10 @@
 """The scheduler worker loop: the library's one process supervisor.
 
-:func:`_supervise` keeps up to N **shard children** (spawn start method)
-running at once, each under a lease claimed from the scheduler
-directory, and waits on their sentinels. Between wake-ups it renews the
+:func:`_supervise` keeps up to N **shard children** running at once,
+each under a lease claimed from the scheduler directory, and waits on
+their sentinels. :func:`_start_method` forks a child on Linux when no
+other thread of the process outlives a fork, so that it inherits the
+imported library, and spawns it anywhere else. Between wake-ups it renews the
 leases of the children still running — so a shard that *hangs* is
 distinguishable from one that merely takes long: the lease stays fresh,
 and the manifest's ``shard_timeout_s`` (not the TTL) is what kills a
@@ -21,7 +23,8 @@ parent releases the lease — so the crash window between the two leaves a
 done shard with a stale lease, which reclamation recognizes (envelope
 present ⇒ just clean up, no retry). Because ``run_shard`` is a pure
 function of the resolved plan, a retried shard produces byte-identical
-reports and the merged sweep is byte-identical to the fault-free run.
+reports and the merged sweep is byte-identical to the fault-free run,
+whichever start method ran it.
 
 Fault injection for tests and CI: ``REPRO_SCHED_TEST_HOLD_S`` makes a
 worker sleep *between claiming a lease and starting the shard child* —
@@ -34,13 +37,17 @@ deadline kill.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import multiprocessing
 import os
+import signal
 import sys
+import threading
 import time
 import traceback
+import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
@@ -90,8 +97,46 @@ def _env_index_set(name: str) -> frozenset:
     )
 
 
+def _start_method() -> str:
+    """``fork`` on Linux when no other thread outlives a fork, else ``spawn``.
+
+    A lock another thread holds at fork time stays held in the child,
+    and a native pool forked mid-life leaves it waiting on workers that
+    do not exist there; CPython 3.12+ warns on such a fork. Some pools
+    stop inside ``fork()`` (OpenBLAS's, and HiGHS's through the hook
+    :mod:`repro.lp.scipy_backend` registers), so other OS threads are
+    counted again after a probe fork whose child exits at once, where
+    CPython counts them. Nothing else selects the method.
+    """
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return "spawn"
+    threads = _os_threads()
+    if threads > 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # the probe's own
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        threads = _os_threads()
+    return "fork" if threads == 1 else "spawn"
+
+
+def _os_threads() -> int:
+    """This process's OS threads, or 0 when ``/proc`` cannot say."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
 def _shard_child(sched_dir: str, index: int, attempt: int, error_path: str) -> None:
     """Child-process entry: run one shard and persist its envelope.
+
+    A forked child first drops the SIGTERM handler it inherited from
+    the caller, so that the supervisor's ``terminate()`` kills it, and
+    freezes the inherited heap, so that its own collections do not copy
+    the parent's pages.
 
     A retried envelope carries its ``attempts`` number and whether an
     earlier attempt was killed at the shard deadline (``timed_out``).
@@ -99,6 +144,8 @@ def _shard_child(sched_dir: str, index: int, attempt: int, error_path: str) -> N
     ``tmp/``, invisible to merges) so the parent can quote the real
     exception in the attempt record instead of a bare exit code.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    gc.freeze()
     if attempt == 1:
         if index in _env_index_set(TEST_CRASH_ENV):
             os._exit(23)
@@ -286,8 +333,9 @@ def _supervise(
     """Keep up to ``slots`` shard children running until the sweep ends.
 
     Each pass reclaims expired leases and rescans the directory; with a
-    free slot it claims the next shard and spawns its child, otherwise it
-    waits for a child to end, a shard deadline, or the next heartbeat.
+    free slot it claims the next shard and starts its child (forked or
+    spawned by :func:`_start_method`, decided at each start), otherwise
+    it waits for a child to end, a shard deadline, or the next heartbeat.
     With nothing running and nothing claimable the loop idles on
     ``poll_interval_s`` — it does *not* exit while other workers still
     hold live claims, because one of them dying would otherwise strand
@@ -299,7 +347,6 @@ def _supervise(
         poll_interval_s = min(1.0, max(0.05, manifest.lease_ttl_s / 4.0))
     heartbeat_every = max(0.05, manifest.lease_ttl_s / 3.0)
     hold_s = float(os.environ.get(TEST_HOLD_ENV, "0") or "0")
-    context = multiprocessing.get_context("spawn")
     counts = {"claimed": 0, "completed": 0, "failed": 0, "reclaimed": 0}
     running: Dict[int, _Child] = {}  # keyed by process sentinel
     renew_at = time.monotonic() + heartbeat_every
@@ -333,6 +380,7 @@ def _supervise(
                     tmp_dir(sched_dir),
                     f"shard-{index}.{os.getpid()}.error.json",
                 )
+                context = multiprocessing.get_context(_start_method())
                 process = context.Process(
                     target=_shard_child,
                     args=(sched_dir, index, attempt, error_path),

@@ -18,12 +18,13 @@ it without giving up a single byte of reproducibility:
   snapshot per host it owns;
 * :func:`run_sweep` — runs a whole plan: ``workers=1`` runs in
   process; ``workers >= 2`` is a :mod:`repro.sched` run over a temporary
-  scheduler directory, so each shard runs in its own spawned child under
-  the scheduler's supervisor (optional per-shard wall-clock timeout, one
-  retry, ``attempts`` and ``timed_out`` recorded in the envelope). Every
-  shard yields one :class:`repro.spec.BuildReport` envelope
-  (``shard-<i>.json``) with wall times kept *outside* the report list,
-  and the merge layer
+  scheduler directory, so each shard runs in its own child process under
+  the scheduler's supervisor (forked on Linux unless another thread of
+  the caller outlives a fork, spawned otherwise; optional per-shard
+  wall-clock timeout, one retry, ``attempts`` and ``timed_out`` recorded
+  in the envelope). Every shard yields one :class:`repro.spec.BuildReport`
+  envelope (``shard-<i>.json``) with wall times kept *outside* the
+  report list, and the merge layer
   (:func:`repro.analysis.experiments.merge_shard_reports`) recombines
   shards into exactly the sequential path's reports — byte-identical for
   the same plan and seeds;
@@ -625,8 +626,10 @@ def run_sweep(
     every partition resolves identically. ``workers=1`` runs the plan in
     this process as one shard. With ``workers >= 2`` the run is a
     :mod:`repro.sched` sweep over a temporary scheduler directory: one
-    host-grouped shard per worker, each executed in its own spawned child
-    by the scheduler's supervisor loop. Returns the merged
+    host-grouped shard per worker, each executed in its own child process
+    by the scheduler's supervisor loop — forked on Linux unless another
+    thread of this process outlives a fork, so the child inherits the
+    imported library, and spawned otherwise. Returns the merged
     :class:`repro.spec.BuildReport` list in plan order — rehydrated from
     the envelopes even for ``workers=1``, so the sequential path
     exercises exactly the serialization surface the sharded one does.

@@ -700,6 +700,220 @@ class TestShardTimeout:
                     run_sweep(plan, workers=workers, shard_timeout_s=bad)
 
 
+def _highs_workers_stoppable() -> bool:
+    """Whether scipy's HiGHS bindings can stop HiGHS's worker threads."""
+    import scipy.optimize  # noqa: F401  (loads the bindings)
+
+    core = sys.modules.get("scipy.optimize._highspy._core")
+    return hasattr(getattr(core, "_Highs", None), "resetGlobalScheduler")
+
+
+#: Earlier tests solved LPs in this process. Where HiGHS's workers
+#: cannot be stopped they outlive a fork (on 3+ CPUs), so children spawn.
+forkable = pytest.mark.skipif(
+    not _highs_workers_stoppable(),
+    reason="scipy's HiGHS bindings cannot stop HiGHS's worker threads",
+)
+
+
+def _fork_warnings(caught) -> list:
+    return [
+        w for w in caught
+        if issubclass(w.category, DeprecationWarning) and "fork()" in str(w.message)
+    ]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="children fork only on Linux")
+class TestShardStartMethod:
+    """Shard children fork when no other thread outlives a fork, else spawn."""
+
+    @pytest.fixture
+    def methods(self, monkeypatch):
+        """Every start method the supervisor asks multiprocessing for."""
+        import multiprocessing
+
+        seen = []
+        real = multiprocessing.get_context
+
+        def get_context(method=None):
+            seen.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        return seen
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The OS threads left in this process just after each fork.
+
+        CPython 3.12+ counts the same threads, at the same point, to warn
+        that a fork may deadlock its child; 1 is a safe fork on any version.
+        """
+        seen = []
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                seen.append(len(os.listdir("/proc/self/task")))
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return seen
+
+    @pytest.fixture
+    def parked_thread(self):
+        import threading
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, daemon=True)
+        thread.start()
+        yield thread
+        release.set()
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+    @pytest.fixture
+    def native_thread(self):
+        """An OS thread unknown to ``threading`` (a C ``sleep``), as an
+        extension's pool without a pre-fork handler would leave."""
+        import ctypes
+
+        libc = ctypes.CDLL(None)
+        libc.pthread_create.argtypes = [
+            ctypes.POINTER(ctypes.c_ulong), ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p,
+        ]
+        libc.pthread_cancel.argtypes = [ctypes.c_ulong]
+        libc.pthread_join.argtypes = [ctypes.c_ulong, ctypes.c_void_p]
+        for fn in (libc.pthread_create, libc.pthread_cancel, libc.pthread_join):
+            fn.restype = ctypes.c_int
+        thread = ctypes.c_ulong()
+        sleep = ctypes.cast(libc.sleep, ctypes.c_void_p)
+        assert libc.pthread_create(ctypes.byref(thread), None, sleep, 60) == 0
+        yield thread
+        assert libc.pthread_cancel(thread) == 0  # sleep() is a cancellation point
+        assert libc.pthread_join(thread, None) == 0
+
+    @pytest.fixture
+    def lp_plan(self):
+        from repro.graph import gnp_random_digraph
+
+        host = gnp_random_digraph(12, 0.4, seed=5, cost_range=(1.0, 10.0))
+        return SweepPlan.build(
+            [
+                SpannerSpec("ft2-approx", stretch=2, faults=FaultModel.vertex(r),
+                            graph=host)
+                for r in (1, 2, 1)
+            ],
+            name="lp-plan",
+        )
+
+    @forkable
+    def test_one_thread_forks_without_a_fork_warning(self, lp_plan, methods, forks):
+        import threading
+        import warnings
+
+        import numpy as np
+
+        np.ones((200, 200)) @ np.ones((200, 200))  # start the BLAS pool
+        assert threading.active_count() == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = run_sweep(lp_plan, workers=2, seed=4, include_spanner=True)
+        assert methods == ["fork", "fork"]
+        assert forks and set(forks) == {1}
+        assert not _fork_warnings(caught)
+        assert report_docs(reports) == report_docs(
+            run_sweep(lp_plan, workers=1, seed=4, include_spanner=True)
+        )
+
+    @forkable
+    def test_forks_after_an_in_process_solve_on_threaded_highs(
+        self, lp_plan, methods, forks
+    ):
+        """HiGHS keeps its workers after a solve and has no pre-fork
+        handler; the LP backend's stops them, so the fork stays safe."""
+        import warnings
+
+        import numpy as np
+        from scipy.optimize._highspy import _core
+
+        # The scheduler HiGHS would start on a 5- or 6-CPU machine.
+        _core._Highs.resetGlobalScheduler(True)
+        highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("threads", 3)
+        lp = _core.HighsLp()
+        lp.num_col_, lp.num_row_ = 1, 0
+        lp.col_cost_ = np.array([1.0])
+        lp.col_lower_, lp.col_upper_ = np.array([0.0]), np.array([1.0])
+        highs.passModel(lp)
+        highs.run()
+        before = len(os.listdir("/proc/self/task"))
+        assert before >= 3  # this thread and HiGHS's two workers at least
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = run_sweep(lp_plan, workers=2, seed=4, include_spanner=True)
+        assert methods == ["fork", "fork"]
+        assert forks and set(forks) == {1}
+        assert not _fork_warnings(caught)
+        assert report_docs(reports) == report_docs(
+            run_sweep(lp_plan, workers=1, seed=4, include_spanner=True)
+        )
+
+    def test_a_native_thread_that_outlives_fork_spawns(
+        self, plan, methods, native_thread
+    ):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = run_sweep(plan, workers=2, seed=4)
+        assert methods == ["spawn", "spawn"]
+        assert not _fork_warnings(caught)  # the probe fork's is its own
+        assert report_docs(reports) == report_docs(
+            run_sweep(plan, workers=1, seed=4)
+        )
+
+    def test_another_live_thread_spawns_and_retries(
+        self, plan, methods, parked_thread, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_SHARDS", "1")
+        reports, envelopes = run_sweep(
+            plan, workers=2, seed=4, with_envelopes=True
+        )
+        monkeypatch.delenv("REPRO_SWEEP_TEST_CRASH_SHARDS")
+        assert methods == ["spawn"] * 3
+        assert [env["attempts"] for env in envelopes] == [1, 2]
+        assert report_docs(reports) == report_docs(
+            run_sweep(plan, workers=1, seed=4)
+        )
+
+    @forkable
+    def test_caller_sigterm_handler_never_runs_in_a_killed_child(
+        self, plan, methods, tmp_path, monkeypatch
+    ):
+        import signal
+
+        marker = tmp_path / "sigterm-ran"
+
+        def handler(_signum, _frame):
+            marker.write_text(str(os.getpid()))
+
+        monkeypatch.setenv("REPRO_SWEEP_TEST_HANG_SHARDS", "1")
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            _reports, envelopes = run_sweep(
+                plan, workers=2, seed=4, with_envelopes=True, shard_timeout_s=6.0
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert methods == ["fork"] * 3
+        assert [env["timed_out"] for env in envelopes] == [False, True]
+        assert not marker.exists()
+
+
 class TestCorruptEnvelope:
     """Truncated shard JSON names the file, not just a parse offset."""
 
