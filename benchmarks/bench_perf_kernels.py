@@ -71,6 +71,17 @@ Sweeps start their shard children from the warm supervisor:
   supervisor would spawn anyway: off Linux, or while a native thread
   that outlives a fork is alive.
 
+LP solves go straight through SciPy's compiled HiGHS binding:
+
+* **LP HiGHS binding** (``lp_highs_binding``) — ``run_sweep(plan,
+  workers=1)`` of lp-sweep's ``ft2-approx`` plan in this process, with
+  every LP round passed to HiGHS through ``scipy.optimize._highspy._core``
+  as ``linprog(method="highs")`` passes it, vs the same plan with that
+  binding hidden, so that ``linprog`` itself runs, as on a SciPy without
+  the binding. HiGHS does the same work on both sides; the ratio is
+  linprog's Python front end, about 4 ms per solve. It is skipped (with
+  a printed note) where SciPy has no binding.
+
 The compiled pairs are skipped (with a printed note) when the backend
 cannot build/load, so the committed baseline from a full container
 always carries them but a bare environment can still run the rest.
@@ -135,6 +146,10 @@ MIN_COMPILED_SERVE_QUERY_SPEEDUP = 10.0
 #: Acceptance floor for an lp-sweep plan at ``workers=2`` with forked
 #: shard children over spawned ones (1.53x measured on a 2-vCPU VM).
 MIN_FORKED_SWEEP_SPEEDUP = 1.2
+
+#: Acceptance floor for an in-process lp-sweep plan solved through the
+#: HiGHS binding over the same plan through ``linprog``.
+MIN_LP_BINDING_SPEEDUP = 1.3
 
 
 def _clock(fn, repeats: int = 1) -> float:
@@ -603,6 +618,63 @@ def bench_sweep_lp_plan(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict:
     )
 
 
+def lp_binding_available() -> bool:
+    """Whether SciPy's compiled HiGHS binding imports here."""
+    from repro.lp.scipy_backend import highs_binding
+
+    return highs_binding() is not None
+
+
+def bench_lp_highs_binding(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict:
+    """lp-sweep's plan in process: the HiGHS binding vs ``linprog``.
+
+    The plan of :func:`bench_sweep_lp_plan`, run by ``run_sweep(plan,
+    workers=1)``. The ``linprog`` side hides the binding module for the
+    duration of the call (``sys.modules`` maps its name to ``None``, so
+    importing it fails, as on a SciPy without it); no library option
+    selects the path. Both sides' reports (spanners included) are
+    asserted equal first.
+    """
+    import sys
+
+    from repro import HostSpec, run_sweep
+    from repro.sweep import emit_grid_plan
+
+    binding = "scipy.optimize._highspy._core"
+    table = {
+        f"g{h}": HostSpec(
+            "gnp-digraph",
+            params={"n": n, "p": p, "cost_range": [1.0, 10.0]}, seed=h,
+        )
+        for h in range(hosts)
+    }
+    plan = emit_grid_plan(
+        ["ft2-approx"], [2], [1, 2], hosts=table, seeds=1, seed_base=5,
+        name="bench-lp",
+    )
+
+    def with_binding():
+        return run_sweep(plan, workers=1, include_spanner=True)
+
+    def with_linprog():
+        loaded = sys.modules[binding]
+        sys.modules[binding] = None
+        try:
+            return run_sweep(plan, workers=1, include_spanner=True)
+        finally:
+            sys.modules[binding] = loaded
+
+    docs = [report.to_dict() for report in with_binding()]
+    assert docs == [report.to_dict() for report in with_linprog()]
+    return _pair_row(
+        "lp_highs_binding", table["g0"].materialize(), with_binding,
+        with_linprog,
+        {"p": p, "hosts": hosts, "specs": len(plan), "r": [1, 2],
+         "workers": 1},
+        fast_repeats=2, fast_key="binding_seconds", slow_key="linprog_seconds",
+    )
+
+
 def run_benchmarks() -> list:
     from repro.compiled import compiled_available, compiled_unavailable_reason
 
@@ -624,6 +696,13 @@ def run_benchmarks() -> list:
         print(
             "note: shard children are not forked here; skipping "
             "sweep_lp_plan — do not commit a baseline from this run"
+        )
+    if lp_binding_available():
+        rows.append(bench_lp_highs_binding())
+    else:
+        print(
+            "note: this SciPy has no compiled HiGHS binding; skipping "
+            "lp_highs_binding — do not commit a baseline from this run"
         )
     if compiled_available():
         rows.append(bench_greedy_compiled())
@@ -661,8 +740,10 @@ def _report(rows) -> None:
         [
             [
                 row["name"], row["n"], row["m"],
-                round(_seconds(row, "dict_seconds", "spawn_seconds", "csr_seconds"), 4),
-                round(_seconds(row, "compiled_seconds", "fork_seconds", "csr_seconds"), 4),
+                round(_seconds(row, "dict_seconds", "spawn_seconds",
+                               "linprog_seconds", "csr_seconds"), 4),
+                round(_seconds(row, "compiled_seconds", "fork_seconds",
+                               "binding_seconds", "csr_seconds"), 4),
                 round(row["speedup"], 1),
             ]
             for row in rows
@@ -690,6 +771,9 @@ def _assert_headline(rows) -> None:
     # that spawned ones pay, on lp-sweep's plan, where they fork.
     if "sweep_lp_plan" in by_name:
         assert by_name["sweep_lp_plan"]["speedup"] >= MIN_FORKED_SWEEP_SPEEDUP
+    # LP rounds through the HiGHS binding skip linprog's front end.
+    if "lp_highs_binding" in by_name:
+        assert by_name["lp_highs_binding"]["speedup"] >= MIN_LP_BINDING_SPEEDUP
     # PR 10: the compiled tier, when the backend loaded. The greedy
     # Dijkstra must beat dict by 3x at n = 400 (the acceptance
     # criterion); the simplex pivot loop must at least never lose.

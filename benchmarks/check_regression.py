@@ -52,7 +52,8 @@ def smoke_rows() -> list:
     without it they are excused from the baseline-coverage check (see
     :func:`check`) rather than failed — a machine without a C compiler
     must still be able to run the gate. The forked-vs-spawned sweep pair
-    likewise runs, and is required, only where the supervisor forks.
+    likewise runs, and is required, only where the supervisor forks, and
+    the HiGHS-binding pair only where SciPy ships the binding.
     """
     from repro.compiled import compiled_available
 
@@ -69,6 +70,8 @@ def smoke_rows() -> list:
     ]
     if bench.forked_sweeps_available():
         rows.append(bench.bench_sweep_lp_plan(hosts=6))
+    if bench.lp_binding_available():
+        rows.append(bench.bench_lp_highs_binding(hosts=6))
     if compiled_available():
         rows.append(bench.bench_greedy_compiled(n=160, p=0.12))
         rows.append(bench.bench_theorem21_compiled(n=400, p=0.03, iterations=8))
@@ -128,6 +131,13 @@ def check(rows=None) -> list:
             "['sweep_lp_plan'] from the coverage check"
         )
         missing.discard("sweep_lp_plan")
+    if "lp_highs_binding" in missing and not bench.lp_binding_available():
+        # An older SciPy solves through linprog alone: no pair to time.
+        print(
+            "note: this SciPy has no compiled HiGHS binding; skipping "
+            "['lp_highs_binding'] from the coverage check"
+        )
+        missing.discard("lp_highs_binding")
     assert not missing, (
         f"kernels in the committed baseline but absent from the smoke suite: {missing}"
     )

@@ -11,7 +11,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy", "networkx"],
+    # SciPy below 1.18: the HiGHS binding repro.lp drives is private to
+    # SciPy, and its names were verified on 1.17.
+    install_requires=["numpy", "scipy<1.18", "networkx"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     license="MIT",

@@ -849,10 +849,10 @@ done:
 /* Primal simplex with Bland's rule on an m x n row-major tableau.
  * Mutates a, b, basis in place exactly like _Tableau.run/_pivot:
  * same entering scan (index order, basic-column skip), same ratio test
- * with the tol tie-break on basis index, same unbounded envelope
- * dual_tol * (1 + sum |column|). Returns 1 = "optimal",
- * 0 = "unbounded", -1 = iteration limit (python raises SolverLimit),
- * -2 = allocation failure. */
+ * with the tol tie-break on basis index, same unbounded verdict (no
+ * positive pivot entry and a reduced cost below -dual_tol). Returns
+ * 1 = "optimal", 0 = "unbounded", -1 = iteration limit (python raises
+ * SolverLimit), -2 = allocation failure. */
 int repro_simplex_run(
     int64_t m, int64_t n,
     double *a, double *b, const double *c, int64_t *basis,
@@ -932,12 +932,8 @@ int repro_simplex_run(
                 break;
             }
             /* No positive pivot entry: unbounded only when the reduced
-             * cost is decisively outside the dual-tolerance envelope. */
-            double colsum = 0.0;
-            for (int64_t i = 0; i < m; i++)
-                colsum += fabs(a[i * n + entering]);
-            double envelope = dual_tol * (1.0 + colsum);
-            if (red[entering] < -envelope) {
+             * cost is past the dual tolerance. */
+            if (red[entering] < -dual_tol) {
                 result = 0;
                 goto out;
             }

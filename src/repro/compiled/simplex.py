@@ -3,7 +3,7 @@
 :func:`simplex_run` mutates the caller's tableau arrays in place exactly
 like ``_Tableau.run`` does — same Bland entering scan with the
 basic-column skip, same ratio test and tie-break, same unbounded
-envelope, same ``_TOL``/``_DUAL_TOL`` thresholds (passed in, never
+verdict, same ``_TOL``/``_DUAL_TOL`` thresholds (passed in, never
 duplicated here) — and returns the same ``"optimal"``/``"unbounded"``
 status vocabulary, with the iteration limit reported as ``None`` so the
 caller raises its own :class:`~repro.errors.SolverLimit`.

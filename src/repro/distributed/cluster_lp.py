@@ -264,6 +264,7 @@ def distributed_ft2_spanner(
     directed=True,
     fault_tolerant=True,
     distributed=True,
+    lp_path=True,
     stretch_kind="fixed",
     fixed_stretch=2,
 )

@@ -88,6 +88,18 @@ class LPSolution:
         return self.values.get(name, 0.0)
 
 
+def solve_without_variables(lp: "LinearProgram") -> LPSolution:
+    """Both backends' answer for a model that declares no variables.
+
+    Its rows are constants, ``0 sense rhs``: the model is infeasible
+    when one of them fails (within :meth:`Constraint.satisfied`'s
+    tolerance), and otherwise optimal with objective 0.
+    """
+    if all(con.satisfied({}) for con in lp.constraints):
+        return LPSolution(status="optimal", objective=0.0, values={})
+    return LPSolution(status="infeasible", objective=math.inf)
+
+
 class _Rows:
     """Append-only CSR rows: offsets, column indices, coefficients, rhs."""
 
@@ -131,9 +143,18 @@ class LinearProgram:
         upper: Optional[float] = None,
         objective: float = 0.0,
     ) -> Variable:
-        """Declare a variable; re-declaring an existing name is an error."""
+        """Declare a variable; re-declaring an existing name is an error.
+
+        The objective coefficient must be finite and the bounds must not
+        be NaN (``None`` or an infinite bound means unbounded), so that
+        every backend sees the same model.
+        """
         if name in self._variables:
             raise LPError(f"variable {name!r} already declared")
+        if not math.isfinite(objective):
+            raise LPError(f"variable {name!r} has objective {objective!r}")
+        if math.isnan(lower) or (upper is not None and math.isnan(upper)):
+            raise LPError(f"variable {name!r} has a NaN bound [{lower}, {upper}]")
         if upper is not None and upper < lower:
             raise LPError(f"variable {name!r} has empty domain [{lower}, {upper}]")
         var = Variable(
@@ -174,13 +195,20 @@ class LinearProgram:
         rhs: float,
         name: Optional[str] = None,
     ) -> Constraint:
-        """Add a sparse constraint over previously declared variables."""
+        """Add a sparse constraint over previously declared variables.
+
+        Coefficients and ``rhs`` must be finite.
+        """
         if sense not in _SENSES:
             raise LPError(f"unknown sense {sense!r}; use one of {_SENSES}")
+        if not math.isfinite(rhs):
+            raise LPError(f"constraint {name!r} has right-hand side {rhs!r}")
         clean = {}
         for var, coeff in coeffs.items():
             if var not in self._variables:
                 raise LPError(f"constraint references unknown variable {var!r}")
+            if not math.isfinite(coeff):
+                raise LPError(f"constraint {name!r} has coefficient {coeff!r} on {var!r}")
             if coeff != 0.0:
                 clean[var] = float(coeff)
         constraint = Constraint(coeffs=clean, sense=sense, rhs=float(rhs), name=name)
@@ -244,9 +272,11 @@ class LinearProgram:
     def solve(self, backend: str = "auto") -> LPSolution:
         """Solve the model.
 
-        ``backend`` is ``"scipy"`` (HiGHS via :func:`scipy.optimize.linprog`),
-        ``"simplex"`` (the pure-Python two-phase simplex), or ``"auto"``
-        (scipy when importable, simplex otherwise).
+        ``backend`` is ``"scipy"`` (HiGHS through SciPy's compiled
+        binding, or :func:`scipy.optimize.linprog` where SciPy has none;
+        see :mod:`repro.lp.scipy_backend`), ``"simplex"`` (the
+        pure-Python two-phase simplex), or ``"auto"`` (scipy when
+        importable, simplex otherwise).
 
         Raises :class:`InfeasibleLP` / :class:`UnboundedLP` on those
         statuses so callers never silently consume a non-optimal solution.

@@ -27,16 +27,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import LPError, SolverLimit
-from .model import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPSolution
+from .model import (
+    EQUAL,
+    GREATER_EQUAL,
+    LESS_EQUAL,
+    LinearProgram,
+    LPSolution,
+    solve_without_variables,
+)
 
 _TOL = 1e-9
-#: Decisive-negativity threshold for the unboundedness verdict. A column
-#: whose reduced cost is only just below ``-_TOL`` typically owes it to a
+#: The dual tolerance, HiGHS's default dual feasibility tolerance. A
+#: column with no positive pivot entry is an unbounded ray only when its
+#: reduced cost is below ``-_DUAL_TOL``, in both phases. One just below
+#: ``-_TOL`` (phase 1's entering threshold) typically owes it to a
 #: coefficient at the tolerance scale (e.g. an LP coefficient of exactly
-#: 1e-9); when the ratio test then rejects every pivot in that column
-#: (all entries <= ``_TOL``), the honest reading is "numerical noise,
-#: nothing to improve", not "unbounded". Only a column that is decisively
-#: improving with no positive entry certifies a real unbounded ray.
+#: 1e-9): numerical noise, nothing to improve, not "unbounded".
 _DUAL_TOL = 1e-7
 
 
@@ -81,7 +87,7 @@ class _Tableau:
 
         ``compiled=True`` runs the same loop in the C backend
         (:mod:`repro.compiled.simplex`): identical tolerances, entering
-        scan, ratio-test tie-breaks and unbounded envelope, mutating the
+        scan, ratio-test tie-breaks and unbounded verdict, mutating the
         tableau in place exactly like this method — the two paths are
         pinned to the same pivot sequence by the property tests.
         """
@@ -129,22 +135,12 @@ class _Tableau:
                     pivoted = True
                     break
                 # No positive pivot entry: the column is an unbounded ray
-                # *candidate*. Its objective rate equals the reduced cost,
-                # but that value is a sum of |basis|+1 cost terms, each of
-                # which a dual-tolerance-sized cost perturbation (what
-                # HiGHS accepts as "optimal") can move by up to _DUAL_TOL
-                # times its tableau coefficient. Only a rate decisively
-                # outside that envelope certifies a real unbounded ray;
-                # within it, a within-tolerance perturbation of c makes
-                # the direction non-improving, so the honest verdict —
-                # and the one matching HiGHS — is "nothing to improve".
-                envelope = _DUAL_TOL * (
-                    1.0 + float(np.abs(self.a[:, entering]).sum())
-                )
-                if reduced[entering] < -envelope:
+                # when its objective rate is past the dual tolerance,
+                # the threshold HiGHS's dual feasibility check uses too.
+                # A smaller rate (phase 1 enters from _TOL) is
+                # tolerance-scale noise, not a ray: try the next column.
+                if reduced[entering] < -_DUAL_TOL:
                     return "unbounded"
-                # Barely-negative reduced cost and no tolerable pivot:
-                # tolerance-scale noise, not a ray — try the next column.
             if not pivoted:
                 return "optimal"
         raise SolverLimit(f"simplex exceeded {max_iterations} iterations")
@@ -380,7 +376,7 @@ def solve_with_simplex(
     reference python loop otherwise, with identical output either way.
     """
     if lp.num_variables == 0:
-        return LPSolution(status="optimal", objective=0.0, values={})
+        return solve_without_variables(lp)
     a, b, c, recover, shift = _to_standard_form(lp)
     if a.shape[0] == 0:
         # No constraints: optimum is each variable at its cheapest bound.

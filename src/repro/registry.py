@@ -9,7 +9,8 @@ what each pipeline supports:
 * :func:`available_algorithms` — the sorted names;
 * :func:`get_algorithm` — the :class:`AlgorithmInfo` record: builder,
   capability flags (weighted? directed hosts? fault-tolerant?
-  distributed? CSR fast path?), and the stretch domain;
+  distributed? CSR fast path? cost in the LP solver?), and the stretch
+  domain;
 * :func:`describe_algorithms` — JSON-able capability table (the CLI's
   ``algorithms --json`` output).
 
@@ -84,6 +85,11 @@ class AlgorithmInfo:
     #: Capability only: whether the backend actually loads on this machine
     #: is a runtime question answered by dispatch, not the registry.
     compiled_path: bool = False
+    #: Whether the builder's cost lives in :mod:`repro.lp` (it solves
+    #: LPs). The sweep supervisor imports the HiGHS binding before it
+    #: forks the shard children of a plan with such a builder, so they
+    #: inherit it, as ``csr_path`` makes ``Session`` prime a snapshot.
+    lp_path: bool = False
     #: Fault-model kinds the builder accepts (subset of spec.FAULT_KINDS).
     fault_kinds: Tuple[str, ...] = ("none",)
     #: "any" (any real k >= 1), "odd" (odd integers 2t-1), or "fixed".
@@ -103,6 +109,7 @@ class AlgorithmInfo:
             "distributed": self.distributed,
             "csr_path": self.csr_path,
             "compiled_path": self.compiled_path,
+            "lp_path": self.lp_path,
             "fault_kinds": list(self.fault_kinds),
             "stretch_kind": self.stretch_kind,
             "fixed_stretch": self.fixed_stretch,
@@ -152,6 +159,7 @@ def register_algorithm(
     distributed: bool = False,
     csr_path: bool = False,
     compiled_path: bool = False,
+    lp_path: bool = False,
     fault_kinds: Optional[Tuple[str, ...]] = None,
     stretch_kind: str = "any",
     fixed_stretch: Optional[float] = None,
@@ -209,6 +217,7 @@ def register_algorithm(
             distributed=distributed,
             csr_path=csr_path,
             compiled_path=compiled_path,
+            lp_path=lp_path,
             fault_kinds=fault_kinds,
             stretch_kind=stretch_kind,
             fixed_stretch=fixed_stretch,

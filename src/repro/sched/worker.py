@@ -53,8 +53,10 @@ from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import InvalidSpec, LeaseError
+from ..lp.scipy_backend import highs_binding
+from ..registry import describe_algorithms
 from ..spec import BuildReport
-from ..sweep import run_shard, save_shard_report
+from ..sweep import SweepPlan, run_shard, save_shard_report
 from .lease import (
     Lease,
     claim_lease,
@@ -325,6 +327,7 @@ def _settle(
 def _supervise(
     sched_dir: str,
     manifest: Manifest,
+    plan: SweepPlan,
     worker: str,
     slots: int,
     max_shards: Optional[int] = None,
@@ -342,7 +345,21 @@ def _supervise(
     the sweep with nobody left to reclaim. It exits once every shard is
     done or quarantined (or ``max_shards`` claims have ended) and returns
     the claimed / completed / failed / reclaimed counts.
+
+    Before the first start it imports the HiGHS binding
+    (:func:`repro.lp.scipy_backend.highs_binding`) when any spec of
+    ``plan`` names an ``lp_path`` algorithm and children are forked, so
+    that they inherit it instead of each importing :mod:`scipy.optimize`
+    on its first solve. Spawned children import it themselves either
+    way, and other plans import nothing new. A name the registry does
+    not know is not looked up here: its shard fails in its child.
     """
+    lp_algorithms = {row["name"] for row in describe_algorithms() if row["lp_path"]}
+    if (
+        any(spec.algorithm in lp_algorithms for spec in plan.specs)
+        and _start_method() == "fork"
+    ):
+        highs_binding()
     if poll_interval_s is None:
         poll_interval_s = min(1.0, max(0.05, manifest.lease_ttl_s / 4.0))
     heartbeat_every = max(0.05, manifest.lease_ttl_s / 3.0)
@@ -437,10 +454,10 @@ def run_worker(
     the sweep finishes. Returns a summary: shards completed / failed
     here, leases reclaimed, and the final directory state.
     """
-    manifest, _plan = load_scheduler(sched_dir)
+    manifest, plan = load_scheduler(sched_dir)
     worker = worker_id if worker_id is not None else default_worker_id()
     counts = _supervise(
-        sched_dir, manifest, worker, slots=1,
+        sched_dir, manifest, plan, worker, slots=1,
         max_shards=max_shards, poll_interval_s=poll_interval_s,
     )
     status = scheduler_status(sched_dir)
@@ -470,8 +487,8 @@ def run_scheduled_sweep(
 
     if workers < 1:
         raise InvalidSpec(f"scheduled sweeps need workers >= 1, got {workers}")
-    manifest, _plan = load_scheduler(sched_dir)
-    _supervise(sched_dir, manifest, default_worker_id(), slots=workers)
+    manifest, plan = load_scheduler(sched_dir)
+    _supervise(sched_dir, manifest, plan, default_worker_id(), slots=workers)
     status = scheduler_status(sched_dir)
     if status["degraded"] or not status["complete"]:
         return None, status

@@ -669,7 +669,9 @@ def run_sweep(
                 backoff_base_s=0.0, shard_timeout_s=shard_timeout_s,
                 include_spanner=include_spanner,
             )
-            _supervise(sched_dir, manifest, default_worker_id(), slots=workers)
+            _supervise(
+                sched_dir, manifest, plan, default_worker_id(), slots=workers
+            )
             envelopes = [
                 load_shard_report(path)
                 for path in scheduler_envelope_paths(sched_dir)

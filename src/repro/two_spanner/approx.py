@@ -148,6 +148,7 @@ def _approx_stats(result: ApproxResult) -> dict:
     weighted=True,
     directed=True,
     fault_tolerant=True,
+    lp_path=True,
     stretch_kind="fixed",
     fixed_stretch=2,
 )
@@ -175,6 +176,7 @@ def _registry_build_new(graph: BaseGraph, spec, seed):
     weighted=True,
     directed=True,
     fault_tolerant=True,
+    lp_path=True,
     stretch_kind="fixed",
     fixed_stretch=2,
 )

@@ -13,7 +13,10 @@ from repro.lp import (
     LESS_EQUAL,
     Constraint,
     LinearProgram,
+    solve_with_scipy,
+    solve_with_simplex,
 )
+from repro.lp import scipy_backend
 
 
 class TestModelBuilding:
@@ -57,6 +60,41 @@ class TestModelBuilding:
         lp = LinearProgram()
         with pytest.raises(LPError):
             lp.variable("missing")
+
+    @pytest.mark.parametrize(
+        "add",
+        [
+            lambda lp: lp.add_variable("y", objective=math.inf),
+            lambda lp: lp.add_variable("y", objective=math.nan),
+            lambda lp: lp.add_variable("y", lower=math.nan),
+            lambda lp: lp.add_variable("y", upper=math.nan),
+            lambda lp: lp.add_constraint({"x": 1.0}, LESS_EQUAL, math.inf),
+            lambda lp: lp.add_constraint({"x": 1.0}, GREATER_EQUAL, -math.inf),
+            lambda lp: lp.add_constraint({"x": 1.0}, EQUAL, math.nan),
+            lambda lp: lp.add_constraint({"x": math.inf}, LESS_EQUAL, 1.0),
+            lambda lp: lp.add_constraint({"x": 1.0, "z": math.nan}, EQUAL, 1.0),
+        ],
+        ids=[
+            "inf-cost", "nan-cost", "nan-lower", "nan-upper", "inf-rhs",
+            "-inf-rhs", "nan-rhs", "inf-coeff", "nan-coeff",
+        ],
+    )
+    def test_non_finite_data_rejected_on_every_backend(self, add):
+        """Refused when added, so no backend sees it; the model is left
+        as it was, and every backend solves it alike."""
+        lp = LinearProgram()
+        lp.add_variable("x", 1.0, 3.0, objective=1.0)
+        lp.add_variable("z", -math.inf, math.inf, objective=0.0)
+        lp.add_constraint({"x": 1.0, "z": 1.0}, EQUAL, 2.0)
+        with pytest.raises(LPError):
+            add(lp)
+        assert lp.variable_names() == ["x", "z"] and lp.num_constraints == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy_backend, "highs_binding", lambda: None)
+            by_linprog = solve_with_scipy(lp)
+        for solution in (by_linprog, solve_with_scipy(lp), solve_with_simplex(lp)):
+            assert solution.status == "optimal"
+            assert solution.values == pytest.approx({"x": 1.0, "z": 1.0})
 
 
 class TestConstraintEvaluation:
@@ -136,3 +174,46 @@ class TestSolving:
         lp = LinearProgram()
         sol = lp.solve()
         assert sol.objective == 0.0
+
+
+#: Rows with no nonzero coefficient: ``0 sense rhs`` and whether it holds.
+CONSTANT_ROWS = [
+    (GREATER_EQUAL, 1.0, False),
+    (LESS_EQUAL, -1.0, False),
+    (EQUAL, 2.0, False),
+    (GREATER_EQUAL, -1.0, True),
+    (LESS_EQUAL, 1.0, True),
+    (EQUAL, 0.0, True),
+]
+
+
+class TestConstantRows:
+    """A row over no variable is a constant that either holds or fails."""
+
+    @pytest.mark.parametrize("backend", [solve_with_scipy, solve_with_simplex])
+    @pytest.mark.parametrize("sense, rhs, holds", CONSTANT_ROWS)
+    def test_model_without_variables(self, backend, sense, rhs, holds):
+        lp = LinearProgram()
+        lp.add_constraint({}, sense, rhs)
+        solution = backend(lp)
+        assert solution.status == ("optimal" if holds else "infeasible")
+        if holds:
+            assert solution.objective == 0.0 and solution.values == {}
+
+    @pytest.mark.parametrize("backend", [solve_with_scipy, solve_with_simplex])
+    @pytest.mark.parametrize("sense, rhs, holds", CONSTANT_ROWS)
+    def test_same_row_beside_a_declared_variable(self, backend, sense, rhs, holds):
+        lp = LinearProgram()
+        lp.add_variable("x", 0.0, None, objective=1.0)
+        lp.add_constraint({"x": 0.0}, sense, rhs)
+        assert backend(lp).status == ("optimal" if holds else "infeasible")
+
+    @pytest.mark.parametrize("sense, rhs, holds", CONSTANT_ROWS)
+    def test_solve_raises_on_a_failing_constant_row(self, sense, rhs, holds):
+        lp = LinearProgram()
+        lp.add_constraint({}, sense, rhs)
+        if holds:
+            assert lp.solve().is_optimal
+        else:
+            with pytest.raises(InfeasibleLP):
+                lp.solve()

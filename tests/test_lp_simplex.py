@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lp import (
@@ -17,6 +17,7 @@ from repro.lp import (
     solve_with_scipy,
     solve_with_simplex,
 )
+from repro.compiled import compiled_available
 from repro.errors import InfeasibleLP, UnboundedLP
 
 
@@ -125,9 +126,26 @@ def random_feasible_lp(draw):
     return lp1, lp2
 
 
+def cost_past_the_dual_tolerance():
+    """min -1.192092896e-07 x1 s.t. x1 >= -0.5, x >= 0: an unbounded ray.
+
+    The cost is past the dual tolerance (1e-7), so HiGHS calls the LP
+    unbounded; so must the simplex, on either tier.
+    """
+    pair = []
+    for _ in range(2):
+        lp = LinearProgram()
+        lp.add_variable(0, 0.0, None, 0.0)
+        lp.add_variable(1, 0.0, None, -1.192092896e-07)
+        lp.add_constraint({1: 1.0}, GREATER_EQUAL, -0.5)
+        pair.append(lp)
+    return tuple(pair)
+
+
 class TestCrossCheck:
     @settings(max_examples=40, deadline=None)
     @given(pair=random_feasible_lp())
+    @example(pair=cost_past_the_dual_tolerance())
     def test_simplex_matches_scipy(self, pair):
         lp_simplex, lp_scipy = pair
         a = solve_with_simplex(lp_simplex)
@@ -137,3 +155,14 @@ class TestCrossCheck:
             assert a.objective == pytest.approx(b.objective, rel=1e-5, abs=1e-6)
             # simplex's solution must be feasible for the model
             assert lp_simplex.check_feasible(a.values, tol=1e-5)
+
+    @pytest.mark.parametrize("method", [
+        "dict",
+        pytest.param("compiled", marks=pytest.mark.skipif(
+            not compiled_available(), reason="compiled backend unavailable",
+        )),
+    ])
+    def test_cost_past_the_dual_tolerance_is_unbounded(self, method):
+        lp_simplex, lp_scipy = cost_past_the_dual_tolerance()
+        assert solve_with_scipy(lp_scipy).status == "unbounded"
+        assert solve_with_simplex(lp_simplex, method=method).status == "unbounded"

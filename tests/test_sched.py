@@ -25,7 +25,7 @@ import pytest
 from repro import FaultModel, SpannerSpec
 from repro.analysis import merge_shard_reports
 from repro.errors import InvalidSpec, LeaseError, ShardQuarantined, SweepError
-from repro.graph import connected_gnp_graph
+from repro.graph import connected_gnp_graph, gnp_random_digraph
 from repro.sched import (
     Manifest,
     claim_lease,
@@ -368,6 +368,36 @@ class TestQuarantine:
             os.unlink(path)
         status = scheduler_status(sd)
         assert {s["shard"]: s["state"] for s in status["shards"]}[1] == "pending"
+
+    def test_unknown_algorithm_fails_only_its_shard(self, tmp_path):
+        """Names resolve at build time: a plan that names an algorithm
+        nobody registered still runs its other shards, LP ones included,
+        and quarantines that one with the lookup error."""
+        digraph = gnp_random_digraph(10, 0.3, seed=1, cost_range=(1.0, 3.0))
+        plan = SweepPlan.build(
+            [
+                SpannerSpec("no-such-algorithm", stretch=3, graph=digraph),
+                SpannerSpec("ft2-approx", stretch=2, graph=digraph, seed=1),
+                SpannerSpec("greedy", stretch=3, graph=digraph),
+            ],
+            name="unknown",
+        )
+        sd = str(tmp_path / "sched")
+        init_scheduler_dir(
+            sd, plan, of=3, seed=4, lease_ttl_s=30.0,
+            max_attempts=2, backoff_base_s=0.01, backoff_cap_s=0.05,
+        )
+        reports, status = run_scheduled_sweep(sd, workers=2)
+        assert reports is None and status["degraded"]
+        assert status["counts"]["quarantined"] == 1
+        [entry] = status["quarantined"]
+        assert entry["shard"] == 0 and len(entry["attempts"]) == 2
+        assert all(
+            "no-such-algorithm" in (a.get("error") or "")
+            for a in entry["attempts"]
+        )
+        states = {s["shard"]: s["state"] for s in status["shards"]}
+        assert states == {0: "quarantined", 1: "done", 2: "done"}
 
 
 class TestCrashWindowRecovery:

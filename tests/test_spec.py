@@ -241,8 +241,10 @@ class TestRegistry:
             assert set(row) == {
                 "name", "summary", "stretch_domain", "weighted", "directed",
                 "fault_tolerant", "distributed", "csr_path", "compiled_path",
-                "fault_kinds", "stretch_kind", "fixed_stretch",
+                "lp_path", "fault_kinds", "stretch_kind", "fixed_stretch",
             }
+        lp_rows = {row["name"] for row in rows if row["lp_path"]}
+        assert lp_rows == {"ft2-approx", "dk10-baseline", "distributed-ft2"}
 
     def test_capability_flags_match_paper_structure(self):
         assert get_algorithm("theorem21").fault_tolerant
