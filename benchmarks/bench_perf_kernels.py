@@ -25,10 +25,7 @@ PR 10 added the optional compiled (C) tier:
 
 * **greedy compiled** (``greedy_compiled``) — the bounded bidirectional
   Dijkstra inside the greedy spanner, run in the C backend
-  (:mod:`repro.compiled`) vs the pinned dict reference;
-* **simplex pivot loop** (``simplex_compiled``) — the two-phase primal
-  simplex with the pivot/ratio-test loop in C vs the reference python
-  loop, same tolerances and pivot sequence.
+  (:mod:`repro.compiled`) vs the pinned dict reference.
 
 The fault-set verifier runs on the compiled tier too:
 
@@ -323,56 +320,6 @@ def bench_serve_query_compiled(n: int = 10_000, num_ops: int = 400) -> dict:
             "queries": sum(res["type"] == "QUERY_DIST" for res in answers),
             "reference": "csr_snapshot + dijkstra",
         },
-        "dict_seconds": t_slow,
-        "compiled_seconds": t_fast,
-        "speedup": t_slow / t_fast,
-    }
-
-
-def _random_standard_lp(seed: int, m: int, n: int):
-    """A feasible integer-structured standard-form LP (min c^T x, Ax=b, x>=0).
-
-    ``b = A @ x0`` for an integer ``x0 >= 0`` guarantees feasibility;
-    rows with negative ``b`` are sign-flipped to meet the ``b >= 0``
-    precondition. Non-negative costs keep the optimum bounded.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-3, 4, size=(m, n)).astype(float)
-    x0 = rng.integers(0, 4, size=n).astype(float)
-    b = a @ x0
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    c = rng.integers(0, 6, size=n).astype(float)
-    return a, b, c
-
-
-def bench_simplex_compiled(m: int = 40, n: int = 80, seed: int = 6) -> dict:
-    """Compiled simplex pivot loop vs the reference python loop (PR 10).
-
-    Two-phase solve of one feasible integer-structured LP; statuses,
-    bases and solution vectors are asserted identical before timing
-    (integer data keeps the two tiers bit-identical, not just close).
-    """
-    from repro.lp.simplex import solve_standard_form
-
-    a, b, c = _random_standard_lp(seed, m, n)
-    fast = lambda: solve_standard_form(a, b, c, method="compiled")  # noqa: E731
-    slow = lambda: solve_standard_form(a, b, c, method="dict")  # noqa: E731
-    status_cc, x_cc, obj_cc = fast()
-    status_py, x_py, obj_py = slow()
-    assert status_cc == status_py == "optimal"
-    assert obj_cc == obj_py
-    assert x_cc.tolist() == x_py.tolist()
-    t_fast = _clock(fast, repeats=3)
-    t_slow = _clock(slow, repeats=2)
-    return {
-        "name": "simplex_compiled",
-        "n": n,
-        "m": m,
-        "params": {"seed": seed, "form": "standard, integer data"},
         "dict_seconds": t_slow,
         "compiled_seconds": t_fast,
         "speedup": t_slow / t_fast,
@@ -707,14 +654,13 @@ def run_benchmarks() -> list:
     if compiled_available():
         rows.append(bench_greedy_compiled())
         rows.append(bench_theorem21_compiled())
-        rows.append(bench_simplex_compiled())
         rows.append(bench_fault_check_compiled())
         rows.append(bench_serve_query_compiled())
     else:
         print(
             "note: compiled backend unavailable "
             f"({compiled_unavailable_reason()}); skipping greedy_compiled, "
-            "theorem21_compiled, simplex_compiled, fault_check_compiled and "
+            "theorem21_compiled, fault_check_compiled and "
             "serve_query_compiled "
             "— do not commit a baseline from this run"
         )
@@ -776,7 +722,7 @@ def _assert_headline(rows) -> None:
         assert by_name["lp_highs_binding"]["speedup"] >= MIN_LP_BINDING_SPEEDUP
     # PR 10: the compiled tier, when the backend loaded. The greedy
     # Dijkstra must beat dict by 3x at n = 400 (the acceptance
-    # criterion); the simplex pivot loop must at least never lose.
+    # criterion).
     if "greedy_compiled" in by_name:
         assert by_name["greedy_compiled"]["speedup"] >= MIN_COMPILED_GREEDY_SPEEDUP
         # Whole Theorem 2.1 runs: the threaded batch over the csr loop.
@@ -784,7 +730,6 @@ def _assert_headline(rows) -> None:
             by_name["theorem21_compiled"]["speedup"]
             >= MIN_COMPILED_THEOREM21_SPEEDUP
         )
-        assert by_name["simplex_compiled"]["speedup"] >= 1.0
         # The compiled fault-set check at verify-sampled's size.
         assert (
             by_name["fault_check_compiled"]["speedup"]

@@ -38,7 +38,6 @@ _COMPILED_PAIRS = frozenset(
     {
         "greedy_compiled",
         "theorem21_compiled",
-        "simplex_compiled",
         "fault_check_compiled",
         "serve_query_compiled",
     }
@@ -75,7 +74,6 @@ def smoke_rows() -> list:
     if compiled_available():
         rows.append(bench.bench_greedy_compiled(n=160, p=0.12))
         rows.append(bench.bench_theorem21_compiled(n=400, p=0.03, iterations=8))
-        rows.append(bench.bench_simplex_compiled(m=24, n=48))
         rows.append(bench.bench_fault_check_compiled(n=120, p=0.1, trials=4))
         rows.append(bench.bench_serve_query_compiled(n=1000, num_ops=200))
     return rows

@@ -2,7 +2,7 @@
 
 One C99 source file (``_kernels.c``), which this module compiles on
 demand with the system C compiler and loads through :mod:`ctypes`,
-holds five entry points:
+holds four entry points:
 
 * the greedy spanner's bounded bidirectional Dijkstra
   (:mod:`repro.spanners.greedy`, wrapped by :mod:`repro.compiled.greedy`);
@@ -15,8 +15,7 @@ holds five entry points:
   :mod:`repro.compiled.pairs`);
 * a target-stopped Dijkstra over write-maintained rows, which answers
   the spanner service's ``QUERY_DIST`` (:mod:`repro.serve.rows`,
-  wrapped by :mod:`repro.compiled.point`);
-* the simplex pivot loop (:mod:`repro.lp.simplex`).
+  wrapped by :mod:`repro.compiled.point`).
 
 Thread rule: only the Theorem 2.1 batch runs threads. It splits its
 iterations across ``min(CPUs this process may use, iterations in the
@@ -165,13 +164,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, p_i64, p_i64,          # n, start, len
         p_i64, p_f64,               # nbr, wt
         i64, i64, p_f64,            # s, t, out
-    ]
-    lib.repro_simplex_run.restype = ctypes.c_int
-    lib.repro_simplex_run.argtypes = [
-        i64, i64,                   # m, n
-        p_f64, p_f64, p_f64, p_i64, # a, b, c, basis
-        i64, f64,                   # max_iterations, entering_tol
-        f64, f64,                   # tol, dual_tol
     ]
     return lib
 

@@ -1,12 +1,11 @@
 /* Compiled back-ends for the interpreter-bound hot loops.
  *
- * This file is a line-by-line port of two pure-python kernels:
+ * This file is a line-by-line port of one pure-python kernel:
  *
  *   repro_greedy_run_edge_ids  <-  spanners/greedy.py
  *       IndexedGreedyKernel.run_edge_ids / _reachable_within
- *   repro_simplex_run          <-  lp/simplex.py  _Tableau.run / _pivot
  *
- * plus three entry points built on the greedy kernel's pieces:
+ * plus three entry points built on its pieces:
  *
  *   repro_theorem21_batch      <-  core/conversion.py  _theorem21
  *       whole Theorem 2.1 iterations: CPython's MT19937 survivor draws
@@ -840,112 +839,4 @@ done:
     free(settled);
     heap_free(&h);
     return fail ? -1 : 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* Simplex: the _Tableau.run pivot loop, ported decision-for-decision. */
-/* ------------------------------------------------------------------ */
-
-/* Primal simplex with Bland's rule on an m x n row-major tableau.
- * Mutates a, b, basis in place exactly like _Tableau.run/_pivot:
- * same entering scan (index order, basic-column skip), same ratio test
- * with the tol tie-break on basis index, same unbounded verdict (no
- * positive pivot entry and a reduced cost below -dual_tol). Returns
- * 1 = "optimal", 0 = "unbounded", -1 = iteration limit (python raises
- * SolverLimit), -2 = allocation failure. */
-int repro_simplex_run(
-    int64_t m, int64_t n,
-    double *a, double *b, const double *c, int64_t *basis,
-    int64_t max_iterations, double entering_tol,
-    double tol, double dual_tol)
-{
-    size_t cols = (size_t)(n > 0 ? n : 1);
-    double *red = (double *)malloc(cols * sizeof(double));
-    unsigned char *basic = (unsigned char *)malloc(cols);
-    if (red == NULL || basic == NULL) {
-        free(red);
-        free(basic);
-        return -2;
-    }
-
-    int result = -1;
-    for (int64_t it = 0; it < max_iterations; it++) {
-        /* reduced costs: c - c[basis] @ a, accumulated row by row. */
-        for (int64_t j = 0; j < n; j++)
-            red[j] = 0.0;
-        for (int64_t i = 0; i < m; i++) {
-            double cb = c[basis[i]];
-            if (cb != 0.0) {
-                const double *row = a + i * n;
-                for (int64_t j = 0; j < n; j++)
-                    red[j] += cb * row[j];
-            }
-        }
-        for (int64_t j = 0; j < n; j++)
-            red[j] = c[j] - red[j];
-
-        memset(basic, 0, cols);
-        for (int64_t i = 0; i < m; i++)
-            basic[basis[i]] = 1;
-
-        int pivoted = 0;
-        for (int64_t entering = 0; entering < n; entering++) {
-            if (red[entering] >= -entering_tol)
-                continue; /* Bland: improving columns in index order */
-            if (basic[entering])
-                continue; /* basic column: float noise, re-entry stalls */
-
-            /* Ratio test, Bland tie-break on basis variable index. */
-            int64_t leaving = -1;
-            double best_ratio = INFINITY;
-            for (int64_t i = 0; i < m; i++) {
-                double aij = a[i * n + entering];
-                if (aij > tol) {
-                    double ratio = b[i] / aij;
-                    if (ratio < best_ratio - tol ||
-                        (fabs(ratio - best_ratio) <= tol &&
-                         (leaving < 0 || basis[i] < basis[leaving]))) {
-                        best_ratio = ratio;
-                        leaving = i;
-                    }
-                }
-            }
-            if (leaving >= 0) {
-                double piv = a[leaving * n + entering];
-                double *prow = a + leaving * n;
-                for (int64_t j = 0; j < n; j++)
-                    prow[j] /= piv;
-                b[leaving] /= piv;
-                for (int64_t i = 0; i < m; i++) {
-                    if (i == leaving)
-                        continue;
-                    double f = a[i * n + entering];
-                    if (fabs(f) > tol) {
-                        double *row = a + i * n;
-                        for (int64_t j = 0; j < n; j++)
-                            row[j] -= f * prow[j];
-                        b[i] -= f * b[leaving];
-                    }
-                }
-                basis[leaving] = entering;
-                pivoted = 1;
-                break;
-            }
-            /* No positive pivot entry: unbounded only when the reduced
-             * cost is past the dual tolerance. */
-            if (red[entering] < -dual_tol) {
-                result = 0;
-                goto out;
-            }
-        }
-        if (!pivoted) {
-            result = 1;
-            goto out;
-        }
-    }
-
-out:
-    free(red);
-    free(basic);
-    return result;
 }

@@ -106,7 +106,6 @@ def _solve_cluster_lp(
     members: Set[Vertex],
     comm: Graph,
     r: int,
-    backend: str,
 ) -> Tuple[Dict[EdgeKey, float], float]:
     """Solve LP(C) and return x values for E(C) and the LP(C) objective.
 
@@ -129,9 +128,7 @@ def _solve_cluster_lp(
         else:
             recosted.add_edge(u, v, 0.0)
     model = build_ft2_lp(recosted, r)
-    result = solve_with_cuts(
-        model.lp, [knapsack_cover_oracle(model)], backend=backend
-    )
+    result = solve_with_cuts(model.lp, [knapsack_cover_oracle(model)])
     x_internal = {
         (u, v): result.solution.value(x_var(u, v)) for (u, v) in internal
     }
@@ -144,7 +141,6 @@ def distributed_ft2_lp(
     t: Optional[int] = None,
     p: float = DEFAULT_P,
     seed: RandomLike = None,
-    backend: str = "auto",
     method: str = "auto",
 ) -> DistributedLPResult:
     """The LP-solving loop of Algorithm 2 (lines 1–5).
@@ -178,7 +174,7 @@ def distributed_ft2_lp(
         )
         lp_sum = 0.0
         for center, members in clusters.items():
-            x_internal, value = _solve_cluster_lp(graph, members, comm, r, backend)
+            x_internal, value = _solve_cluster_lp(graph, members, comm, r)
             lp_sum += value
             for key, x in x_internal.items():
                 sums[key] += x
@@ -233,7 +229,6 @@ def distributed_ft2_spanner(
     t: Optional[int] = None,
     p: float = DEFAULT_P,
     seed: RandomLike = None,
-    backend: str = "auto",
     alpha_constant: float = 4.0,
     max_attempts: int = 20,
     method: str = "auto",
@@ -244,9 +239,7 @@ def distributed_ft2_spanner(
     vertex tells neighbours which incident edges it bought).
     """
     rng = ensure_rng(seed)
-    lp = distributed_ft2_lp(
-        graph, r, t=t, p=p, seed=rng, backend=backend, method=method
-    )
+    lp = distributed_ft2_lp(graph, r, t=t, p=p, seed=rng, method=method)
     alpha = alpha_log_n(graph.num_vertices, alpha_constant)
     rounding = round_until_valid(
         graph, lp.x_values, r, alpha, max_attempts=max_attempts, seed=rng
@@ -271,17 +264,17 @@ def distributed_ft2_spanner(
 def _registry_build(graph: BaseGraph, spec, seed):
     """Spec adapter: ``SpannerSpec -> distributed_ft2_spanner``."""
     from ..graph.csr import resolve_method
-    from ..spec import require_fault_kind, require_stretch
+    from ..spec import require_fault_kind, require_lp_solver, require_stretch
 
     require_stretch(spec, 2)
     require_fault_kind(spec, "vertex", "none")
+    require_lp_solver(spec)
     result = distributed_ft2_spanner(
         graph,
         spec.faults.r,
         t=spec.param("t"),
         p=spec.param("p", DEFAULT_P),
         seed=seed,
-        backend=spec.param("backend", "auto"),
         alpha_constant=spec.param("alpha_constant", 4.0),
         max_attempts=spec.param("max_attempts", 20),
         method=spec.method,

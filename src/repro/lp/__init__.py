@@ -1,9 +1,9 @@
 """Linear-programming substrate.
 
-A modelling layer (:mod:`repro.lp.model`), two interchangeable solver
-backends (scipy HiGHS and a pure-Python two-phase simplex), and a
-cutting-plane driver for the exponentially-large constraint families of
-Section 3 (the knapsack-cover inequalities of LP (4)).
+A modelling layer (:mod:`repro.lp.model`), solved with HiGHS through
+SciPy (:mod:`repro.lp.scipy_backend`), and a cutting-plane driver for
+the exponentially-large constraint families of Section 3 (the
+knapsack-cover inequalities of LP (4)).
 """
 
 from .cutting_plane import CuttingPlaneResult, SeparationOracle, solve_with_cuts
@@ -16,7 +16,6 @@ from .model import (
     LPSolution,
     Variable,
 )
-from .simplex import solve_standard_form, solve_with_simplex
 from .scipy_backend import solve_with_scipy
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "LinearProgram",
     "SeparationOracle",
     "Variable",
-    "solve_standard_form",
     "solve_with_cuts",
     "solve_with_scipy",
-    "solve_with_simplex",
 ]

@@ -5,10 +5,11 @@ constraints — with the Ellipsoid method plus the separation oracle of
 Lemma 3.2. Offline and at benchmark scale, the standard practical
 equivalent is *row generation*: solve a relaxed model, ask each oracle for
 constraints violated by the current optimum, add them, and re-solve until
-no oracle objects. The value sequence is nonincreasing in the relaxation
-sense (each round's optimum is a lower bound on the fully-constrained
-optimum, and the final round is feasible for every oracle, hence optimal
-for the full LP whenever the oracles are exact separators).
+no oracle objects. The value sequence is nondecreasing: each round adds
+rows to a minimization, each round's optimum is a lower bound on the
+fully-constrained optimum, and the final round is feasible for every
+oracle, hence optimal for the full LP whenever the oracles are exact
+separators.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class CuttingPlaneResult:
 def solve_with_cuts(
     lp: LinearProgram,
     oracles: Sequence[SeparationOracle],
-    backend: str = "auto",
     max_rounds: int = 200,
     max_cuts_per_round: int = 2000,
 ) -> CuttingPlaneResult:
@@ -58,7 +58,7 @@ def solve_with_cuts(
     trace: List[float] = []
     total_cuts = 0
     for round_index in range(1, max_rounds + 1):
-        solution = lp.solve(backend=backend)
+        solution = lp.solve()
         trace.append(solution.objective)
         violated: List[Constraint] = []
         for oracle in oracles:

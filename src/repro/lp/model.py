@@ -2,12 +2,11 @@
 
 The Section 3 relaxations (LP (2) and LP (4) in the paper) are built as
 :class:`LinearProgram` instances: named variables with bounds and objective
-coefficients, plus sparse constraints. Models are solved through a backend
-(:mod:`repro.lp.scipy_backend` by default, with the pure-Python simplex of
-:mod:`repro.lp.simplex` as an independent cross-check), and the
-cutting-plane driver (:mod:`repro.lp.cutting_plane`) adds
-separation-oracle-generated constraints incrementally — the offline stand-in
-for the paper's Ellipsoid-with-separation-oracle argument (Lemma 3.2).
+coefficients, plus sparse constraints. Models are solved with HiGHS
+(:mod:`repro.lp.scipy_backend`), and the cutting-plane driver
+(:mod:`repro.lp.cutting_plane`) adds separation-oracle-generated
+constraints incrementally — the offline stand-in for the paper's
+Ellipsoid-with-separation-oracle argument (Lemma 3.2).
 """
 
 from __future__ import annotations
@@ -61,15 +60,6 @@ class Constraint:
             return lhs >= self.rhs - tol
         return abs(lhs - self.rhs) <= tol
 
-    def violation(self, values: Mapping[VarName, float]) -> float:
-        """Amount by which the assignment violates the constraint (>= 0)."""
-        lhs = self.evaluate(values)
-        if self.sense == LESS_EQUAL:
-            return max(0.0, lhs - self.rhs)
-        if self.sense == GREATER_EQUAL:
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
-
 
 @dataclass
 class LPSolution:
@@ -89,7 +79,7 @@ class LPSolution:
 
 
 def solve_without_variables(lp: "LinearProgram") -> LPSolution:
-    """Both backends' answer for a model that declares no variables.
+    """The solution of a model that declares no variables.
 
     Its rows are constants, ``0 sense rhs``: the model is infeasible
     when one of them fails (within :meth:`Constraint.satisfied`'s
@@ -147,7 +137,7 @@ class LinearProgram:
 
         The objective coefficient must be finite and the bounds must not
         be NaN (``None`` or an infinite bound means unbounded), so that
-        every backend sees the same model.
+        HiGHS never sees such data.
         """
         if name in self._variables:
             raise LPError(f"variable {name!r} already declared")
@@ -167,9 +157,6 @@ class LinearProgram:
         self._variables[name] = var
         self._order.append(name)
         return var
-
-    def has_variable(self, name: VarName) -> bool:
-        return name in self._variables
 
     def variable(self, name: VarName) -> Variable:
         try:
@@ -250,13 +237,6 @@ class LinearProgram:
     # Solving
     # ------------------------------------------------------------------
 
-    def objective_value(self, values: Mapping[VarName, float]) -> float:
-        """Objective under an arbitrary assignment."""
-        return sum(
-            var.objective * values.get(name, 0.0)
-            for name, var in self._variables.items()
-        )
-
     def check_feasible(
         self, values: Mapping[VarName, float], tol: float = 1e-6
     ) -> bool:
@@ -269,35 +249,19 @@ class LinearProgram:
                 return False
         return all(c.satisfied(values, tol) for c in self.constraints)
 
-    def solve(self, backend: str = "auto") -> LPSolution:
-        """Solve the model.
+    def solve(self) -> LPSolution:
+        """Solve the model with HiGHS.
 
-        ``backend`` is ``"scipy"`` (HiGHS through SciPy's compiled
-        binding, or :func:`scipy.optimize.linprog` where SciPy has none;
-        see :mod:`repro.lp.scipy_backend`), ``"simplex"`` (the
-        pure-Python two-phase simplex), or ``"auto"`` (scipy when
-        importable, simplex otherwise).
+        The solve goes through SciPy's compiled HiGHS binding, or
+        :func:`scipy.optimize.linprog` where SciPy has none (see
+        :mod:`repro.lp.scipy_backend`).
 
         Raises :class:`InfeasibleLP` / :class:`UnboundedLP` on those
         statuses so callers never silently consume a non-optimal solution.
         """
-        if backend == "auto":
-            try:
-                import scipy.optimize  # noqa: F401
+        from .scipy_backend import solve_with_scipy
 
-                backend = "scipy"
-            except ImportError:  # pragma: no cover - scipy is a dependency
-                backend = "simplex"
-        if backend == "scipy":
-            from .scipy_backend import solve_with_scipy
-
-            solution = solve_with_scipy(self)
-        elif backend == "simplex":
-            from .simplex import solve_with_simplex
-
-            solution = solve_with_simplex(self)
-        else:
-            raise LPError(f"unknown backend {backend!r}")
+        solution = solve_with_scipy(self)
         if solution.status == "infeasible":
             raise InfeasibleLP(f"LP {self.name!r} is infeasible")
         if solution.status == "unbounded":

@@ -1,8 +1,4 @@
-"""HiGHS backend for :class:`~repro.lp.model.LinearProgram`.
-
-The primary production backend. The pure-Python simplex exists as an
-independent implementation; the test suite solves the same models with both
-and compares optima.
+"""HiGHS, the solver behind :meth:`~repro.lp.model.LinearProgram.solve`.
 
 Each solve hands the model to SciPy's compiled HiGHS binding
 (``scipy.optimize._highspy._core``, shipped since SciPy 1.15) with the

@@ -472,6 +472,20 @@ def require_fault_kind(spec: SpannerSpec, *kinds: str) -> None:
         )
 
 
+def require_lp_solver(spec: SpannerSpec) -> None:
+    """Refuse a ``params.backend`` that names an LP solver other than HiGHS.
+
+    HiGHS (``"scipy"``) is the one LP solver; ``"auto"`` always meant it
+    too, so both are accepted and change nothing.
+    """
+    backend = spec.param("backend", "auto")
+    if backend not in ("auto", "scipy"):
+        raise InvalidSpec(
+            f"params.backend of {spec.algorithm!r} may only name HiGHS "
+            f"('scipy'), the one LP solver; got {backend!r}"
+        )
+
+
 __all__ = [
     "BuildReport",
     "FAULT_KINDS",
@@ -479,6 +493,7 @@ __all__ = [
     "METHODS",
     "SpannerSpec",
     "require_fault_kind",
+    "require_lp_solver",
     "require_stretch",
     "stretch_to_levels",
 ]

@@ -63,12 +63,11 @@ def approximate_ft2_spanner(
     graph: BaseGraph,
     r: int,
     seed: RandomLike = None,
-    backend: str = "auto",
     alpha_constant: float = 4.0,
     max_attempts: int = 20,
 ) -> ApproxResult:
     """Theorem 3.3: randomized O(log n)-approximation, independent of r."""
-    lp_result: FT2LPResult = solve_ft2_lp(graph, r, backend=backend)
+    lp_result: FT2LPResult = solve_ft2_lp(graph, r)
     alpha = alpha_log_n(graph.num_vertices, alpha_constant)
     rounding = round_until_valid(
         graph,
@@ -91,7 +90,6 @@ def dk10_baseline(
     graph: BaseGraph,
     r: int,
     seed: RandomLike = None,
-    backend: str = "auto",
     alpha_constant: float = 4.0,
     max_attempts: int = 20,
     use_old_lp: bool = False,
@@ -104,12 +102,12 @@ def dk10_baseline(
     materialized LP (2) (small instances only), matching [DK10] end to end.
     """
     if use_old_lp:
-        old = solve_old_lp(graph, r, backend=backend)
+        old = solve_old_lp(graph, r)
         x_values = old.x_values()
         lp_objective = old.objective
         cut_rounds = cuts_added = 0
     else:
-        lp_result = solve_ft2_lp(graph, r, backend=backend)
+        lp_result = solve_ft2_lp(graph, r)
         x_values = lp_result.x_values()
         lp_objective = lp_result.objective
         cut_rounds = lp_result.cut_rounds
@@ -154,15 +152,15 @@ def _approx_stats(result: ApproxResult) -> dict:
 )
 def _registry_build_new(graph: BaseGraph, spec, seed):
     """Spec adapter: ``SpannerSpec -> approximate_ft2_spanner``."""
-    from ..spec import require_fault_kind, require_stretch
+    from ..spec import require_fault_kind, require_lp_solver, require_stretch
 
     require_stretch(spec, 2)
     require_fault_kind(spec, "vertex", "none")
+    require_lp_solver(spec)
     result = approximate_ft2_spanner(
         graph,
         spec.faults.r,
         seed=seed,
-        backend=spec.param("backend", "auto"),
         alpha_constant=spec.param("alpha_constant", 4.0),
         max_attempts=spec.param("max_attempts", 20),
     )
@@ -182,15 +180,15 @@ def _registry_build_new(graph: BaseGraph, spec, seed):
 )
 def _registry_build_old(graph: BaseGraph, spec, seed):
     """Spec adapter: ``SpannerSpec -> dk10_baseline``."""
-    from ..spec import require_fault_kind, require_stretch
+    from ..spec import require_fault_kind, require_lp_solver, require_stretch
 
     require_stretch(spec, 2)
     require_fault_kind(spec, "vertex", "none")
+    require_lp_solver(spec)
     result = dk10_baseline(
         graph,
         spec.faults.r,
         seed=seed,
-        backend=spec.param("backend", "auto"),
         alpha_constant=spec.param("alpha_constant", 4.0),
         max_attempts=spec.param("max_attempts", 20),
         use_old_lp=spec.param("use_old_lp", False),

@@ -110,11 +110,10 @@ def solve_client_server_lp(
     graph: BaseGraph,
     clients: Iterable[EdgeKey],
     r: int,
-    backend: str = "auto",
 ):
     """Solve the client–server LP (4) with knapsack-cover separation."""
     model = build_client_server_lp(graph, clients, r)
-    result = solve_with_cuts(model.lp, [knapsack_cover_oracle(model)], backend=backend)
+    result = solve_with_cuts(model.lp, [knapsack_cover_oracle(model)])
     return model, result.solution
 
 
@@ -153,7 +152,6 @@ def approximate_client_server_2spanner(
     clients: Iterable[EdgeKey],
     r: int,
     seed: RandomLike = None,
-    backend: str = "auto",
     alpha_constant: float = 4.0,
     max_attempts: int = 20,
 ) -> ClientServerResult:
@@ -165,7 +163,7 @@ def approximate_client_server_2spanner(
     unsatisfied *client* edges directly).
     """
     client_keys = _normalize_clients(graph, clients)
-    model, solution = solve_client_server_lp(graph, clients, r, backend=backend)
+    model, solution = solve_client_server_lp(graph, client_keys, r)
     x_values = {
         (u, v): solution.value(x_var(u, v)) for u, v, _w in graph.edges()
     }

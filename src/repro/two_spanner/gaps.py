@@ -2,7 +2,7 @@
 
 * Section 3.1: the old flow relaxation LP (2) has gap Ω(r) on the complete
   graph — the LP pays ~``n²/(n-r-2)`` while any integral solution needs
-  ~``(r+1)n`` arcs (min in/out degree r+1).
+  ``n·min(r+1, n-1)`` arcs (min out-degree r+1, or every other vertex).
 * Section 3.2: LP (3) *without* knapsack-cover inequalities has gap Ω(r) on
   the M-gadget — the LP sets ``x_{uv} = 1/(r+1)`` on the expensive edge,
   while the integral optimum must buy it outright. Adding the KC family
@@ -44,7 +44,7 @@ class CompleteGraphGap:
 
 
 def old_lp_gap_on_complete_graph(
-    n: int, r: int, backend: str = "auto", solve_exact: bool = False
+    n: int, r: int, solve_exact: bool = False
 ) -> CompleteGraphGap:
     """Measure the Section 3.1 gap of LP (2) on ``K_n`` (directed, unit costs).
 
@@ -52,7 +52,7 @@ def old_lp_gap_on_complete_graph(
     is only feasible for very small ``n`` (the arc count is ``n(n-1)``).
     """
     graph = complete_digraph(n)
-    lp = solve_old_lp(graph, r, backend=backend)
+    lp = solve_old_lp(graph, r)
     exact_opt = math.nan
     if solve_exact:
         exact_opt = exact_minimum_ft2_spanner(graph, r).cost
@@ -96,13 +96,11 @@ def gadget_optimum(r: int, expensive_cost: float) -> float:
     return expensive_cost + 2.0 * r
 
 
-def kc_gap_on_gadget(
-    r: int, expensive_cost: float = 1000.0, backend: str = "auto"
-) -> GadgetGap:
+def kc_gap_on_gadget(r: int, expensive_cost: float = 1000.0) -> GadgetGap:
     """Measure the Section 3.2 gap with and without knapsack-cover cuts."""
     graph = knapsack_gap_gadget(r, expensive_cost)
-    lp3 = solve_ft2_lp(graph, r, backend=backend, with_knapsack_cover=False)
-    lp4 = solve_ft2_lp(graph, r, backend=backend, with_knapsack_cover=True)
+    lp3 = solve_ft2_lp(graph, r, with_knapsack_cover=False)
+    lp4 = solve_ft2_lp(graph, r, with_knapsack_cover=True)
     return GadgetGap(
         r=r,
         expensive_cost=expensive_cost,

@@ -180,7 +180,6 @@ class FT2LPResult:
 def solve_ft2_lp(
     graph: BaseGraph,
     r: int,
-    backend: str = "auto",
     with_knapsack_cover: bool = True,
     max_rounds: int = 200,
 ) -> FT2LPResult:
@@ -193,7 +192,7 @@ def solve_ft2_lp(
     model = build_ft2_lp(graph, r)
     oracles = [knapsack_cover_oracle(model)] if with_knapsack_cover else []
     result: CuttingPlaneResult = solve_with_cuts(
-        model.lp, oracles, backend=backend, max_rounds=max_rounds
+        model.lp, oracles, max_rounds=max_rounds
     )
     return FT2LPResult(
         model=model,

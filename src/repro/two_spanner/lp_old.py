@@ -107,12 +107,11 @@ def build_old_lp(graph: BaseGraph, r: int, max_fault_sets: int = MAX_FAULT_SETS)
 def solve_old_lp(
     graph: BaseGraph,
     r: int,
-    backend: str = "auto",
     max_fault_sets: int = MAX_FAULT_SETS,
 ) -> OldLPResult:
     """Solve the [DK10] relaxation exactly (small instances only)."""
     lp, num_fault_sets = build_old_lp(graph, r, max_fault_sets)
-    solution = lp.solve(backend=backend)
+    solution = lp.solve()
     return OldLPResult(
         lp=lp,
         solution=solution,
@@ -136,12 +135,13 @@ def complete_graph_fractional_value(n: int, r: int) -> float:
 
 
 def complete_graph_integral_lower_bound(n: int, r: int) -> float:
-    """Integral optimum lower bound on ``K_n`` (directed): ``n·r/1``…
+    """Integral optimum lower bound on ``K_n`` (directed).
 
-    Every vertex needs in-degree and out-degree at least ``r + 1`` in the
-    spanner — otherwise deleting its at-most-r in-(or out-)neighbours
-    isolates it while K_n minus those vertices still has the edge. Summing
-    out-degrees gives at least ``n (r + 1) / 1`` arcs; undirected K_n
-    similarly needs min degree ``r + 1`` hence ``n (r + 1) / 2`` edges.
+    Every vertex needs out-degree at least ``min(r + 1, n - 1)`` in the
+    spanner: with fewer out-neighbours, at most ``r`` of them and not all
+    ``n - 1`` other vertices, deleting them cuts it off from a surviving
+    third vertex that K_n still joins it to. Summing out-degrees gives at
+    least ``n·min(r + 1, n - 1)`` arcs (in-degrees give the same bound);
+    once ``r >= n - 2`` that is every arc of ``K_n``.
     """
-    return n * (r + 1)
+    return n * min(r + 1, n - 1)

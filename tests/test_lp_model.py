@@ -1,4 +1,4 @@
-"""LP modelling layer: variables, constraints, feasibility checking."""
+"""LP modelling layer: variables, constraints, feasibility, known optima."""
 
 from __future__ import annotations
 
@@ -14,9 +14,25 @@ from repro.lp import (
     Constraint,
     LinearProgram,
     solve_with_scipy,
-    solve_with_simplex,
 )
 from repro.lp import scipy_backend
+
+
+def solve_with_linprog(lp):
+    """``solve_with_scipy`` through ``linprog``, as on a SciPy without the binding."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy_backend, "highs_binding", lambda: None)
+        return solve_with_scipy(lp)
+
+
+def standard_form_lp(a, b, c):
+    """``min c x`` s.t. ``a x == b``, ``x >= 0``, one row per line of ``a``."""
+    lp = LinearProgram("standard")
+    for j, cost in enumerate(c):
+        lp.add_variable(j, 0.0, None, objective=cost)
+    for row, rhs in zip(a, b):
+        lp.add_constraint(dict(enumerate(row)), EQUAL, rhs)
+    return lp
 
 
 class TestModelBuilding:
@@ -80,8 +96,8 @@ class TestModelBuilding:
         ],
     )
     def test_non_finite_data_rejected_on_every_backend(self, add):
-        """Refused when added, so no backend sees it; the model is left
-        as it was, and every backend solves it alike."""
+        """Refused when added, so HiGHS never sees it; the model is left
+        as it was, and both HiGHS paths solve it alike."""
         lp = LinearProgram()
         lp.add_variable("x", 1.0, 3.0, objective=1.0)
         lp.add_variable("z", -math.inf, math.inf, objective=0.0)
@@ -89,10 +105,7 @@ class TestModelBuilding:
         with pytest.raises(LPError):
             add(lp)
         assert lp.variable_names() == ["x", "z"] and lp.num_constraints == 1
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scipy_backend, "highs_binding", lambda: None)
-            by_linprog = solve_with_scipy(lp)
-        for solution in (by_linprog, solve_with_scipy(lp), solve_with_simplex(lp)):
+        for solution in (solve_with_linprog(lp), solve_with_scipy(lp)):
             assert solution.status == "optimal"
             assert solution.values == pytest.approx({"x": 1.0, "z": 1.0})
 
@@ -103,15 +116,6 @@ class TestConstraintEvaluation:
         assert con.evaluate({"x": 1.0, "y": 0.5}) == 1.5
         assert con.satisfied({"x": 1.0, "y": 0.5})
         assert not con.satisfied({"x": 0.0, "y": 0.0})
-
-    def test_violation_amounts(self):
-        le = Constraint({"x": 1.0}, LESS_EQUAL, 1.0)
-        ge = Constraint({"x": 1.0}, GREATER_EQUAL, 1.0)
-        eq = Constraint({"x": 1.0}, EQUAL, 1.0)
-        assert le.violation({"x": 3.0}) == 2.0
-        assert le.violation({"x": 0.0}) == 0.0
-        assert ge.violation({"x": 0.0}) == 1.0
-        assert eq.violation({"x": 1.5}) == 0.5
 
     def test_missing_values_default_zero(self):
         con = Constraint({"x": 1.0}, GREATER_EQUAL, 1.0)
@@ -139,7 +143,7 @@ class TestSolving:
         lp = LinearProgram()
         lp.add_variable("x", 0.0, None, objective=-1.0)
         with pytest.raises(UnboundedLP):
-            lp.solve(backend="scipy")
+            lp.solve()
 
     def test_equality_constraint(self):
         lp = LinearProgram()
@@ -158,22 +162,76 @@ class TestSolving:
         assert not lp.check_feasible({"x": 0.3})
         assert not lp.check_feasible({"x": 1.4})
 
-    def test_objective_value_helper(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=2.0)
-        lp.add_variable("y", objective=3.0)
-        assert lp.objective_value({"x": 1.0, "y": 2.0}) == 8.0
-
-    def test_unknown_backend(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(LPError):
-            lp.solve(backend="gurobi")
-
     def test_empty_model(self):
         lp = LinearProgram()
         sol = lp.solve()
         assert sol.objective == 0.0
+
+    def test_upper_bounds(self):
+        lp = LinearProgram()
+        lp.add_variable("x", 0.0, 2.0, objective=-1.0)
+        assert lp.solve().values["x"] == pytest.approx(2.0)
+
+    def test_shifted_lower_bounds(self):
+        lp = LinearProgram()
+        lp.add_variable("x", 1.5, None, objective=1.0)
+        lp.add_constraint({"x": 1.0}, GREATER_EQUAL, 1.0)
+        assert lp.solve().values["x"] == pytest.approx(1.5)
+
+    def test_free_variable(self):
+        lp = LinearProgram()
+        lp.add_variable("x", -math.inf, None, objective=1.0)
+        lp.add_constraint({"x": 1.0}, GREATER_EQUAL, -3.0)
+        assert lp.solve().values["x"] == pytest.approx(-3.0)
+
+    def test_no_constraints_bounded(self):
+        lp = LinearProgram()
+        lp.add_variable("x", 1.0, 2.0, objective=5.0)
+        assert lp.solve().objective == pytest.approx(5.0)
+
+    def test_no_constraints_unbounded(self):
+        # No rows at all: both HiGHS paths report the ray as a verdict.
+        lp = LinearProgram()
+        lp.add_variable("x", 0.0, None, objective=-1.0)
+        assert solve_with_scipy(lp).status == "unbounded"
+        assert solve_with_linprog(lp).status == "unbounded"
+
+    def test_textbook_lp(self):
+        # min -x - 2y st x + y <= 4, x <= 3, y <= 2 (as equalities w/ slack)
+        lp = standard_form_lp(
+            [[1.0, 1.0, 1.0, 0.0, 0.0],
+             [1.0, 0.0, 0.0, 1.0, 0.0],
+             [0.0, 1.0, 0.0, 0.0, 1.0]],
+            [4.0, 3.0, 2.0],
+            [-1.0, -2.0, 0.0, 0.0, 0.0],
+        )
+        assert lp.solve().objective == pytest.approx(-6.0)  # x=2, y=2
+
+    def test_infeasible(self):
+        # x = -1 with x >= 0.
+        with pytest.raises(InfeasibleLP):
+            standard_form_lp([[1.0]], [-1.0], [1.0]).solve()
+
+    def test_unbounded(self):
+        # min -x st x - s = 0: x grows with s.
+        lp = standard_form_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0])
+        with pytest.raises(UnboundedLP):
+            lp.solve()
+
+    def test_degenerate_redundant_rows(self):
+        # Two identical rows: still solvable.
+        lp = standard_form_lp([[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0], [1.0, 0.0])
+        assert lp.solve().objective == pytest.approx(0.0)
+
+    def test_cost_past_the_dual_tolerance_is_unbounded(self):
+        """min -1.192092896e-07 x1 s.t. x1 >= -0.5, x >= 0: an unbounded
+        ray whose cost is past HiGHS's dual tolerance (1e-7)."""
+        lp = LinearProgram()
+        lp.add_variable(0, 0.0, None, 0.0)
+        lp.add_variable(1, 0.0, None, -1.192092896e-07)
+        lp.add_constraint({1: 1.0}, GREATER_EQUAL, -0.5)
+        with pytest.raises(UnboundedLP):
+            lp.solve()
 
 
 #: Rows with no nonzero coefficient: ``0 sense rhs`` and whether it holds.
@@ -190,23 +248,23 @@ CONSTANT_ROWS = [
 class TestConstantRows:
     """A row over no variable is a constant that either holds or fails."""
 
-    @pytest.mark.parametrize("backend", [solve_with_scipy, solve_with_simplex])
+    @pytest.mark.parametrize("solve", [solve_with_scipy, solve_with_linprog])
     @pytest.mark.parametrize("sense, rhs, holds", CONSTANT_ROWS)
-    def test_model_without_variables(self, backend, sense, rhs, holds):
+    def test_model_without_variables(self, solve, sense, rhs, holds):
         lp = LinearProgram()
         lp.add_constraint({}, sense, rhs)
-        solution = backend(lp)
+        solution = solve(lp)
         assert solution.status == ("optimal" if holds else "infeasible")
         if holds:
             assert solution.objective == 0.0 and solution.values == {}
 
-    @pytest.mark.parametrize("backend", [solve_with_scipy, solve_with_simplex])
+    @pytest.mark.parametrize("solve", [solve_with_scipy, solve_with_linprog])
     @pytest.mark.parametrize("sense, rhs, holds", CONSTANT_ROWS)
-    def test_same_row_beside_a_declared_variable(self, backend, sense, rhs, holds):
+    def test_same_row_beside_a_declared_variable(self, solve, sense, rhs, holds):
         lp = LinearProgram()
         lp.add_variable("x", 0.0, None, objective=1.0)
         lp.add_constraint({"x": 0.0}, sense, rhs)
-        assert backend(lp).status == ("optimal" if holds else "infeasible")
+        assert solve(lp).status == ("optimal" if holds else "infeasible")
 
     @pytest.mark.parametrize("sense, rhs, holds", CONSTANT_ROWS)
     def test_solve_raises_on_a_failing_constant_row(self, sense, rhs, holds):

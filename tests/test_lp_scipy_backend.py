@@ -14,7 +14,9 @@ the binding does not import, ``linprog`` itself runs; that fallback is
 pinned to the binding's solutions. The input and verdict tests run on
 every path this SciPy has: ``linprog`` (the binding hidden, and what
 it receives checked against the same reference) everywhere, and the
-binding where it imports.
+binding where it imports. Apart from those paths, the optimum of every
+solve is checked against HiGHS's interior-point method, a different
+algorithm from the dual simplex every solve runs.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.sparse import coo_array, csc_array, csr_matrix, issparse, vstack
 
 import repro
 from repro.errors import InfeasibleLP, LPError, SolverLimit, UnboundedLP
-from repro.graph import gnp_random_digraph
+from repro.graph import complete_digraph, gnp_random_digraph
 from repro.lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -45,7 +49,8 @@ from repro.lp import (
 )
 from repro.lp import scipy_backend
 from repro.lp.scipy_backend import highs_binding
-from repro.two_spanner.lp_new import build_ft2_lp, knapsack_cover_oracle
+from repro.two_spanner.lp_new import build_ft2_lp, knapsack_cover_oracle, solve_ft2_lp
+from repro.two_spanner.lp_old import solve_old_lp
 
 BINDING = "scipy.optimize._highspy._core"
 
@@ -307,13 +312,13 @@ class TestHighsInputs:
             lp.add_constraint({"y": 1.0, "x": -1.0}, EQUAL, 0.0)
             lp.add_constraint({"z": 3.0, "y": -1.0, "x": 0.5}, GREATER_EQUAL, 0.0)
             with recorded(lp) as calls:
-                first = lp.solve(backend="scipy")
+                first = lp.solve()
                 # A variable declared after a solve joins the objective,
                 # the bounds and later rows.
                 lp.add_variable("w", 0.0, 2.0, objective=-1.0)
                 lp.add_constraint({"w": 1.0, "z": -1.0}, LESS_EQUAL, 0.0)
                 lp.add_constraint({"w": 2.0, "x": 1.0}, EQUAL, 3.0)
-                second = lp.solve(backend="scipy")
+                second = lp.solve()
             assert calls == [4, 6]
             assert set(first.values) == {"x", "y", "z"}
             assert set(second.values) == {"x", "y", "z", "w"}
@@ -324,7 +329,7 @@ class TestHighsInputs:
             lp.add_variable("x", 1.0, 3.0, objective=1.0)
             lp.add_variable("y", 0.0, 2.0, objective=-1.0)
             with recorded(lp) as calls:
-                solution = lp.solve(backend="scipy")
+                solution = lp.solve()
             assert calls == [0]
             assert solution.values == {"x": 1.0, "y": 2.0}
 
@@ -334,7 +339,7 @@ class TestHighsInputs:
             for i, name in enumerate(["b", "a", ("t", 1)]):
                 lp.add_variable(name, float(i), float(i), objective=1.0)
             with path():
-                solution = lp.solve(backend="scipy")
+                solution = lp.solve()
             assert list(solution.values) == ["b", "a", ("t", 1)]
             assert solution.values == {"b": 0.0, "a": 1.0, ("t", 1): 2.0}
 
@@ -437,17 +442,17 @@ class TestHighsFailures:
     def test_iteration_limit_is_a_solver_limit(self):
         for stubbed in status_stubs("kIterationLimit"):
             with stubbed(), pytest.raises(SolverLimit, match="Iteration limit reached"):
-                stubbed_lp().solve(backend="scipy")
+                stubbed_lp().solve()
 
     def test_time_limit_is_a_solver_limit(self):
         for stubbed in status_stubs("kTimeLimit"):
             with stubbed(), pytest.raises(SolverLimit, match="Time limit reached"):
-                stubbed_lp().solve(backend="scipy")
+                stubbed_lp().solve()
 
     def test_numerical_trouble_is_an_error_not_infeasibility(self):
         for stubbed in status_stubs("kSolveError"):
             with stubbed(), pytest.raises(LPError, match="Solve error") as info:
-                stubbed_lp().solve(backend="scipy")
+                stubbed_lp().solve()
             assert not isinstance(info.value, (InfeasibleLP, SolverLimit))
 
     @needs_binding
@@ -460,7 +465,7 @@ class TestHighsFailures:
                 getattr(core.HighsModelStatus, name)
             )
             with binding_stubbed(name), pytest.raises(LPError) as info:
-                stubbed_lp().solve(backend="scipy")
+                stubbed_lp().solve()
             assert not isinstance(info.value, (InfeasibleLP, SolverLimit))
             assert str(info.value).endswith(message), name
 
@@ -473,12 +478,12 @@ class TestHighsFailures:
         for name in status:
             for stubbed in status_stubs(name):
                 with stubbed(), pytest.raises(error):
-                    stubbed_lp().solve(backend="scipy")
+                    stubbed_lp().solve()
 
     def test_success_returns_the_solution(self):
         for stubbed in status_stubs("kOptimal"):
             with stubbed():
-                solution = stubbed_lp().solve(backend="scipy")
+                solution = stubbed_lp().solve()
             assert solution.is_optimal
             assert solution.objective == 2.0 and solution.values == {"x": 2.0}
 
@@ -496,14 +501,14 @@ class TestHighsFailures:
     def test_an_optimal_x_outside_the_tolerance_is_an_error(self, col_value, row_value):
         with binding_stubbed("kOptimal", col_value, row_value):
             with pytest.raises(LPError, match="misses the bounds or rows") as info:
-                stubbed_lp().solve(backend="scipy")
+                stubbed_lp().solve()
         assert not isinstance(info.value, (InfeasibleLP, SolverLimit))
 
     @needs_binding
     def test_an_optimal_x_inside_the_tolerance_is_returned(self):
         # linprog's tolerance is 10 * sqrt(1e-9), about 3.2e-4.
         with binding_stubbed("kOptimal", [-3e-4], [-2.0 + 3e-4]):
-            assert stubbed_lp().solve(backend="scipy").values == {"x": -3e-4}
+            assert stubbed_lp().solve().values == {"x": -3e-4}
 
 
 class TestLinprogFallback:
@@ -541,8 +546,60 @@ class TestLinprogFallback:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "linprog", linprog)
-        assert stubbed_lp().solve(backend="scipy").values == {"x": 2.0}
+        assert stubbed_lp().solve().values == {"x": 2.0}
         assert calls == ["highs"]
+
+
+@st.composite
+def random_feasible_lp(draw):
+    """A random LP, feasible by construction around a known point.
+
+    Every column has a finite upper bound, so the optimum is finite.
+    """
+    num_vars = draw(st.integers(2, 5))
+    num_cons = draw(st.integers(1, 5))
+    coeff = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    lp = LinearProgram("random")
+    point = {}
+    for i in range(num_vars):
+        lp.add_variable(i, 0.0, draw(st.sampled_from([3.0, 5.0])), draw(coeff))
+        point[i] = draw(st.floats(0.0, 1.0))
+    for _ in range(num_cons):
+        coeffs = {i: draw(coeff) for i in range(num_vars) if draw(st.booleans())}
+        coeffs = coeffs or {0: 1.0}
+        lhs = sum(c * point[i] for i, c in coeffs.items())
+        sense = draw(st.sampled_from([LESS_EQUAL, GREATER_EQUAL]))
+        lp.add_constraint(coeffs, sense, lhs + 0.5 if sense == LESS_EQUAL else lhs - 0.5)
+    return lp
+
+
+def assert_optimum_matches_ipm(lp, solution):
+    """``solution`` is feasible for ``lp``, and its objective is the
+    optimum HiGHS's interior-point method finds on the model rebuilt
+    from ``lp.constraints``."""
+    reference = scipy.optimize.linprog(**reference_inputs(lp), method="highs-ipm")
+    assert reference.status == 0, reference.message
+    assert solution.objective == pytest.approx(reference.fun, rel=1e-6, abs=1e-9)
+    assert lp.check_feasible(solution.values, tol=1e-6)
+
+
+class TestIndependentOptimum:
+    """The optimum ``solve()`` returns, against an independent solve."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lp=random_feasible_lp())
+    def test_random_feasible_lps(self, lp):
+        assert_optimum_matches_ipm(lp, lp.solve())
+
+    def test_final_lp4_of_an_ft2_instance(self):
+        result = solve_ft2_lp(gnp_random_digraph(7, 0.6, seed=1), 1)
+        assert result.objective == pytest.approx(17.5)
+        assert_optimum_matches_ipm(result.model.lp, result.solution)
+
+    def test_lp2_on_a_complete_digraph(self):
+        old = solve_old_lp(complete_digraph(5), 1)
+        assert old.objective == pytest.approx(20 / 3)
+        assert_optimum_matches_ipm(old.lp, old.solution)
 
 
 _SUPERVISOR_IMPORTS = """

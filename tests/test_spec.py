@@ -9,13 +9,14 @@ import pytest
 
 from repro import ReproError
 from repro.errors import InvalidSpec, RegistryError, SpecError, UnknownAlgorithm
-from repro.graph import Graph, complete_graph
+from repro.graph import Graph, complete_graph, gnp_random_digraph
 from repro.registry import (
     available_algorithms,
     describe_algorithms,
     get_algorithm,
     register_algorithm,
 )
+from repro.session import Session
 from repro.spec import (
     BuildReport,
     FaultModel,
@@ -252,6 +253,32 @@ class TestRegistry:
         assert get_algorithm("distributed-ft").distributed
         assert get_algorithm("ft2-approx").directed
         assert not get_algorithm("baswana-sen").directed
+
+    @pytest.mark.parametrize(
+        "algorithm", ["ft2-approx", "dk10-baseline", "distributed-ft2"]
+    )
+    def test_lp_path_specs_name_no_solver_but_highs(self, algorithm):
+        """HiGHS is the one LP solver: ``params.backend`` "auto" and
+        "scipy" change nothing, and any other value is refused."""
+        host = gnp_random_digraph(8, 0.5, seed=1)
+
+        def build(params):
+            spec = SpannerSpec(
+                algorithm, stretch=2, faults=FaultModel.vertex(1), seed=3,
+                params=params,
+            )
+            doc = Session().build(spec, graph=host).to_dict(include_spanner=True)
+            # The spec and its hash echo the params; the build must not.
+            assert doc.pop("spec")["params"] == params
+            del doc["rng_fingerprint"]
+            return doc
+
+        plain = build({})
+        for backend in ("auto", "scipy"):
+            assert build({"backend": backend}) == plain
+        for backend in ("simplex", "gurobi", None):
+            with pytest.raises(InvalidSpec, match="'scipy'"):
+                build({"backend": backend})
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(RegistryError):

@@ -71,6 +71,17 @@ class TestRoundingPipeline:
         assert is_client_server_ft2_spanner(result.spanner, g, clients, r)
         assert result.cost >= result.lp_objective - 1e-6
 
+    def test_clients_may_be_an_iterator(self):
+        """The client edges are read once: an iterator gives the LP the
+        same cover rows, and the result, that a list does."""
+        g = gnp_random_digraph(12, 0.5, seed=3)
+        clients = [(u, v) for u, v, _w in g.edges()][:20]
+        by_list = approximate_client_server_2spanner(g, clients, 1, seed=1)
+        by_iter = approximate_client_server_2spanner(g, iter(clients), 1, seed=1)
+        assert by_iter.lp_objective == by_list.lp_objective > 0
+        assert (by_iter.attempts, by_iter.repaired_edges) == (1, [])
+        assert sorted(by_iter.spanner.edges()) == sorted(by_list.spanner.edges())
+
     def test_matches_full_problem_when_all_clients(self):
         g = gnp_random_digraph(9, 0.5, seed=5)
         clients = [(u, v) for u, v, _w in g.edges()]

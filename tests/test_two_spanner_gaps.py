@@ -29,9 +29,14 @@ class TestCompleteGraphGap:
         assert gaps[3] / gaps[0] >= 2.0
 
     def test_exact_opt_small_instance(self):
-        gap = old_lp_gap_on_complete_graph(4, 1, solve_exact=True)
-        assert not math.isnan(gap.exact_opt)
-        assert gap.exact_opt >= gap.integral_lower_bound - 1e-9
+        """The degree bound holds at every r, also once r >= n - 1, where
+        no third vertex need survive the faults."""
+        for n in (2, 3, 4):
+            for r in range(n + 1):
+                gap = old_lp_gap_on_complete_graph(n, r, solve_exact=True)
+                assert not math.isnan(gap.exact_opt)
+                assert gap.exact_opt >= gap.integral_lower_bound - 1e-9, (n, r)
+                assert gap.gap_lower_bound <= gap.exact_opt / gap.lp_value + 1e-9
 
 
 class TestGadgetGap:
