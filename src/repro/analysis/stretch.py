@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List
 
 from ..core.verify import fault_sets
 from ..graph.graph import BaseGraph

@@ -693,19 +693,22 @@ def _host_spec_from_grid(text: str, seed_base: int) -> HostSpec:
     return HostSpec(name, params=params, seed=seed)
 
 
-def _sweep_result_doc(fingerprint: str, reports) -> dict:
+def _sweep_result_doc(fingerprint: str, reports, include_spanner: bool) -> dict:
     """The deterministic merged-sweep document.
 
     Identical whether produced by ``sweep --workers N`` or by ``merge``
     over persisted shard envelopes — the byte-identity the CI smoke step
-    diffs. Timing never enters (see ``BuildReport.to_dict``).
+    diffs. Timing never enters (see ``BuildReport.to_dict``); spanner
+    edge lists do when the sweep ran with ``--include-spanner``.
     """
     return {
         "format": "repro-sweep-result",
         "version": 1,
         "plan": fingerprint,
         "count": len(reports),
-        "reports": [report.to_dict() for report in reports],
+        "reports": [
+            report.to_dict(include_spanner=include_spanner) for report in reports
+        ],
     }
 
 
@@ -907,7 +910,9 @@ def _cmd_sweep(args) -> int:
             _print_scheduler_status(status, args.json)
             return 3
         if args.json:
-            _print_json(_sweep_result_doc(manifest.plan_fingerprint, reports))
+            _print_json(_sweep_result_doc(
+                manifest.plan_fingerprint, reports, manifest.include_spanner
+            ))
         else:
             print(render_table(
                 _SWEEP_HEADER, _sweep_rows(reports),
@@ -923,7 +928,9 @@ def _cmd_sweep(args) -> int:
         shard_timeout_s=args.shard_timeout,
     )
     if args.json:
-        _print_json(_sweep_result_doc(plan.fingerprint(), reports))
+        _print_json(_sweep_result_doc(
+            plan.fingerprint(), reports, args.include_spanner
+        ))
     else:
         print(render_table(
             _SWEEP_HEADER, _sweep_rows(reports),
@@ -979,7 +986,11 @@ def _cmd_merge(args) -> int:
             paths.append(entry)
     envelopes = [load_shard_report(path) for path in paths]
     reports = merge_shard_reports(envelopes)
-    doc = _sweep_result_doc(envelopes[0]["plan"], reports)
+    # Envelopes of an --include-spanner sweep carry each edge list.
+    include_spanner = any(
+        "spanner" in doc for env in envelopes for doc in env["reports"]
+    )
+    doc = _sweep_result_doc(envelopes[0]["plan"], reports, include_spanner)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -230,8 +230,6 @@ def _probe() -> None:
             )
         else:
             try:
-                import numpy  # noqa: F401  (wrappers hand arrays to ctypes)
-
                 _state["lib"] = _build_and_load()
             except Exception as exc:
                 _state["reason"] = str(exc) or type(exc).__name__

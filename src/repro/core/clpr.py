@@ -222,9 +222,7 @@ def clpr_fault_tolerant_spanner(
         return fault_sets(vertices, r)
 
     if resolved == "csr" and vertices:
-        snap = snapshot(graph)
-        if snap.scipy_kernels() is not None:
-            return _clpr_csr(graph, t, fault_iter(), vertices, shared_levels, rng)
+        return _clpr_csr(graph, t, fault_iter(), vertices, shared_levels, rng)
     return _clpr_dict(graph, t, fault_iter(), vertices, shared_levels, rng)
 
 

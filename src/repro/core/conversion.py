@@ -28,6 +28,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set
 
+import numpy as np
+
 from ..errors import FaultToleranceError, InvalidSpec, InvalidStretch
 from ..graph.csr import METHODS, snapshot
 from ..graph.graph import BaseGraph
@@ -169,13 +171,10 @@ class _OversamplingEngine:
         self.kind = kind
         self.csr = snapshot(graph)
         edge_w = self.csr.edge_w
-        self.sorted_ids = sorted(range(len(edge_w)), key=edge_w.__getitem__)
-        try:  # keep the id list as int64 once; np.asarray is then a no-op per iteration
-            import numpy as np
-
-            self.sorted_ids = np.asarray(self.sorted_ids, dtype=np.int64)
-        except ImportError:  # pragma: no cover
-            pass
+        # int64 once, so np.asarray is a no-op per iteration.
+        self.sorted_ids = np.asarray(
+            sorted(range(len(edge_w)), key=edge_w.__getitem__), dtype=np.int64
+        )
         resolved = _greedy_check_method(method)
         self.resolved_method = "compiled" if resolved == "compiled" else "csr"
         if self.resolved_method == "compiled":
@@ -225,8 +224,6 @@ class _OversamplingEngine:
         and returns the per-edge-id first-iteration array of
         :func:`~repro.compiled.oversample.oversample`.
         """
-        import numpy as np
-
         from ..compiled.oversample import oversample
 
         masks = None
@@ -251,8 +248,6 @@ class _OversamplingEngine:
         That is by first iteration, then by position in the weight-sorted
         list (each pass picks in that order).
         """
-        import numpy as np
-
         new = np.flatnonzero(first >= 0)
         position = np.empty_like(self.sorted_ids)
         position[self.sorted_ids] = np.arange(len(self.sorted_ids))

@@ -644,10 +644,6 @@ class IncrementalFT2Verifier:
             del self._in[v]
             del self._host_in[v]
 
-    def has_host_vertex(self, v: Vertex) -> bool:
-        """Whether ``v`` is currently a host vertex."""
-        return v in self._out
-
     def has_host_edge(self, u: Vertex, v: Vertex) -> bool:
         """Whether ``(u, v)`` is currently a live host edge/arc."""
         return (u, v) in self._pos

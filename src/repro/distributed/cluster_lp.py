@@ -36,7 +36,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..distsim.runtime import communication_graph
 from ..errors import DistributedError
-from ..graph.graph import BaseGraph, DiGraph, Graph
+from ..graph.graph import BaseGraph, Graph
 from ..lp.cutting_plane import solve_with_cuts
 from ..registry import register_algorithm
 from ..rng import RandomLike, derive_rng, ensure_rng
@@ -48,7 +48,6 @@ from ..two_spanner.rounding import (
 )
 from .decomposition import (
     DEFAULT_P,
-    PaddedDecomposition,
     default_radius_cap,
     sample_padded_decomposition,
 )

@@ -26,21 +26,18 @@ flooding in the LOCAL simulator (taking ``R`` rounds, i.e. O(log n)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..distsim.node import NodeAlgorithm, NodeContext
 from ..distsim.runtime import SimulationResult, communication_graph, run_algorithm
 from ..errors import DistributedError
-from ..graph.csr import BFSBalls, resolve_method, snapshot
+from ..graph.csr import resolve_method, snapshot
 from ..graph.graph import BaseGraph, Graph
 from ..graph.paths import bfs_distances
 from ..rng import RandomLike, ensure_rng, geometric
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _np = None
 
 Vertex = Hashable
 
@@ -116,11 +113,9 @@ class PaddedDecomposition:
 def _claim_balls_csr(graph: Graph, order, radii) -> Dict[Vertex, Vertex]:
     """Ball computation + claiming on the CSR kernels.
 
-    Hop balls come from the compiled unit-weight limited SSSP when SciPy
-    is available (centers batched by radius), otherwise from the
-    generation-stamped :class:`~repro.graph.csr.BFSBalls` kernel. Ball
-    membership is exact either way, so the claimed assignment matches the
-    dict path vertex for vertex.
+    Hop balls come from the compiled unit-weight limited SSSP, centers
+    batched by radius. Ball membership is exact, so the claimed
+    assignment matches the dict path vertex for vertex.
     """
     snap = snapshot(graph)
     index = snap.index
@@ -129,31 +124,24 @@ def _claim_balls_csr(graph: Graph, order, radii) -> Dict[Vertex, Vertex]:
     order_idx = [index[v] for v in order]
     assignment_idx = [-1] * n
     kernels = snap.scipy_kernels()
-    if kernels is not None and _np is not None:
-        unit = _np.ones(len(snap.nbr))
-        radius_of = {index[v]: radii[v] for v in order}
-        # Walk the claim order in fixed-size chunks (batching each
-        # chunk's centers by radius for the compiled call) so peak
-        # memory stays O(chunk · n) instead of one row per center.
-        chunk_size = 64
-        for lo in range(0, len(order_idx), chunk_size):
-            chunk = order_idx[lo : lo + chunk_size]
-            by_radius: Dict[int, List[int]] = {}
-            for c in chunk:
-                by_radius.setdefault(radius_of[c], []).append(c)
-            members: Dict[int, List[int]] = {}
-            for radius, centers in by_radius.items():
-                rows = kernels.sssp_rows(centers, limit=float(radius), data=unit)
-                for k, c in enumerate(centers):
-                    members[c] = _np.nonzero(rows[k] <= radius)[0].tolist()
-            for c in chunk:
-                for v in members[c]:
-                    if assignment_idx[v] < 0:
-                        assignment_idx[v] = c
-    else:
-        balls = BFSBalls(snap)
-        for c in order_idx:
-            for v in balls.ball(c, radii[verts[c]]):
+    unit = np.ones(len(snap.nbr))
+    radius_of = {index[v]: radii[v] for v in order}
+    # Walk the claim order in fixed-size chunks (batching each chunk's
+    # centers by radius for the compiled call) so peak memory stays
+    # O(chunk · n) instead of one row per center.
+    chunk_size = 64
+    for lo in range(0, len(order_idx), chunk_size):
+        chunk = order_idx[lo : lo + chunk_size]
+        by_radius: Dict[int, List[int]] = {}
+        for c in chunk:
+            by_radius.setdefault(radius_of[c], []).append(c)
+        members: Dict[int, List[int]] = {}
+        for radius, centers in by_radius.items():
+            rows = kernels.sssp_rows(centers, limit=float(radius), data=unit)
+            for k, c in enumerate(centers):
+                members[c] = np.nonzero(rows[k] <= radius)[0].tolist()
+        for c in chunk:
+            for v in members[c]:
                 if assignment_idx[v] < 0:
                     assignment_idx[v] = c
     return {

@@ -25,7 +25,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from ..distsim.node import NodeAlgorithm, NodeContext
 from ..distsim.runtime import SimulationResult, run_algorithm
 from ..errors import DistributedError
-from ..graph.graph import BaseGraph, Graph
+from ..graph.graph import Graph
 from ..rng import RandomLike, ensure_rng
 
 Vertex = Hashable

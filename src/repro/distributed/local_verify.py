@@ -17,13 +17,12 @@ the output (or name the violated edges) without any central collection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Set, Tuple
 
 from ..distsim.node import NodeAlgorithm, NodeContext
 from ..distsim.runtime import SimulationResult, communication_graph, run_algorithm
 from ..errors import DistributedError
-from ..graph.graph import BaseGraph, Graph
+from ..graph.graph import BaseGraph
 from ..rng import RandomLike
 
 Vertex = Hashable

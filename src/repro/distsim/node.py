@@ -11,8 +11,7 @@ participating; the simulation ends when every node has halted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Tuple
 
 from ..errors import ProtocolViolation
 

@@ -13,16 +13,15 @@ indices:
 * cutoff / early-target Dijkstra (:meth:`CSRGraph.dijkstra_idx`),
 * labeled multi-source Dijkstra (:meth:`CSRGraph.multi_source_dijkstra_idx`),
   returning nearest-source owner + distance arrays — the Thorup–Zwick
-  level-distance / witness pass and cluster joining,
-* barrier-restricted Dijkstra (:meth:`CSRGraph.barrier_dijkstra_idx`) for
-  the TZ cluster trees ``C(w) = {v : d(w, v) < d(A_{i+1}, v)}``, and the
-  compiled batched equivalents in :class:`SciPyGraphKernels`,
-* batched BFS (:meth:`CSRGraph.bfs_idx`, :meth:`CSRGraph.batched_bfs_idx`)
-  and reusable truncated-radius BFS balls (:class:`BFSBalls`) for the
-  Lemma 3.7 padded-decomposition sampler,
+  witness pass,
+* hop-distance BFS (:meth:`CSRGraph.bfs_idx`),
+* compiled batched SSSP (:class:`SciPyGraphKernels`, SciPy's
+  ``csgraph.dijkstra``) for the TZ cluster trees
+  ``C(w) = {v : d(w, v) < d(A_{i+1}, v)}``, the oracle bunches, the CLPR
+  baseline and the Lemma 3.7 padded-decomposition balls,
 * survivor-mask subgraph views (:class:`SurvivorView`) that filter edges
-  in O(m) — via one vectorized NumPy pass when available — without ever
-  rebuilding an adjacency dict.
+  in O(m) — one vectorized NumPy pass — without ever rebuilding an
+  adjacency dict.
 
 Hot arrays are plain Python lists (CPython element access on lists beats
 NumPy scalar indexing inside interpreted loops); endpoint arrays are
@@ -42,20 +41,12 @@ import math
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+from scipy.sparse import csr_matrix as _sp_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
+
 from .graph import BaseGraph, DiGraph, Graph
 from .scenario import FaultScenario
-
-try:  # NumPy is part of the baked-in toolchain, but stay importable without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _np = None
-
-try:  # SciPy's compiled csgraph kernels back the batched-SSSP fast paths.
-    from scipy.sparse import csr_matrix as _sp_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _sp_csr_matrix = None
-    _sp_dijkstra = None
 
 Vertex = Hashable
 
@@ -171,9 +162,8 @@ class CSRGraph:
         snap.nbr = nbr
         snap.wt = wt
         snap.eid = eid
-        if _np is not None:
-            snap._edge_u_np = _np.asarray(edge_u, dtype=_np.int64)
-            snap._edge_v_np = _np.asarray(edge_v, dtype=_np.int64)
+        snap._edge_u_np = _np.asarray(edge_u, dtype=_np.int64)
+        snap._edge_v_np = _np.asarray(edge_v, dtype=_np.int64)
         return snap
 
     def to_graph(self) -> BaseGraph:
@@ -198,23 +188,14 @@ class CSRGraph:
         """Unique edge count (each undirected edge counted once)."""
         return len(self.edge_u)
 
-    def out_items(self, v: int) -> Iterable[Tuple[int, float]]:
-        """(neighbour index, weight) pairs of vertex index ``v``."""
-        nbr, wt = self.nbr, self.wt
-        for e in range(self.indptr[v], self.indptr[v + 1]):
-            yield nbr[e], wt[e]
-
     def half_arrays_np(self):
         """NumPy mirrors ``(indptr, nbr, wt, eid, deg)`` of the half-edge CSR.
 
-        Built lazily, cached on the snapshot. ``None`` when NumPy is
-        unavailable. Index mirrors are int32 (half the memory traffic of
-        the vectorized tree-extraction passes; a snapshot with 2³¹ half
-        edges would not fit in RAM anyway); ``indptr`` stays int64 for
-        offset arithmetic.
+        Built lazily, cached on the snapshot. Index mirrors are int32
+        (half the memory traffic of the vectorized tree-extraction passes;
+        a snapshot with 2³¹ half edges would not fit in RAM anyway);
+        ``indptr`` stays int64 for offset arithmetic.
         """
-        if _np is None:
-            return None
         if self._half_np is None:
             indptr = _np.asarray(self.indptr, dtype=_np.int64)
             self._half_np = (
@@ -226,19 +207,16 @@ class CSRGraph:
             )
         return self._half_np
 
-    def scipy_kernels(self) -> Optional["SciPyGraphKernels"]:
-        """Compiled batched-SSSP kernels for this snapshot, or ``None``.
+    def scipy_kernels(self) -> "SciPyGraphKernels":
+        """Compiled batched-SSSP kernels for this snapshot, cached on it.
 
-        ``None`` when SciPy/NumPy are missing or the snapshot is empty.
-        (csgraph honors explicitly-stored zero-weight edges, so zero
-        weights need no special casing.) Cached on the snapshot.
+        Callers skip empty hosts before they get here. (csgraph honors
+        explicitly-stored zero-weight edges, so zero weights need no
+        special casing.)
         """
         if self._sp_kernels is None:
-            if _sp_dijkstra is None or _np is None or self.num_vertices == 0:
-                self._sp_kernels = False
-            else:
-                self._sp_kernels = SciPyGraphKernels(self)
-        return self._sp_kernels or None
+            self._sp_kernels = SciPyGraphKernels(self)
+        return self._sp_kernels
 
     # ------------------------------------------------------------------
     # Index-space kernels
@@ -384,69 +362,6 @@ class CSRGraph:
                     push(heap, (nd, u))
         return dist, owner
 
-    def barrier_dijkstra_idx(
-        self,
-        source: int,
-        barrier: Optional[Sequence] = None,
-        mask: Optional[Sequence] = None,
-    ) -> Tuple[List[float], List[int], List[int], List[int]]:
-        """Dijkstra from ``source`` restricted by a per-vertex barrier.
-
-        A vertex ``u != source`` is only relaxed to a tentative distance
-        ``nd`` when ``nd < barrier[u]`` — the Thorup–Zwick cluster rule
-        ``C(w) = {v : d(w, v) < d(A_{i+1}, v)}`` with ``barrier`` the
-        distance-to-next-level array (``None`` = unrestricted, i.e. an
-        all-``inf`` barrier). The source is never barrier-checked,
-        matching the classical construction (``d(w, w) = 0``).
-
-        Returns ``(dist, parent, parent_eid, order)``: tentative
-        distances, shortest-path-tree parents (-1 = none), the edge id of
-        each parent link (-1 = none), and the settled vertex indices in
-        settle order. Only settled entries are meaningful; the tree edges
-        of the cluster are ``(parent[v], v)`` over ``order[1:]``.
-        """
-        n = len(self.verts)
-        dist = [INF] * n
-        parent = [-1] * n
-        parent_eid = [-1] * n
-        settled = [False] * n
-        order: List[int] = []
-        if mask is not None and not mask[source]:
-            return dist, parent, parent_eid, order
-        dist[source] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        indptr, nbr, wt, eid = self.indptr, self.nbr, self.wt, self.eid
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            d, v = pop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
-            order.append(v)
-            for e in range(indptr[v], indptr[v + 1]):
-                u = nbr[e]
-                if settled[u]:
-                    continue
-                if mask is not None and not mask[u]:
-                    continue
-                nd = d + wt[e]
-                if barrier is not None and nd >= barrier[u]:
-                    continue
-                if nd < dist[u]:
-                    dist[u] = nd
-                    parent[u] = v
-                    parent_eid[u] = eid[e]
-                    push(heap, (nd, u))
-                elif nd == dist[u] and v < parent[u]:
-                    # Canonical tie rule: among tight predecessors the
-                    # smallest vertex index wins. Defined by distances
-                    # alone, so every execution path (dict, list kernel,
-                    # compiled batched SSSP) extracts the same tree.
-                    parent[u] = v
-                    parent_eid[u] = eid[e]
-        return dist, parent, parent_eid, order
-
     def bfs_idx(
         self,
         source: int,
@@ -473,19 +388,6 @@ class CSRGraph:
                     queue.append(u)
         return dist
 
-    def batched_bfs_idx(
-        self,
-        sources: Iterable[int],
-        cutoff: Optional[int] = None,
-        mask: Optional[Sequence] = None,
-    ) -> Dict[int, List[int]]:
-        """Hop-distance arrays for several sources in one call.
-
-        The batch shares the CSR arrays (no per-source graph traversal
-        setup); used by diameter sweeps and the distributed simulators.
-        """
-        return {s: self.bfs_idx(s, cutoff=cutoff, mask=mask) for s in sources}
-
     # ------------------------------------------------------------------
     # Survivor masking
     # ------------------------------------------------------------------
@@ -493,19 +395,12 @@ class CSRGraph:
     def surviving_edge_ids(self, alive: Sequence) -> List[int]:
         """Edge ids whose *both* endpoints are alive under ``alive``.
 
-        O(m); vectorized through NumPy when available. ``alive`` may be a
-        list of bools or a NumPy bool array.
+        One vectorized O(m) pass. ``alive`` may be a list of bools or a
+        NumPy bool array.
         """
-        if _np is not None and self._edge_u_np is not None:
-            alive_np = _np.asarray(alive, dtype=bool)
-            ok = alive_np[self._edge_u_np] & alive_np[self._edge_v_np]
-            return _np.nonzero(ok)[0].tolist()
-        edge_u, edge_v = self.edge_u, self.edge_v
-        return [
-            e
-            for e in range(len(edge_u))
-            if alive[edge_u[e]] and alive[edge_v[e]]
-        ]
+        alive_np = _np.asarray(alive, dtype=bool)
+        ok = alive_np[self._edge_u_np] & alive_np[self._edge_v_np]
+        return _np.nonzero(ok)[0].tolist()
 
     def filter_edge_ids(self, ids, alive: Sequence):
         """Subsequence of edge ids ``ids`` surviving the mask, order kept.
@@ -513,15 +408,12 @@ class CSRGraph:
         This is the conversion loop's per-iteration work: ``ids`` is the
         weight-sorted id list, ``alive`` the survivor bitmask, and the
         result feeds the indexed greedy kernel directly. One vectorized
-        O(m) pass with NumPy; a plain comprehension otherwise.
+        O(m) pass.
         """
-        if _np is not None and self._edge_u_np is not None:
-            ids_np = _np.asarray(ids, dtype=_np.int64)
-            alive_np = _np.asarray(alive, dtype=bool)
-            ok = alive_np[self._edge_u_np[ids_np]] & alive_np[self._edge_v_np[ids_np]]
-            return ids_np[ok]
-        edge_u, edge_v = self.edge_u, self.edge_v
-        return [e for e in ids if alive[edge_u[e]] and alive[edge_v[e]]]
+        ids_np = _np.asarray(ids, dtype=_np.int64)
+        alive_np = _np.asarray(alive, dtype=bool)
+        ok = alive_np[self._edge_u_np[ids_np]] & alive_np[self._edge_v_np[ids_np]]
+        return ids_np[ok]
 
     def edge_id(self, u: Vertex, v: Vertex) -> int:
         """The edge id of ``(u, v)`` (orientation-free on undirected hosts).
@@ -673,7 +565,7 @@ class SurvivorView:
     an edge survives iff both endpoints are alive *and* its id is alive,
     so vertex- and edge-fault scenarios share this one view type.
     ``surviving_edge_ids`` / ``masked_weights`` are each computed lazily
-    once (one vectorized O(m) pass with NumPy).
+    once (one vectorized O(m) pass).
     """
 
     __slots__ = ("csr", "alive", "edge_alive", "scenario", "_edge_ids",
@@ -699,7 +591,7 @@ class SurvivorView:
 
     def alive_np(self):
         """NumPy bool mirror of the vertex mask (``None`` when unmasked)."""
-        if self.alive is None or _np is None:
+        if self.alive is None:
             return None
         if self._alive_np is None:
             self._alive_np = _np.asarray(self.alive, dtype=bool)
@@ -718,20 +610,12 @@ class SurvivorView:
                 self._edge_ids = list(range(csr.num_edges))
             elif self.edge_alive is None:
                 self._edge_ids = csr.surviving_edge_ids(self.alive)
-            elif _np is not None and csr._edge_u_np is not None:
+            else:
                 ok = _np.asarray(self.edge_alive, dtype=bool)
                 if self.alive is not None:
                     alive_np = self.alive_np()
                     ok = ok & alive_np[csr._edge_u_np] & alive_np[csr._edge_v_np]
                 self._edge_ids = _np.nonzero(ok)[0].tolist()
-            else:
-                alive, edge_alive = self.alive, self.edge_alive
-                edge_u, edge_v = csr.edge_u, csr.edge_v
-                self._edge_ids = [
-                    e for e in range(csr.num_edges)
-                    if edge_alive[e]
-                    and (alive is None or (alive[edge_u[e]] and alive[edge_v[e]]))
-                ]
         return self._edge_ids
 
     @property
@@ -750,25 +634,17 @@ class SurvivorView:
             return ids
         if self.edge_alive is None:
             return csr.filter_edge_ids(ids, self.alive)
-        if _np is not None and csr._edge_u_np is not None:
-            ids_np = _np.asarray(ids, dtype=_np.int64)
-            ok = _np.asarray(self.edge_alive, dtype=bool)[ids_np]
-            if self.alive is not None:
-                alive_np = self.alive_np()
-                ok = (ok & alive_np[csr._edge_u_np[ids_np]]
-                      & alive_np[csr._edge_v_np[ids_np]])
-            return ids_np[ok]
-        alive, edge_alive = self.alive, self.edge_alive
-        edge_u, edge_v = csr.edge_u, csr.edge_v
-        return [
-            e for e in ids
-            if edge_alive[e]
-            and (alive is None or (alive[edge_u[e]] and alive[edge_v[e]]))
-        ]
+        ids_np = _np.asarray(ids, dtype=_np.int64)
+        ok = _np.asarray(self.edge_alive, dtype=bool)[ids_np]
+        if self.alive is not None:
+            alive_np = self.alive_np()
+            ok = (ok & alive_np[csr._edge_u_np[ids_np]]
+                  & alive_np[csr._edge_v_np[ids_np]])
+        return ids_np[ok]
 
     def _half_ok(self):
         """NumPy bool per half-edge slot (``None`` = nothing masked)."""
-        if not self.is_masked or _np is None:
+        if not self.is_masked:
             return None
         if self._half_ok_np is None:
             csr = self.csr
@@ -790,7 +666,7 @@ class SurvivorView:
         """Half-edge weight vector with ``+inf`` on dead slots.
 
         ``None`` when the view is unmasked (callers then use the
-        snapshot's base weights) or NumPy is unavailable. An infinite
+        snapshot's base weights). An infinite
         edge can never lie on a finite shortest path, so handing this to
         :class:`SciPyGraphKernels` runs any distance pass on the
         survivor subgraph without touching the index arrays.
@@ -924,56 +800,6 @@ class SciPyGraphKernels:
                 _np.arange(self.csr.num_vertices, dtype=_np.int32), deg
             )
         return self._h_src
-
-
-class BFSBalls:
-    """Reusable truncated-radius BFS over one :class:`CSRGraph`.
-
-    The padded-decomposition sampler (Lemma 3.7) floods a hop-ball from
-    *every* vertex; allocating a fresh length-n distance array per source
-    would make that O(n²) regardless of ball size. This helper keeps
-    generation-stamped scratch arrays so each :meth:`ball` call costs
-    O(|ball| + edges(ball)) with no clears between calls.
-    """
-
-    __slots__ = ("csr", "_stamp", "_dist", "_gen")
-
-    def __init__(self, csr: CSRGraph):
-        self.csr = csr
-        n = csr.num_vertices
-        self._stamp = [0] * n
-        self._dist = [0] * n
-        self._gen = 0
-
-    def ball(self, source: int, radius: int) -> List[int]:
-        """Vertex indices within ``radius`` hops of ``source``, in BFS order.
-
-        Always contains ``source`` itself (radius 0 is the singleton).
-        """
-        self._gen += 1
-        gen = self._gen
-        stamp, dist = self._stamp, self._dist
-        stamp[source] = gen
-        dist[source] = 0
-        members = [source]
-        if radius <= 0:
-            return members
-        csr = self.csr
-        indptr, nbr = csr.indptr, csr.nbr
-        head = 0
-        while head < len(members):
-            v = members[head]
-            head += 1
-            d = dist[v]
-            if d >= radius:
-                continue
-            for e in range(indptr[v], indptr[v + 1]):
-                u = nbr[e]
-                if stamp[u] != gen:
-                    stamp[u] = gen
-                    dist[u] = d + 1
-                    members.append(u)
-        return members
 
 
 # ---------------------------------------------------------------------------

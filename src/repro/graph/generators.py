@@ -17,7 +17,6 @@ The generators cover:
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional, Tuple
 

@@ -14,7 +14,7 @@ the interface defined by :class:`BaseGraph`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Tuple
 
 from ..errors import EdgeNotFound, GraphError, NegativeWeightError, VertexNotFound
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..errors import DisconnectedError, VertexNotFound
 from .csr import maybe_snapshot
-from .graph import BaseGraph, DiGraph, Graph
+from .graph import BaseGraph
 
 Vertex = Hashable
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable
 
-from .graph import BaseGraph, DiGraph, Graph
-from .paths import bfs_distances, connected_components, dijkstra
+from .graph import BaseGraph, Graph
+from .paths import connected_components
 
 Vertex = Hashable
 

@@ -11,7 +11,7 @@ iterations does not perturb earlier iterations).
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import Union
 
 RandomLike = Union[int, random.Random, None]
 

@@ -67,10 +67,8 @@ from .workload import (
     ADD_EDGE,
     ADD_NODE,
     DEL_EDGE,
-    DEL_NODE,
     OP_TYPES,
     QUERY_DIST,
-    READ_NBRS,
     Operation,
 )
 

@@ -40,16 +40,13 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import InvalidStretch
 from ..graph.csr import resolve_method, snapshot
 from ..graph.graph import Graph
 from ..registry import register_algorithm
 from ..rng import RandomLike, ensure_rng
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _np = None
 
 Vertex = Hashable
 
@@ -163,10 +160,9 @@ def _baswana_sen_dict(graph: Graph, k: int, p: float, rng) -> Graph:
     return spanner
 
 
-def _group_reduce(np, values, head_pos, counts, neutral):
+def _group_min(values, head_pos, counts):
     """Min of ``values`` per contiguous group, expanded back per element."""
-    gmin = np.minimum.reduceat(values, head_pos)
-    return gmin, np.repeat(gmin, counts)
+    return np.repeat(np.minimum.reduceat(values, head_pos), counts)
 
 
 def _baswana_sen_csr(graph: Graph, k: int, p: float, rng) -> Graph:
@@ -179,7 +175,6 @@ def _baswana_sen_csr(graph: Graph, k: int, p: float, rng) -> Graph:
     buy/discard with boolean masks. No per-edge python. Output is pinned
     identical to the dict path.
     """
-    np = _np
     snap = snapshot(graph)
     n = snap.num_vertices
     m = snap.num_edges
@@ -216,8 +211,8 @@ def _baswana_sen_csr(graph: Graph, k: int, p: float, rng) -> Graph:
         Returns (joined vertices, joined centers).
         """
         s_nbr = sampled[nbr]
-        key = np.where(s_nbr, wt, _np.inf)
-        jw = _per_vertex_min(key, _np.inf, np.float64)
+        key = np.where(s_nbr, wt, np.inf)
+        jw = _per_vertex_min(key, np.inf, np.float64)
         jw_rep = np.repeat(jw, deg)
         jtie = s_nbr & (key == jw_rep)
         ju = _per_vertex_min(np.where(jtie, nbr, np.int32(n)), n, np.int32)
@@ -276,7 +271,7 @@ def _baswana_sen_csr(graph: Graph, k: int, p: float, rng) -> Graph:
         else:
             pack_of_bucket, buckets = np.unique(pack, return_inverse=True)
             nbuckets = len(pack_of_bucket)
-        buf_w = np.full(nbuckets, _np.inf)
+        buf_w = np.full(nbuckets, np.inf)
         np.minimum.at(buf_w, buckets, wt)
         tie = wt == buf_w[buckets]
         buf_u = np.full(nbuckets, np.int32(n), dtype=np.int32)
@@ -286,7 +281,7 @@ def _baswana_sen_csr(graph: Graph, k: int, p: float, rng) -> Graph:
         buf_e = np.empty(nbuckets, dtype=np.int32)
         buf_e[buckets[exact]] = eid[exact]
         if pack_of_bucket is None:
-            buf_w[sentinel_pack] = _np.inf
+            buf_w[sentinel_pack] = np.inf
             gid = np.nonzero(np.isfinite(buf_w[:-1]))[0]
             gpack = gid
         else:
@@ -309,11 +304,11 @@ def _baswana_sen_csr(graph: Graph, k: int, p: float, rng) -> Graph:
             vhead_pos = np.nonzero(vheads)[0]
             vcounts = np.diff(np.append(vhead_pos, len(g_src)))
             s_ok = sampled[g_clu]
-            jw_key = np.where(s_ok, g_w, _np.inf)
-            _jw, x_jw = _group_reduce(np, jw_key, vhead_pos, vcounts, None)
+            jw_key = np.where(s_ok, g_w, np.inf)
+            x_jw = _group_min(jw_key, vhead_pos, vcounts)
             jtie = s_ok & (g_w == x_jw)
             jc_key = np.where(jtie, g_clu, n64)
-            _jc, x_jc = _group_reduce(np, jc_key, vhead_pos, vcounts, None)
+            x_jc = _group_min(jc_key, vhead_pos, vcounts)
             has_join = np.isfinite(x_jw)
             bought = ~has_join | (g_clu == x_jc) | (g_w < x_jw)
             joined = has_join & (g_clu == x_jc)
@@ -371,8 +366,7 @@ def baswana_sen_spanner(
     method:
         ``"auto"`` (default), ``"csr"``, or ``"dict"`` — see
         :func:`repro.graph.csr.resolve_method`. Both paths produce the
-        same spanner for a fixed seed; without NumPy the dict path always
-        runs.
+        same spanner for a fixed seed.
     """
     if graph.directed:
         raise InvalidStretch("Baswana-Sen requires an undirected graph")
@@ -386,7 +380,7 @@ def baswana_sen_spanner(
     if n == 0:
         return Graph()
     p = sample_probability if sample_probability is not None else n ** (-1.0 / k)
-    if resolved == "csr" and _np is not None:
+    if resolved == "csr":
         return _baswana_sen_csr(graph, k, p, rng)
     return _baswana_sen_dict(graph, k, p, rng)
 

@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import InvalidStretch
 from ..graph.csr import resolve_method, snapshot
 from ..graph.graph import BaseGraph
@@ -51,11 +53,6 @@ from .thorup_zwick import (
     _vertex_order,
     sample_hierarchy,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _np = None
 
 Vertex = Hashable
 
@@ -173,7 +170,6 @@ def _build_oracle_csr(
     graph: BaseGraph, t: int, vertices: List[Vertex], levels
 ) -> DistanceOracle:
     """CSR path: kernel witness passes + compiled batched bunch searches."""
-    np = _np
     snap = snapshot(graph)
     kernels = snap.scipy_kernels()
     index = snap.index
@@ -250,8 +246,8 @@ def build_distance_oracle(
     """Preprocess a TZ distance oracle of stretch ``2t - 1``.
 
     ``method`` follows :func:`repro.graph.csr.resolve_method`; both paths
-    build identical oracles for a fixed seed (directed graphs and
-    kernel-less environments always take the dict path).
+    build identical oracles for a fixed seed (``"auto"`` runs directed
+    graphs on the dict path).
     """
     if t < 1:
         raise InvalidStretch(f"hierarchy depth t must be >= 1, got {t}")
@@ -272,9 +268,7 @@ def build_distance_oracle(
         directed=graph.directed, directed_csr=False,
     )
     if resolved == "csr" and vertices:
-        snap = snapshot(graph)
-        if snap.scipy_kernels() is not None:
-            return _build_oracle_csr(graph, t, vertices, levels)
+        return _build_oracle_csr(graph, t, vertices, levels)
     return _build_oracle_dict(graph, t, vertices, levels)
 
 

@@ -56,16 +56,13 @@ import heapq
 import math
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import InvalidStretch
 from ..graph.csr import multi_arange, resolve_method, snapshot
 from ..graph.graph import BaseGraph
 from ..registry import register_algorithm
 from ..rng import RandomLike, ensure_rng
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _np = None
 
 Vertex = Hashable
 
@@ -122,7 +119,7 @@ def sample_hierarchy(
     iteration order — so a fixed seed reproduces the hierarchy across
     processes and across the csr/dict execution paths.
     """
-    n = len(vertices)
+    n = max(len(vertices), 1)  # an empty host draws nothing; 0 ** -x raises
     p = sample_probability if sample_probability is not None else n ** (-1.0 / t)
     levels: List[Set[Vertex]] = [set(vertices)]
     for _ in range(1, t):
@@ -317,7 +314,7 @@ def _thorup_zwick_dict(
 _CHUNK = 48
 
 
-def _select_parents(np, encoded, counts):
+def _select_parents(encoded, counts):
     """Min encoded parent per contiguous (child) group; sentinel = none.
 
     ``reduceat`` cannot express empty groups (a start equal to ``len``
@@ -351,7 +348,6 @@ def _extract_restricted(
     priming potentials (they differ only under fault masking, where
     unreachable vertices prime as 0 but can never pass any test).
     """
-    np = _np
     indptr, nbr, wt, eid, deg = snap.half_arrays_np()
     n = snap.num_vertices
     child_chunks = []
@@ -393,7 +389,7 @@ def _extract_restricted(
     m1 = snap.num_edges + 1
     sentinel = np.iinfo(np.int64).max
     encoded = np.where(tight, h_nbr.astype(np.int64) * m1 + h_eid, sentinel)
-    gmin = _select_parents(np, encoded, counts)
+    gmin = _select_parents(encoded, counts)
     ok = gmin < sentinel
     chosen.update((gmin[ok] % m1).tolist())
     if not bool(ok.all()):
@@ -413,7 +409,6 @@ def _extract_unrestricted(snap, chosen, centers, rows) -> None:
     is the whole half-edge array: no member gather is needed and the
     group boundaries are the CSR ``indptr`` itself.
     """
-    np = _np
     indptr, nbr, wt, eid, deg = snap.half_arrays_np()
     m1 = snap.num_edges + 1
     sentinel = np.iinfo(np.int64).max
@@ -425,7 +420,7 @@ def _extract_unrestricted(snap, chosen, centers, rows) -> None:
         tight = h_dist_nbr + wt == h_dist_child
         tight &= h_dist_nbr < h_dist_child
         encoded = np.where(tight, enc_base, sentinel)
-        gmin = _select_parents(np, encoded, deg)
+        gmin = _select_parents(encoded, deg)
         ok = gmin < sentinel
         # Unreachable vertices and the center legitimately lack parents.
         reachable = np.isfinite(dist)
@@ -457,7 +452,6 @@ def _level_tree_eids_scipy(
     vertices never pass any membership or tightness test because their
     distances are ``inf`` on every path.
     """
-    np = _np
     if phi_np is not None:
         finite = np.isfinite(phi_np) if alive_np is None else (
             np.isfinite(phi_np) | ~alive_np
@@ -573,8 +567,8 @@ def thorup_zwick_spanner(
     method:
         ``"auto"`` (default), ``"csr"``, or ``"dict"`` — see
         :func:`repro.graph.csr.resolve_method`. Both paths produce the
-        same spanner for a fixed seed. Directed graphs and environments
-        without the compiled kernels always use the dict path.
+        same spanner for a fixed seed. ``"auto"`` runs directed graphs on
+        the dict path.
     """
     if t < 1:
         raise InvalidStretch(f"hierarchy depth t must be >= 1, got {t}")
@@ -592,9 +586,7 @@ def thorup_zwick_spanner(
 
     levels = sample_hierarchy(vertices, t, rng, sample_probability)
     if resolved == "csr":
-        snap = snapshot(graph)
-        if snap.scipy_kernels() is not None:
-            return _thorup_zwick_csr(graph, t, vertices, levels)
+        return _thorup_zwick_csr(graph, t, vertices, levels)
     return _thorup_zwick_dict(graph, t, vertices, levels)
 
 

@@ -11,7 +11,7 @@ routine both exploit this.
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Tuple
 
 from ..graph.graph import BaseGraph
 from ..graph.paths import dijkstra, distance_at_most

@@ -15,9 +15,8 @@ stays flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable
 
-from ..errors import LPError
 from ..graph.graph import BaseGraph
 from ..registry import register_algorithm
 from ..rng import RandomLike

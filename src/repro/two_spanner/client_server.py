@@ -23,7 +23,7 @@ module implements that generalization end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from ..errors import FaultToleranceError, LPError
 from ..graph.graph import BaseGraph
@@ -31,7 +31,7 @@ from ..lp.cutting_plane import solve_with_cuts
 from ..lp.model import GREATER_EQUAL, LESS_EQUAL, LinearProgram
 from ..rng import RandomLike, derive_rng, ensure_rng
 from .lp_new import FT2SpannerLP, f_var, knapsack_cover_oracle, x_var
-from .paths2 import all_two_paths, canonical_edge_map, two_path_midpoints
+from .paths2 import canonical_edge_map, two_path_midpoints
 from .rounding import alpha_log_n, draw_thresholds
 
 Vertex = Hashable

@@ -8,9 +8,8 @@ at larger scale use the LP optimum as the lower bound instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from ..errors import FaultToleranceError
 from ..graph.graph import BaseGraph

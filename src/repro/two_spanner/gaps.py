@@ -37,9 +37,13 @@ class CompleteGraphGap:
 
     @property
     def gap_lower_bound(self) -> float:
-        """Certified integrality gap: integral LB over LP value."""
+        """Certified integrality gap: integral LB over LP value.
+
+        On ``K_1`` both are 0 and the empty spanner is optimal at the LP's
+        cost, so the gap is 1; it is ``inf`` only when the LP alone is 0.
+        """
         if self.lp_value <= 0:
-            return math.inf
+            return 1.0 if self.integral_lower_bound <= 0 else math.inf
         return self.integral_lower_bound / self.lp_value
 
 

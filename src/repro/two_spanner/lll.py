@@ -19,9 +19,8 @@ thresholds avoiding every event in expected polynomial time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import RoundingError
 from ..graph.graph import BaseGraph

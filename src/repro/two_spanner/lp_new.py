@@ -62,9 +62,6 @@ class FT2SpannerLP:
     r: int
     two_paths: Dict[EdgeKey, List[Vertex]]
 
-    def edge_keys(self) -> List[EdgeKey]:
-        return list(self.two_paths.keys())
-
     def x_values(self, solution: LPSolution) -> Dict[EdgeKey, float]:
         """Extract the edge purchase values from a solution."""
         return {

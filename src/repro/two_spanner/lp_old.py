@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.verify import count_fault_sets, fault_sets
 from ..errors import LPError

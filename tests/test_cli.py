@@ -320,6 +320,30 @@ class TestSweep:
             0, 1, 0, 1, 0, 1
         ]
 
+    def test_include_spanner_reaches_the_json_document(
+        self, plan_path, tmp_path, capsys
+    ):
+        shard_dir = str(tmp_path / "shards")
+        assert main(["sweep", plan_path, "--workers", "1", "--include-spanner",
+                     "--reports-dir", shard_dir, "--json"]) == 0
+        swept = capsys.readouterr().out
+        with open(f"{shard_dir}/shard-0.json", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        spanners = [r["spanner"] for r in json.loads(swept)["reports"]]
+        assert spanners == [r["spanner"] for r in envelope["reports"]]
+        assert all(s["edges"] for s in spanners)
+        # merge of those envelopes and a scheduled run print the same bytes.
+        assert main(["merge", shard_dir, "--json"]) == 0
+        assert capsys.readouterr().out == swept
+        assert main(["sweep", plan_path, "--scheduler", str(tmp_path / "sched"),
+                     "--shards", "2", "--workers", "1", "--include-spanner",
+                     "--json"]) == 0
+        assert capsys.readouterr().out == swept
+        # Without the flag no report carries one.
+        assert main(["sweep", plan_path, "--workers", "1", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert not any("spanner" in r for r in doc["reports"])
+
     def test_merge_of_partial_shards_fails_cleanly(
         self, plan_path, tmp_path, capsys
     ):

@@ -174,13 +174,6 @@ class TestDijkstraEquivalence:
             if owner[i] >= 0:
                 assert per_source[owner[i]][i] == dist[i]
 
-    def test_batched_bfs_matches_single(self):
-        g = random_graph(13)
-        snap = csr_snapshot(g)
-        batch = snap.batched_bfs_idx([0, 1, 2], cutoff=3)
-        for s, arr in batch.items():
-            assert arr == snap.bfs_idx(s, cutoff=3)
-
 
 class TestSurvivorView:
     @settings(max_examples=15, deadline=None)

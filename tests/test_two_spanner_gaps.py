@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -37,6 +38,15 @@ class TestCompleteGraphGap:
                 assert not math.isnan(gap.exact_opt)
                 assert gap.exact_opt >= gap.integral_lower_bound - 1e-9, (n, r)
                 assert gap.gap_lower_bound <= gap.exact_opt / gap.lp_value + 1e-9
+
+    def test_k1_gap_is_one(self):
+        """K_1 has no arcs: LP, integral bound and optimum are all 0."""
+        for r in (0, 1, 2):
+            gap = old_lp_gap_on_complete_graph(1, r, solve_exact=True)
+            assert gap.lp_value == gap.integral_lower_bound == gap.exact_opt == 0
+            assert gap.gap_lower_bound == 1.0
+        only_lp_zero = dataclasses.replace(gap, integral_lower_bound=2)
+        assert only_lp_zero.gap_lower_bound == math.inf
 
 
 class TestGadgetGap:
