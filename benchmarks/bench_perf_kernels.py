@@ -707,7 +707,7 @@ def _assert_headline(rows) -> None:
     # PR 2 headline kernels: the clustering spanners at n = 400.
     assert by_name["thorup_zwick"]["speedup"] >= MIN_HEADLINE_SPEEDUP
     assert by_name["baswana_sen"]["speedup"] >= MIN_HEADLINE_SPEEDUP
-    # Zero-copy fault scenarios: the edge-fault conversion loop must
+    # Zero-copy survivor masks: the edge-fault conversion loop must
     # beat the materialized-subgraph reference by 3x at full size.
     assert by_name["theorem21_edge_loop"]["speedup"] >= 3.0
     # The remaining rewired paths must at least never lose to dict.

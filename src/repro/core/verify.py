@@ -255,12 +255,17 @@ def _first_violation(
 
     The one driver behind every exhaustive and Monte Carlo entry point,
     for both kinds. The candidates are the ``scenarios`` when given;
-    else ``trials`` random sets, each a size drawn uniformly from
-    ``{0, ..., r}`` (capped at the unit count) and then a uniform subset
-    of that size; else every set of at most ``r`` units.
+    else ``trials`` (at least 1) random sets, each a size drawn uniformly
+    from ``{0, ..., r}`` (capped at the unit count) and then a uniform
+    subset of that size; else every set of at most ``r`` units.
     """
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")
+    if trials is not None and trials < 1:
+        raise FaultToleranceError(
+            f"trials must be >= 1, got {trials}: no sampled fault set "
+            "would be checked"
+        )
     units = _fault_units(graph, kind)
     if scenarios is not None:
         if kind == "vertex":

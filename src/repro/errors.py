@@ -48,10 +48,6 @@ class NegativeWeightError(GraphError):
     """An edge weight is negative where nonnegative weights are required."""
 
 
-class DisconnectedError(GraphError):
-    """No path exists between two vertices where one was required."""
-
-
 class SpannerError(ReproError):
     """Errors raised by spanner construction algorithms."""
 

@@ -19,9 +19,10 @@ indices:
   ``csgraph.dijkstra``) for the TZ cluster trees
   ``C(w) = {v : d(w, v) < d(A_{i+1}, v)}``, the oracle bunches, the CLPR
   baseline and the Lemma 3.7 padded-decomposition balls,
-* survivor-mask subgraph views (:class:`SurvivorView`) that filter edges
-  in O(m) — one vectorized NumPy pass — without ever rebuilding an
-  adjacency dict.
+* survivor-mask views ``G \\ J`` (:class:`SurvivorView`): a surviving
+  edge-id filter for the greedy kernels and an ``inf``-masked weight
+  vector for the SciPy ones, each one vectorized O(m) NumPy pass —
+  no adjacency dict is rebuilt.
 
 Hot arrays are plain Python lists (CPython element access on lists beats
 NumPy scalar indexing inside interpreted loops); endpoint arrays are
@@ -46,7 +47,6 @@ from scipy.sparse import csr_matrix as _sp_csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .graph import BaseGraph, DiGraph, Graph
-from .scenario import FaultScenario
 
 Vertex = Hashable
 
@@ -102,7 +102,7 @@ class CSRGraph:
         self._half_np = None
         self._sp_kernels = None
         #: Lazy ``(u_idx, v_idx) -> edge id`` table (undirected pairs are
-        #: normalized) for translating :class:`FaultScenario` edge lists.
+        #: normalized) behind :meth:`edge_id`.
         self._uv_eid = None
 
     # ------------------------------------------------------------------
@@ -166,15 +166,6 @@ class CSRGraph:
         snap._edge_v_np = _np.asarray(edge_v, dtype=_np.int64)
         return snap
 
-    def to_graph(self) -> BaseGraph:
-        """Materialize back into a dict graph (inverse of :meth:`from_graph`)."""
-        g: BaseGraph = DiGraph() if self.directed else Graph()
-        g.add_vertices(self.verts)
-        verts = self.verts
-        for ui, vi, w in zip(self.edge_u, self.edge_v, self.edge_w):
-            g.add_edge(verts[ui], verts[vi], w)
-        return g
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -222,19 +213,16 @@ class CSRGraph:
     # Index-space kernels
     # ------------------------------------------------------------------
     #
-    # All kernels accept an optional ``mask``: a length-n indexable of
-    # truthy/falsy values; vertices with a falsy entry are treated as
-    # deleted (the paper's G \ J survivor view). Distances use lists with
-    # inf / -1 sentinels instead of dicts — the arrays double as the
-    # settled-check that lets the heap carry bare (dist, index) pairs with
-    # lazy deletion, no per-push tie-break counter needed.
+    # Distances use lists with inf / -1 sentinels instead of dicts — the
+    # arrays double as the settled-check that lets the heap carry bare
+    # (dist, index) pairs with lazy deletion, no per-push tie-break
+    # counter needed.
 
     def dijkstra_idx(
         self,
         source: int,
         cutoff: Optional[float] = None,
         target: int = -1,
-        mask: Optional[Sequence] = None,
     ) -> Tuple[List[float], List[int]]:
         """Array Dijkstra from vertex index ``source``.
 
@@ -250,8 +238,6 @@ class CSRGraph:
         dist = [INF] * n
         settled = [False] * n
         order: List[int] = []
-        if mask is not None and not mask[source]:
-            return dist, order
         dist[source] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, source)]
         indptr, nbr, wt = self.indptr, self.nbr, self.wt
@@ -269,57 +255,14 @@ class CSRGraph:
                 u = nbr[e]
                 if settled[u]:
                     continue
-                if mask is not None and not mask[u]:
-                    continue
                 nd = d + wt[e]
                 if nd < dist[u] and (cutoff is None or nd <= cutoff):
                     dist[u] = nd
                     push(heap, (nd, u))
         return dist, order
 
-    def dijkstra_parents_idx(
-        self,
-        source: int,
-        cutoff: Optional[float] = None,
-        mask: Optional[Sequence] = None,
-    ) -> Tuple[List[float], List[int], List[int]]:
-        """Like :meth:`dijkstra_idx` but also returns a parent array (-1 = none)."""
-        n = len(self.verts)
-        dist = [INF] * n
-        parent = [-1] * n
-        settled = [False] * n
-        order: List[int] = []
-        if mask is not None and not mask[source]:
-            return dist, parent, order
-        dist[source] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        indptr, nbr, wt = self.indptr, self.nbr, self.wt
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            d, v = pop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
-            order.append(v)
-            for e in range(indptr[v], indptr[v + 1]):
-                u = nbr[e]
-                if settled[u]:
-                    continue
-                if mask is not None and not mask[u]:
-                    continue
-                nd = d + wt[e]
-                if nd < dist[u] and (cutoff is None or nd <= cutoff):
-                    dist[u] = nd
-                    parent[u] = v
-                    push(heap, (nd, u))
-        return dist, parent, order
-
     def multi_source_dijkstra_idx(
-        self,
-        sources: Iterable[int],
-        cutoff: Optional[float] = None,
-        mask: Optional[Sequence] = None,
+        self, sources: Iterable[int]
     ) -> Tuple[List[float], List[int]]:
         """Distances to the nearest of ``sources`` plus the owning source.
 
@@ -333,8 +276,6 @@ class CSRGraph:
         settled = [False] * n
         heap: List[Tuple[float, int]] = []
         for s in sources:
-            if mask is not None and not mask[s]:
-                continue
             if dist[s] > 0.0:
                 dist[s] = 0.0
                 owner[s] = s
@@ -353,26 +294,17 @@ class CSRGraph:
                 u = nbr[e]
                 if settled[u]:
                     continue
-                if mask is not None and not mask[u]:
-                    continue
                 nd = d + wt[e]
-                if nd < dist[u] and (cutoff is None or nd <= cutoff):
+                if nd < dist[u]:
                     dist[u] = nd
                     owner[u] = own
                     push(heap, (nd, u))
         return dist, owner
 
-    def bfs_idx(
-        self,
-        source: int,
-        cutoff: Optional[int] = None,
-        mask: Optional[Sequence] = None,
-    ) -> List[int]:
+    def bfs_idx(self, source: int, cutoff: Optional[int] = None) -> List[int]:
         """Hop distances from vertex index ``source`` (-1 = unreached)."""
         n = len(self.verts)
         dist = [-1] * n
-        if mask is not None and not mask[source]:
-            return dist
         dist[source] = 0
         queue = deque([source])
         indptr, nbr = self.indptr, self.nbr
@@ -383,7 +315,7 @@ class CSRGraph:
                 continue
             for e in range(indptr[v], indptr[v + 1]):
                 u = nbr[e]
-                if dist[u] < 0 and (mask is None or mask[u]):
+                if dist[u] < 0:
                     dist[u] = d + 1
                     queue.append(u)
         return dist
@@ -391,29 +323,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Survivor masking
     # ------------------------------------------------------------------
-
-    def surviving_edge_ids(self, alive: Sequence) -> List[int]:
-        """Edge ids whose *both* endpoints are alive under ``alive``.
-
-        One vectorized O(m) pass. ``alive`` may be a list of bools or a
-        NumPy bool array.
-        """
-        alive_np = _np.asarray(alive, dtype=bool)
-        ok = alive_np[self._edge_u_np] & alive_np[self._edge_v_np]
-        return _np.nonzero(ok)[0].tolist()
-
-    def filter_edge_ids(self, ids, alive: Sequence):
-        """Subsequence of edge ids ``ids`` surviving the mask, order kept.
-
-        This is the conversion loop's per-iteration work: ``ids`` is the
-        weight-sorted id list, ``alive`` the survivor bitmask, and the
-        result feeds the indexed greedy kernel directly. One vectorized
-        O(m) pass.
-        """
-        ids_np = _np.asarray(ids, dtype=_np.int64)
-        alive_np = _np.asarray(alive, dtype=bool)
-        ok = alive_np[self._edge_u_np[ids_np]] & alive_np[self._edge_v_np[ids_np]]
-        return ids_np[ok]
 
     def edge_id(self, u: Vertex, v: Vertex) -> int:
         """The edge id of ``(u, v)`` (orientation-free on undirected hosts).
@@ -436,47 +345,18 @@ class CSRGraph:
             ui, vi = vi, ui
         return self._uv_eid[(ui, vi)]
 
-    def scenario_masks(self, scenario: FaultScenario):
-        """Translate a :class:`FaultScenario` into ``(alive, edge_alive)``.
-
-        Either mask is ``None`` when that axis is unmasked. Unknown
-        vertices/edges raise ``KeyError`` — a scenario must refer to the
-        host it was drawn from.
-        """
-        alive = None
-        edge_alive = None
-        if scenario.vertices:
-            alive = [True] * self.num_vertices
-            index = self.index
-            for v in scenario.vertices:
-                alive[index[v]] = False
-        if scenario.edges:
-            edge_alive = [True] * self.num_edges
-            for u, v in scenario.edges:
-                edge_alive[self.edge_id(u, v)] = False
-        return alive, edge_alive
-
     def survivor_view(
-        self, alive=None, *, edge_alive: Optional[Sequence] = None
+        self, alive: Optional[Sequence] = None, *,
+        edge_alive: Optional[Sequence] = None,
     ) -> "SurvivorView":
         """O(m) masked view ``G \\ J`` — no arrays copied, no dict rebuilt.
 
-        ``alive`` is a length-n vertex survivor mask, a
-        :class:`FaultScenario` (translated via :meth:`scenario_masks`),
-        or ``None`` (all vertices alive). ``edge_alive`` is an optional
-        per-edge-id survivor mask, letting vertex- and edge-fault
-        pipelines share one view type.
+        ``alive`` is a length-n vertex survivor mask, or ``None`` (all
+        vertices alive). ``edge_alive`` is an optional per-edge-id
+        survivor mask, letting vertex- and edge-fault pipelines share
+        one view type.
         """
-        scenario = None
-        if isinstance(alive, FaultScenario):
-            if edge_alive is not None:
-                raise ValueError(
-                    "pass either a FaultScenario or explicit masks, not both"
-                )
-            scenario = alive
-            alive, edge_alive = self.scenario_masks(scenario)
-        return SurvivorView(self, alive, edge_alive=edge_alive,
-                            scenario=scenario)
+        return SurvivorView(self, alive, edge_alive=edge_alive)
 
     def materialize_edge_ids(self, ids: Iterable[int]) -> BaseGraph:
         """Spanning subgraph holding exactly the edges in ``ids``.
@@ -532,21 +412,6 @@ class CSRGraph:
         verts = self.verts
         return {verts[i]: dist[i] for i in order}
 
-    def dijkstra_with_paths_dict(
-        self, source: Vertex, cutoff: Optional[float] = None
-    ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]:
-        """Dict-compatible (distances, shortest-path-tree parents)."""
-        src = self.index[source]
-        dist, parent, order = self.dijkstra_parents_idx(src, cutoff=cutoff)
-        verts = self.verts
-        dist_d: Dict[Vertex, float] = {}
-        parent_d: Dict[Vertex, Vertex] = {}
-        for i in order:
-            dist_d[verts[i]] = dist[i]
-            if parent[i] >= 0:
-                parent_d[verts[i]] = verts[parent[i]]
-        return dist_d, parent_d
-
     def bfs_dict(
         self, source: Vertex, cutoff: Optional[int] = None
     ) -> Dict[Vertex, int]:
@@ -559,27 +424,24 @@ class CSRGraph:
 class SurvivorView:
     """A ``G \\ J`` view over a :class:`CSRGraph` defined by survivor masks.
 
-    No arrays are copied: kernels run on the parent CSR with the masks
-    applied per relaxation. ``alive`` masks vertices (``None`` = all
-    alive); ``edge_alive`` masks unique edge ids (``None`` = all alive) —
-    an edge survives iff both endpoints are alive *and* its id is alive,
-    so vertex- and edge-fault scenarios share this one view type.
-    ``surviving_edge_ids`` / ``masked_weights`` are each computed lazily
-    once (one vectorized O(m) pass).
+    No arrays are copied: the masks filter edge-id lists
+    (:meth:`filter_edge_ids`) or set dead half-edges to ``+inf`` in one
+    weight vector over the parent CSR's index arrays
+    (:meth:`masked_weights`, computed lazily once). ``alive`` masks
+    vertices (``None`` = all alive); ``edge_alive`` masks unique edge ids
+    (``None`` = all alive) — an edge survives iff both endpoints are
+    alive *and* its id is alive, so vertex- and edge-fault scenarios
+    share this one view type.
     """
 
-    __slots__ = ("csr", "alive", "edge_alive", "scenario", "_edge_ids",
-                 "_alive_np", "_half_ok_np", "_masked_wt")
+    __slots__ = ("csr", "alive", "edge_alive", "_alive_np", "_half_ok_np",
+                 "_masked_wt")
 
     def __init__(self, csr: CSRGraph, alive: Optional[Sequence] = None,
-                 edge_alive: Optional[Sequence] = None, scenario=None):
+                 edge_alive: Optional[Sequence] = None):
         self.csr = csr
         self.alive = alive
         self.edge_alive = edge_alive
-        #: The :class:`FaultScenario` this view was built from, if any
-        #: (provenance only — the masks are authoritative).
-        self.scenario = scenario
-        self._edge_ids: Optional[List[int]] = None
         self._alive_np = None
         self._half_ok_np = None
         self._masked_wt = None
@@ -597,49 +459,23 @@ class SurvivorView:
             self._alive_np = _np.asarray(self.alive, dtype=bool)
         return self._alive_np
 
-    @property
-    def num_surviving_vertices(self) -> int:
-        if self.alive is None:
-            return self.csr.num_vertices
-        return sum(1 for a in self.alive if a)
-
-    def surviving_edge_ids(self) -> List[int]:
-        if self._edge_ids is None:
-            csr = self.csr
-            if self.alive is None and self.edge_alive is None:
-                self._edge_ids = list(range(csr.num_edges))
-            elif self.edge_alive is None:
-                self._edge_ids = csr.surviving_edge_ids(self.alive)
-            else:
-                ok = _np.asarray(self.edge_alive, dtype=bool)
-                if self.alive is not None:
-                    alive_np = self.alive_np()
-                    ok = ok & alive_np[csr._edge_u_np] & alive_np[csr._edge_v_np]
-                self._edge_ids = _np.nonzero(ok)[0].tolist()
-        return self._edge_ids
-
-    @property
-    def num_surviving_edges(self) -> int:
-        return len(self.surviving_edge_ids())
-
     def filter_edge_ids(self, ids):
         """Subsequence of edge ids ``ids`` surviving both masks, order kept.
 
         The per-iteration work of the conversion loops: ``ids`` is a
         precomputed (e.g. weight-sorted) id list and the result feeds the
-        indexed greedy kernel directly.
+        indexed greedy kernel directly. One vectorized O(m) pass.
         """
-        csr = self.csr
-        if self.alive is None and self.edge_alive is None:
+        if not self.is_masked:
             return ids
-        if self.edge_alive is None:
-            return csr.filter_edge_ids(ids, self.alive)
+        csr = self.csr
         ids_np = _np.asarray(ids, dtype=_np.int64)
-        ok = _np.asarray(self.edge_alive, dtype=bool)[ids_np]
+        ok = True
         if self.alive is not None:
             alive_np = self.alive_np()
-            ok = (ok & alive_np[csr._edge_u_np[ids_np]]
-                  & alive_np[csr._edge_v_np[ids_np]])
+            ok = alive_np[csr._edge_u_np[ids_np]] & alive_np[csr._edge_v_np[ids_np]]
+        if self.edge_alive is not None:
+            ok = ok & _np.asarray(self.edge_alive, dtype=bool)[ids_np]
         return ids_np[ok]
 
     def _half_ok(self):
@@ -680,44 +516,6 @@ class SurvivorView:
             data[~ok] = _np.inf
             self._masked_wt = data
         return self._masked_wt
-
-    def dijkstra_idx(self, source: int, cutoff=None, target: int = -1):
-        if self.edge_alive is not None:
-            raise ValueError(
-                "dijkstra_idx on an edge-masked view is not supported; "
-                "use masked_weights() with the SciPy kernels"
-            )
-        return self.csr.dijkstra_idx(
-            source, cutoff=cutoff, target=target, mask=self.alive
-        )
-
-    def bfs_idx(self, source: int, cutoff=None):
-        if self.edge_alive is not None:
-            raise ValueError(
-                "bfs_idx on an edge-masked view is not supported; "
-                "use masked_weights() with the SciPy kernels"
-            )
-        return self.csr.bfs_idx(source, cutoff=cutoff, mask=self.alive)
-
-    def to_graph(self) -> BaseGraph:
-        """Materialize the surviving subgraph as a dict graph.
-
-        With a vertex mask, dead vertices are dropped (the induced
-        subgraph ``G \\ J``); with only an edge mask, every vertex is
-        retained — matching ``BaseGraph.edge_subgraph``, since a spanner
-        must span every vertex.
-        """
-        csr = self.csr
-        g: BaseGraph = DiGraph() if csr.directed else Graph()
-        alive = self.alive
-        if alive is None:
-            g.add_vertices(csr.verts)
-        else:
-            g.add_vertices(v for i, v in enumerate(csr.verts) if alive[i])
-        verts = csr.verts
-        for e in self.surviving_edge_ids():
-            g.add_edge(verts[csr.edge_u[e]], verts[csr.edge_v[e]], csr.edge_w[e])
-        return g
 
 
 def multi_arange(starts, counts):

@@ -11,13 +11,10 @@ Dispatch: on graphs large enough to amortize a snapshot
 (:data:`repro.graph.csr.MIN_DISPATCH_VERTICES` vertices), the entry points
 below transparently run on the flat-array CSR kernels of
 :mod:`repro.graph.csr` — same signatures, same distances and reached
-sets, no per-edge hashing. (Shortest-path-tree *parents* may break ties
-between equal-length paths differently than the dict implementation;
-both are valid tight trees.) Snapshots are cached on the graph and
-invalidated by mutation, so
-repeated queries (all-pairs sweeps, spanner verification) pay the O(n + m)
-conversion once. Small graphs keep the dict implementations, whose
-behavior is unchanged.
+sets, no per-edge hashing. Snapshots are cached on the graph and
+invalidated by mutation, so repeated queries (all-pairs sweeps, spanner
+verification) pay the O(n + m) conversion once. Small graphs keep the
+dict implementations, whose behavior is unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import math
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..errors import DisconnectedError, VertexNotFound
+from ..errors import VertexNotFound
 from .csr import maybe_snapshot
 from .graph import BaseGraph
 
@@ -91,58 +88,6 @@ def dijkstra(
             heapq.heappush(heap, (nd, counter, u))
             counter += 1
     return dist
-
-
-def dijkstra_with_paths(
-    graph: BaseGraph, source: Vertex, cutoff: Optional[float] = None
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]:
-    """Like :func:`dijkstra` but also returns a shortest-path-tree parent map.
-
-    The parent map omits ``source`` itself. Reconstruct a path with
-    :func:`reconstruct_path`.
-    """
-    if not graph.has_vertex(source):
-        raise VertexNotFound(source)
-    csr = maybe_snapshot(graph, build=cutoff is None)
-    if csr is not None:
-        return csr.dijkstra_with_paths_dict(source, cutoff=cutoff)
-    dist: Dict[Vertex, float] = {}
-    parent: Dict[Vertex, Vertex] = {}
-    best: Dict[Vertex, float] = {source: 0.0}
-    heap: List[Tuple[float, int, Vertex]] = [(0.0, 0, source)]
-    counter = 1
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if v in dist:
-            continue
-        dist[v] = d
-        for u, w in _out_items(graph, v):
-            if u in dist:
-                continue
-            nd = d + w
-            if cutoff is not None and nd > cutoff:
-                continue
-            if nd < best.get(u, INF):
-                best[u] = nd
-                parent[u] = v
-                heapq.heappush(heap, (nd, counter, u))
-                counter += 1
-    return dist, parent
-
-
-def reconstruct_path(
-    parent: Dict[Vertex, Vertex], source: Vertex, target: Vertex
-) -> List[Vertex]:
-    """Rebuild the vertex sequence from a shortest-path-tree parent map."""
-    if target == source:
-        return [source]
-    if target not in parent:
-        raise DisconnectedError(f"no recorded path from {source!r} to {target!r}")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def bfs_distances(

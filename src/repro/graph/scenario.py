@@ -20,10 +20,11 @@ and :class:`repro.hosts.HostSpec`: a format tag, a version, and rejection
 of unknown keys — so a sweep can persist the exact fault draw that broke
 a build and replay it anywhere.
 
-The executable twin of a scenario is
-:meth:`repro.graph.csr.CSRGraph.survivor_view`, which accepts a scenario
-directly and returns the masked zero-copy
-:class:`repro.graph.csr.SurvivorView` the kernels run on.
+A scenario executes as a survivor mask: the Theorem 2.1 loop
+(``scenarios=``) replays each one as the mask a sampled draw would give,
+which the kernels read through a zero-copy
+:class:`repro.graph.csr.SurvivorView`; CLPR09 and the verifiers take its
+fault set through the normalizers above.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from ..graph.graph import BaseGraph
 from ..rng import RandomLike, ensure_rng
-from .workload import DEL_EDGE, DEL_NODE, Operation
+from .workload import DEL_EDGE, DEL_NODE, Operation, _require_count
 
 
 class ChaosInjector:
@@ -50,8 +50,10 @@ class ChaosInjector:
         In adversarial mode (``spanner`` given), spanner edges are
         sampled first; the remainder, if any, comes from the other host
         edges. Fewer than ``count`` ops are returned when the host runs
-        out of edges.
+        out of edges; a negative ``count`` raises
+        :class:`~repro.errors.InvalidSpec`.
         """
+        _require_count("edge burst count", count)
         rng = self._rng
         edges = [(u, v) for u, v, _w in host.edges()]
         if self.adversarial and spanner is not None:
@@ -74,8 +76,10 @@ class ChaosInjector:
 
         Adversarial mode kills the busiest spanner vertices (highest
         spanner degree, ties broken by host insertion order) — each one
-        takes every two-path through it down with it.
+        takes every two-path through it down with it. A negative
+        ``count`` raises :class:`~repro.errors.InvalidSpec`.
         """
+        _require_count("node burst count", count)
         rng = self._rng
         nodes = list(host.vertices())
         if self.adversarial and spanner is not None:

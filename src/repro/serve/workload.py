@@ -124,6 +124,12 @@ def read_write_weights(read_ratio: float) -> Dict[str, float]:
     }
 
 
+def _require_count(name: str, count: int) -> None:
+    """Raise :class:`InvalidSpec` unless ``count`` is a nonnegative op count."""
+    if count < 0:
+        raise InvalidSpec(f"{name} must be >= 0, got {count}")
+
+
 class _Pool:
     """A list-backed pool with O(1) seeded sampling and swap-removal.
 
@@ -271,8 +277,10 @@ class WorkloadGenerator:
 
         An op kind drawn against an empty pool (e.g. ``DEL_EDGE`` with no
         live edges) falls back to ``ADD_EDGE`` and then ``ADD_NODE``, so
-        the stream always has exactly ``num_ops`` elements.
+        the stream always has exactly ``num_ops`` elements. A negative
+        ``num_ops`` raises :class:`InvalidSpec`.
         """
+        _require_count("num_ops", num_ops)
         ops: List[Operation] = []
         while len(ops) < num_ops:
             kind = self._rng.choices(self._types, weights=self._weights)[0]

@@ -509,6 +509,19 @@ class TestServe:
         assert doc["adversarial"] is True
         assert doc["ops"] == 58
 
+    @pytest.mark.parametrize("flags", [
+        ["--ops", "-5"],
+        ["--ops", "20", "--chaos-nodes", "-3", "--adversarial"],
+        ["--ops", "20", "--chaos-edges", "-2"],
+    ])
+    def test_workload_rejects_negative_counts(self, dense_path, tmp_path,
+                                              capsys, flags):
+        path = str(tmp_path / "neg.json")
+        assert main(["workload", dense_path, *flags, "--seed", "5",
+                     "--out", path]) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "neg.json").exists()
+
     def test_serve_replays_and_stays_valid(
         self, dense_path, workload_path, tmp_path, capsys
     ):

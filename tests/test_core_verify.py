@@ -104,6 +104,26 @@ class TestExhaustiveVerifier:
         # With enough trials the empty/one-vertex fault sets expose it.
         assert not sampled_fault_check(h, g, k=20, r=1, trials=200, seed=1)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_checks_reject_nonpositive_trials(self, trials, tmp_path,
+                                                      capsys):
+        # An edgeless spanner fails every fault set, so checking none of
+        # them must not certify it.
+        g = complete_graph(5)
+        h = g.edge_subgraph([])
+        with pytest.raises(FaultToleranceError, match="trials"):
+            sampled_fault_check(h, g, 3, 1, trials=trials, seed=0)
+        with pytest.raises(FaultToleranceError, match="trials"):
+            sampled_edge_fault_check(h, g, 3, 1, trials=trials, seed=0)
+        host_path, spanner_path = str(tmp_path / "g.json"), str(tmp_path / "h.json")
+        dump_json(g, host_path)
+        dump_json(h, spanner_path)
+        code = main(["verify", host_path, spanner_path, "--k", "3", "--r", "1",
+                     "--mode", "sampled", "--trials", str(trials)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "trials" in captured.err
+
 
 def _k4_with_spanner_missing(vertex):
     """Host K4 and, as spanner, the triangle on the other three vertices."""

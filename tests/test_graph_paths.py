@@ -15,7 +15,6 @@ from repro.graph import (
     bfs_distances,
     connected_components,
     dijkstra,
-    dijkstra_with_paths,
     distance,
     distance_at_most,
     eccentricity,
@@ -24,11 +23,10 @@ from repro.graph import (
     hop_diameter,
     is_connected,
     path_graph,
-    reconstruct_path,
     to_networkx,
     weighted_diameter,
 )
-from repro.errors import DisconnectedError, VertexNotFound
+from repro.errors import VertexNotFound
 
 
 class TestDijkstra:
@@ -88,35 +86,6 @@ class TestDijkstra:
             assert set(ours) == set(theirs)
             for v in ours:
                 assert ours[v] == pytest.approx(theirs[v])
-
-
-class TestPathReconstruction:
-    def test_reconstruct(self, small_weighted):
-        dist, parent = dijkstra_with_paths(small_weighted, 0)
-        path = reconstruct_path(parent, 0, 4)
-        assert path == [0, 1, 2, 3, 4]
-        assert dist[4] == 4.0
-
-    def test_trivial_path(self, small_weighted):
-        _dist, parent = dijkstra_with_paths(small_weighted, 0)
-        assert reconstruct_path(parent, 0, 0) == [0]
-
-    def test_unreachable_raises(self):
-        g = Graph()
-        g.add_edge(1, 2)
-        g.add_vertex(3)
-        _dist, parent = dijkstra_with_paths(g, 1)
-        with pytest.raises(DisconnectedError):
-            reconstruct_path(parent, 1, 3)
-
-    def test_path_consistent_with_distance(self, random_connected):
-        dist, parent = dijkstra_with_paths(random_connected, 0)
-        for target in random_connected.vertices():
-            path = reconstruct_path(parent, 0, target)
-            total = sum(
-                random_connected.weight(a, b) for a, b in zip(path, path[1:])
-            )
-            assert total == pytest.approx(dist[target])
 
 
 class TestBFSAndStructure:

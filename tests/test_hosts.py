@@ -16,6 +16,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import (
     FaultModel,
@@ -139,9 +141,6 @@ class TestHostSpec:
         assert sorted(g.edges()) == sorted(h.edges())
 
     def test_round_trip_property(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
         values = st.one_of(
             st.integers(min_value=-10**6, max_value=10**6),
             st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -149,7 +148,7 @@ class TestHostSpec:
             st.booleans(),
         )
 
-        @hypothesis.given(
+        @given(
             generator=st.text(min_size=1, max_size=16),
             params=st.dictionaries(
                 st.text(min_size=1, max_size=8), values, max_size=4

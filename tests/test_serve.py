@@ -114,6 +114,12 @@ class TestWorkloadGenerator:
         ).generate(40)
         assert len(ops) == 40
 
+    def test_negative_op_count_rejected(self, host):
+        generator = WorkloadGenerator(host, seed=1)
+        with pytest.raises(InvalidSpec, match="num_ops"):
+            generator.generate(-5)
+        assert generator.generate(0) == []
+
     def test_unknown_weight_key_rejected(self, host):
         with pytest.raises(InvalidSpec, match="unknown op types"):
             WorkloadGenerator(host, seed=0, weights={"NOPE": 1.0})
@@ -473,6 +479,16 @@ class TestChaosInjector:
     def test_burst_clamps_to_pool_size(self, host):
         ops = ChaosInjector(seed=9).edge_burst(host, 10_000)
         assert len(ops) == host.num_edges
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_negative_burst_count_rejected(self, host, adversarial):
+        spanner = stream_ft2_spanner(host, 1)
+        chaos = ChaosInjector(seed=9, adversarial=adversarial)
+        with pytest.raises(InvalidSpec, match="edge burst count"):
+            chaos.edge_burst(host, -1, spanner=spanner)
+        with pytest.raises(InvalidSpec, match="node burst count"):
+            chaos.node_burst(host, -3, spanner=spanner)
+        assert chaos.node_burst(host, 0, spanner=spanner) == []
 
     def test_adversarial_guarantees_damage(self, dense_host):
         service = make_service(dense_host, policy=RepairPolicy.lazy())
