@@ -484,7 +484,7 @@ def bench_decomposition(n: int = 400, p: float = 0.03) -> dict:
 
 def bench_edge_conversion(n: int = 400, p: float = 0.05, r: int = 2,
                           iters: int = 20) -> dict:
-    """theorem21-edge: edge-masked views of one snapshot vs edge_subgraph.
+    """Edge-fault theorem21: edge-masked snapshot views vs edge_subgraph.
 
     The zero-copy loop (one host snapshot, per-iteration ``edge_alive``
     masks, integer edge-id union) against the pinned dict reference

@@ -7,9 +7,10 @@ that threat model on an ISP-style topology:
 
 1. **Static overlay.** Build an r-edge-fault-tolerant 3-spanner of a
    random-geometric "fiber map" (nodes = POPs, edges = fibers) through
-   the typed front door (``SpannerSpec`` with ``FaultModel.edge(r)`` →
-   the registry's ``theorem21-edge`` pipeline) and verify it
-   exhaustively against every set of up to ``r`` cut links.
+   the typed front door (``SpannerSpec("theorem21")`` with
+   ``FaultModel.edge(r)``: the registry's one Theorem 2.1 row reads the
+   fault kind from the spec) and verify it exhaustively against every
+   set of up to ``r`` cut links.
 
 2. **Live service.** A spanner built once only survives the cuts it was
    *sized* for; :class:`repro.serve.SpannerService` keeps one valid
@@ -42,7 +43,7 @@ def static_overlay(fibers, r: int) -> None:
     session = Session()
     overlay = session.build(
         SpannerSpec(
-            "theorem21-edge", stretch=3, faults=FaultModel.edge(r), seed=13
+            "theorem21", stretch=3, faults=FaultModel.edge(r), seed=13
         ),
         graph=fibers,
     )

@@ -2,7 +2,6 @@
 
 Commands:
 
-* ``generate`` — create a workload graph and write it as JSON;
 * ``ft-spanner`` — build an r-fault-tolerant k-spanner (Theorem 2.1
   conversion) of a JSON graph, optionally verify and export it;
 * ``ft2-approx`` — run the Theorem 3.3 O(log n)-approximation for Minimum
@@ -33,7 +32,8 @@ Commands:
 * ``hosts`` — the host-topology registry (:mod:`repro.hosts`): list
   generator capabilities, describe one generator, ``--emit`` a typed
   :class:`repro.hosts.HostSpec` JSON, or ``--materialize`` the graph
-  itself (``sweep --emit --topology`` consumes the same registry);
+  itself as the JSON file every other command reads (``sweep --emit
+  --topology`` consumes the same registry);
 * ``verify`` — check a spanner file against a host file for a given
   ``(k, r)``, with exhaustive / sampled / Lemma 3.1 modes.
 
@@ -59,18 +59,7 @@ from typing import List, Optional
 
 from .analysis import render_table
 from .errors import ReproError
-from .graph import (
-    complete_graph,
-    connected_gnp_graph,
-    dump_json,
-    gnp_random_digraph,
-    gnp_random_graph,
-    grid_graph,
-    load_json,
-    random_geometric_graph,
-    random_regular_graph,
-    to_dot,
-)
+from .graph import dump_json, load_json, to_dot
 from .analysis.experiments import merge_shard_reports
 from .hosts import (
     HostSpec,
@@ -126,20 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="machine-readable JSON on stdout instead of tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser(
-        "generate", parents=[common], help="generate a workload graph (JSON)"
-    )
-    gen.add_argument(
-        "kind",
-        choices=["gnp", "gnp-connected", "gnp-digraph", "complete", "grid",
-                 "regular", "geometric"],
-    )
-    gen.add_argument("--n", type=int, default=30, help="vertex count / grid side")
-    gen.add_argument("--p", type=float, default=0.3, help="edge probability")
-    gen.add_argument("--degree", type=int, default=4, help="regular degree")
-    gen.add_argument("--radius", type=float, default=0.3, help="geometric radius")
-    gen.add_argument("--out", required=True, help="output JSON path")
 
     ft = sub.add_parser(
         "ft-spanner", parents=[common], help="Theorem 2.1 conversion"
@@ -402,40 +377,6 @@ def _method_of(args) -> str:
     return args.method if args.method is not None else "auto"
 
 
-def _cmd_generate(args) -> int:
-    if args.kind == "gnp":
-        graph = gnp_random_graph(args.n, args.p, seed=_seed_of(args))
-    elif args.kind == "gnp-connected":
-        graph = connected_gnp_graph(args.n, args.p, seed=_seed_of(args))
-    elif args.kind == "gnp-digraph":
-        graph = gnp_random_digraph(args.n, args.p, seed=_seed_of(args))
-    elif args.kind == "complete":
-        graph = complete_graph(args.n)
-    elif args.kind == "grid":
-        graph = grid_graph(args.n, args.n)
-    elif args.kind == "regular":
-        graph = random_regular_graph(args.n, args.degree, seed=_seed_of(args))
-    else:  # geometric
-        graph = random_geometric_graph(args.n, args.radius, seed=_seed_of(args))
-    dump_json(graph, args.out)
-    if args.json:
-        _print_json(
-            {
-                "kind": args.kind,
-                "n": graph.num_vertices,
-                "m": graph.num_edges,
-                "directed": graph.directed,
-                "out": args.out,
-            }
-        )
-    else:
-        print(
-            f"wrote {args.kind} graph (n={graph.num_vertices}, "
-            f"m={graph.num_edges}) to {args.out}"
-        )
-    return 0
-
-
 def _execute_spec(
     spec: SpannerSpec,
     verify_mode: str,
@@ -603,7 +544,6 @@ def _cmd_run(args) -> int:
         spec = spec.replace(**overrides)
     table_rows = {
         "theorem21": _ft_table_rows,
-        "theorem21-edge": _ft_table_rows,
         "ft2-approx": _ft2_table_rows,
         "dk10-baseline": _ft2_table_rows,
     }.get(spec.algorithm, _generic_table_rows)
@@ -1262,7 +1202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "generate": _cmd_generate,
         "ft-spanner": _cmd_ft_spanner,
         "ft2-approx": _cmd_ft2_approx,
         "run": _cmd_run,

@@ -9,9 +9,10 @@ conversion's one loop and the verifier's drivers take the kind, and
 :mod:`repro.core.edge_faults` holds the edge-fault entry points as shells
 over them.
 
-The constructors here self-register in :mod:`repro.registry` (names
-``theorem21``, ``theorem21-adaptive``, ``theorem21-edge``, ``clpr09``) —
-the registry, not this module list, is the authoritative catalogue of what
+The constructors here self-register in :mod:`repro.registry` under two
+names: ``theorem21`` (both fault kinds, read from ``spec.faults.kind``,
+and the adaptive stop under ``params.until_valid``) and ``clpr09``. The
+registry, not this module list, is the authoritative catalogue of what
 can be built.
 """
 

@@ -180,9 +180,7 @@ class _OversamplingEngine:
         if self.resolved_method == "compiled":
             csr = self.csr
             self._arrays = (
-                np.asarray(csr.edge_u, dtype=np.int64),
-                np.asarray(csr.edge_v, dtype=np.int64),
-                np.asarray(csr.edge_w, dtype=np.float64),
+                *csr.endpoints_np(), np.asarray(csr.edge_w, dtype=np.float64)
             )
             self.union_mask = np.zeros(csr.num_edges, dtype=np.uint8)
         else:
@@ -620,31 +618,58 @@ def _registry_stats(result: ConversionResult, spec) -> dict:
 
 @register_algorithm(
     "theorem21",
-    summary="Theorem 2.1 fault-oversampling conversion (r vertex faults)",
+    summary="Theorem 2.1 fault-oversampling conversion (r vertex or edge faults)",
     stretch_domain="inherits the base algorithm's domain (any k >= 1 for greedy)",
     weighted=True,
     directed=True,
     fault_tolerant=True,
     csr_path=True,
     compiled_path=True,
+    fault_kinds=("none", "vertex", "edge"),
 )
 def _registry_build(graph: BaseGraph, spec, seed):
-    """Spec adapter: ``SpannerSpec -> fault_tolerant_spanner``."""
-    from ..spec import require_fault_kind
+    """Spec adapter: ``SpannerSpec -> the Theorem 2.1 loop``.
 
-    require_fault_kind(spec, "vertex", "none")
-    result = fault_tolerant_spanner(
-        graph,
-        spec.stretch,
-        spec.faults.r,
-        base_algorithm=resolve_base_algorithm(spec, seed),
-        iterations=spec.param("iterations"),
-        schedule=spec.param("schedule", "theorem"),
-        constant=spec.param("constant", 16.0),
-        seed=seed,
-        survival_prob=spec.param("survival_prob"),
-        method=spec.method,
-    )
+    ``spec.faults.kind`` picks the fault unit and the default schedule:
+    ``"theorem"`` for vertex faults, ``"light"`` for edge faults (see
+    :func:`repro.core.edge_faults.edge_fault_tolerant_spanner`).
+    ``params.until_valid`` swaps the fixed schedule for the adaptive
+    stop, checked against the same fault kind: the E1/E3 ablations
+    measure how many iterations suffice *in practice*, and sweep plans
+    carry those points with the stopping rule serialized in the params
+    (:func:`resolve_validity_check`). ``params.survival_prob`` reaches
+    every variant, as :meth:`repro.session.Session.scenario` assumes.
+    """
+    kind, k, r = spec.faults.kind, spec.stretch, spec.faults.r
+    base = resolve_base_algorithm(spec, seed)
+    survival_prob = spec.param("survival_prob")
+    if spec.param("until_valid") is not None:
+        validity, knobs = resolve_validity_check(spec, graph)
+        result = _theorem21(
+            graph, k, r, kind, base, spec.method, seed,
+            survival_prob=survival_prob, validity_check=validity,
+            batch=knobs["batch"], max_iterations=knobs["max_iterations"],
+        )
+        stats = _registry_stats(result, spec)
+        stats["until_valid"] = knobs
+        return result, stats
+    schedule = {
+        "iterations": spec.param("iterations"),
+        "schedule": spec.param(
+            "schedule", "light" if kind == "edge" else "theorem"
+        ),
+        "constant": spec.param("constant", 16.0),
+        "survival_prob": survival_prob,
+    }
+    if kind == "edge":
+        result = _theorem21(graph, k, r, "edge", base, spec.method, seed,
+                            **schedule)
+    else:
+        # Called by its module-global name: perfbench's tracer wraps it
+        # to count ft-build's iterations and survivors.
+        result = fault_tolerant_spanner(graph, k, r, base_algorithm=base,
+                                        seed=seed, method=spec.method,
+                                        **schedule)
     return result, _registry_stats(result, spec)
 
 
@@ -667,9 +692,17 @@ def resolve_validity_check(
     ``params={"until_valid": {...}}``) so sweep plans can carry adaptive
     builds: ``check`` is ``"sampled"`` (Monte Carlo over ``trials`` fault
     sets, deterministic under the check's own ``seed``) or
-    ``"exhaustive"``; ``batch`` / ``max_iterations`` tune the loop.
-    Returns the predicate plus the fully-resolved knobs dict.
+    ``"exhaustive"``; ``batch`` / ``max_iterations`` tune the loop. The
+    check is against the spec's fault kind, so a spec without faults has
+    nothing to stop on and raises :class:`InvalidSpec`. Returns the
+    predicate plus the fully-resolved knobs dict.
     """
+    kind = spec.faults.kind
+    if kind == "none":
+        raise InvalidSpec(
+            f"algorithm {spec.algorithm!r} with params['until_valid'] serves "
+            "fault kinds vertex/edge, got 'none'"
+        )
     knobs = dict(UNTIL_VALID_DEFAULTS)
     given = spec.param("until_valid", {})
     if not isinstance(given, dict):
@@ -707,47 +740,8 @@ def resolve_validity_check(
 
     def validity(union: BaseGraph) -> bool:
         violation = _first_violation(
-            union, graph, k, r, "vertex", trials=trials, seed=check_seed
+            union, graph, k, r, kind, trials=trials, seed=check_seed
         )
         return violation is None
 
     return validity, knobs
-
-
-@register_algorithm(
-    "theorem21-adaptive",
-    summary="Theorem 2.1 conversion run until a validity check accepts",
-    stretch_domain="inherits the base algorithm's domain (any k >= 1 for greedy)",
-    weighted=True,
-    directed=True,
-    fault_tolerant=True,
-    fault_kinds=("vertex",),
-    csr_path=True,
-    compiled_path=True,
-)
-def _registry_build_adaptive(graph: BaseGraph, spec, seed):
-    """Spec adapter: ``SpannerSpec -> fault_tolerant_spanner_until_valid``.
-
-    The E1/E3 ablations measure how many iterations suffice *in practice*
-    versus the theorem's ``r^3 log n`` schedule; registering the adaptive
-    driver lets sweep plans carry those points, with the stopping rule
-    serialized in ``params={"until_valid": {...}}``.
-    """
-    from ..spec import require_fault_kind
-
-    require_fault_kind(spec, "vertex")
-    validity, knobs = resolve_validity_check(spec, graph)
-    result = fault_tolerant_spanner_until_valid(
-        graph,
-        spec.stretch,
-        spec.faults.r,
-        validity,
-        base_algorithm=resolve_base_algorithm(spec, seed),
-        batch=knobs["batch"],
-        max_iterations=knobs["max_iterations"],
-        seed=seed,
-        method=spec.method,
-    )
-    stats = _registry_stats(result, spec)
-    stats["until_valid"] = knobs
-    return result, stats

@@ -24,6 +24,9 @@ share:
 
 For ``k = 2`` and unit lengths, :func:`repro.core.verify.is_ft_2spanner`
 gives the exact edge-fault verdict too (the proof is in its docstring).
+
+Specs reach this setting through the registry's one ``theorem21`` row
+with ``faults=FaultModel.edge(r)``.
 """
 
 from __future__ import annotations
@@ -32,16 +35,9 @@ from typing import Iterable, Optional, Sequence
 
 from ..graph.graph import BaseGraph
 from ..graph.scenario import FaultScenario
-from ..registry import register_algorithm
 from ..rng import RandomLike
 from ..spanners.greedy import greedy_spanner
-from .conversion import (
-    BaseSpannerAlgorithm,
-    ConversionResult,
-    _theorem21,
-    _registry_stats,
-    resolve_base_algorithm,
-)
+from .conversion import BaseSpannerAlgorithm, ConversionResult, _theorem21
 from .verify import _first_violation
 
 
@@ -114,34 +110,3 @@ def sampled_edge_fault_check(
     )
     return violation is None
 
-
-@register_algorithm(
-    "theorem21-edge",
-    summary="Theorem 2.1 conversion against r edge faults (link cuts)",
-    stretch_domain="inherits the base algorithm's domain (any k >= 1 for greedy)",
-    weighted=True,
-    directed=True,
-    fault_tolerant=True,
-    # The default greedy base runs every iteration on edge-masked views
-    # of one host CSR snapshot, so sessions should prime it.
-    csr_path=True,
-    compiled_path=True,
-    fault_kinds=("none", "edge"),
-)
-def _registry_build(graph: BaseGraph, spec, seed):
-    """Spec adapter: ``SpannerSpec -> edge_fault_tolerant_spanner``."""
-    from ..spec import require_fault_kind
-
-    require_fault_kind(spec, "edge", "none")
-    result = edge_fault_tolerant_spanner(
-        graph,
-        spec.stretch,
-        spec.faults.r,
-        base_algorithm=resolve_base_algorithm(spec, seed),
-        iterations=spec.param("iterations"),
-        schedule=spec.param("schedule", "light"),
-        constant=spec.param("constant", 16.0),
-        seed=seed,
-        method=spec.method,
-    )
-    return result, _registry_stats(result, spec)

@@ -109,8 +109,7 @@ class _CompiledFaultCheck:
             (span.index.get(v, -1) for v in host.verts),
             dtype=np.int64, count=host.num_vertices,
         )
-        self._host_u = np.asarray(host.edge_u, dtype=np.int64)
-        self._host_v = np.asarray(host.edge_v, dtype=np.int64)
+        self._host_u, self._host_v = host.endpoints_np()
         self._qu = to_span[self._host_u]
         self._qv = to_span[self._host_v]
         self._bound = (k * np.asarray(host.edge_w, dtype=np.float64)) * _SLACK

@@ -25,10 +25,11 @@ indices:
   no adjacency dict is rebuilt.
 
 Hot arrays are plain Python lists (CPython element access on lists beats
-NumPy scalar indexing inside interpreted loops); endpoint arrays are
-mirrored into NumPy only where whole-array vectorization wins (survivor
-masking). The snapshot is cached on the source graph keyed by its mutation
-counter, so repeated queries — ``all_pairs_distances``, verification
+NumPy scalar indexing inside interpreted loops); endpoint and half-edge
+arrays are mirrored into NumPy lazily, on the first call that vectorizes
+over them (survivor masking, the compiled kernels). The snapshot is
+cached on the source graph keyed by its mutation counter, so repeated
+queries — ``all_pairs_distances``, verification
 sweeps, spanner stretch checks — build it exactly once.
 
 ``graph/paths.py`` dispatches to these kernels transparently; public
@@ -79,8 +80,7 @@ class CSRGraph:
         "edge_u",
         "edge_v",
         "edge_w",
-        "_edge_u_np",
-        "_edge_v_np",
+        "_endpoints_np",
         "_half_np",
         "_sp_kernels",
         "_uv_eid",
@@ -97,8 +97,7 @@ class CSRGraph:
         self.edge_u: List[int] = []
         self.edge_v: List[int] = []
         self.edge_w: List[float] = []
-        self._edge_u_np = None
-        self._edge_v_np = None
+        self._endpoints_np = None
         self._half_np = None
         self._sp_kernels = None
         #: Lazy ``(u_idx, v_idx) -> edge id`` table (undirected pairs are
@@ -162,8 +161,6 @@ class CSRGraph:
         snap.nbr = nbr
         snap.wt = wt
         snap.eid = eid
-        snap._edge_u_np = _np.asarray(edge_u, dtype=_np.int64)
-        snap._edge_v_np = _np.asarray(edge_v, dtype=_np.int64)
         return snap
 
     # ------------------------------------------------------------------
@@ -178,6 +175,21 @@ class CSRGraph:
     def num_edges(self) -> int:
         """Unique edge count (each undirected edge counted once)."""
         return len(self.edge_u)
+
+    def endpoints_np(self):
+        """int64 NumPy mirrors ``(edge_u, edge_v)`` of the edge endpoints.
+
+        Built on first use and cached on the snapshot, like
+        :meth:`half_arrays_np`: survivor masking, the compiled Theorem 2.1
+        engine and the compiled fault check read them, and a snapshot
+        that none of those touches never pays for them.
+        """
+        if self._endpoints_np is None:
+            self._endpoints_np = (
+                _np.asarray(self.edge_u, dtype=_np.int64),
+                _np.asarray(self.edge_v, dtype=_np.int64),
+            )
+        return self._endpoints_np
 
     def half_arrays_np(self):
         """NumPy mirrors ``(indptr, nbr, wt, eid, deg)`` of the half-edge CSR.
@@ -473,7 +485,8 @@ class SurvivorView:
         ok = True
         if self.alive is not None:
             alive_np = self.alive_np()
-            ok = alive_np[csr._edge_u_np[ids_np]] & alive_np[csr._edge_v_np[ids_np]]
+            edge_u, edge_v = csr.endpoints_np()
+            ok = alive_np[edge_u[ids_np]] & alive_np[edge_v[ids_np]]
         if self.edge_alive is not None:
             ok = ok & _np.asarray(self.edge_alive, dtype=bool)[ids_np]
         return ids_np[ok]

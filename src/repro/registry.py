@@ -48,7 +48,6 @@ _BUILTIN_MODULES = (
     "repro.spanners.thorup_zwick",
     "repro.spanners.distance_oracle",
     "repro.core.conversion",
-    "repro.core.edge_faults",
     "repro.core.clpr",
     "repro.two_spanner.approx",
     "repro.distributed.ft_spanner",

@@ -1,7 +1,8 @@
-"""CLI behaviour: generate / build / approximate / verify round trips."""
+"""CLI behaviour: host files / build / approximate / verify round trips."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -10,45 +11,87 @@ from repro.cli import main
 from repro.graph import load_json
 
 
+def materialize(path, name, *params, seed=None, flags=()):
+    """``repro hosts NAME --param K=V ... [--seed S] --materialize PATH``."""
+    argv = ["hosts", name]
+    for param in params:
+        argv += ["--param", param]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    return main([*argv, "--materialize", path, *flags])
+
+
+#: sha256 of the file the former ``repro generate`` wrote for each of its
+#: seven kinds, with the arguments these tests gave it (its defaults were
+#: n=30, p=0.3, seed 0): ``hosts --materialize`` must write those bytes.
+GENERATE_DIGESTS = {
+    "gnp": (["n=30", "p=0.3"], None,
+            "7e79d814ca28a3c84707373e8fcdfcf460c944bb64063bce307a823624db9a11"),
+    "gnp-connected": (
+        ["n=14", "p=0.5"], 3,
+        "11717e9819e53d571514dcbb88d6b88ac54e92184e7560390371b293239153ea"),
+    "gnp-digraph": (
+        ["n=10", "p=0.5"], 4,
+        "b3bdfcd1290d50e9fe824737dd860b4b63aa2023b8498be7e5746d644155cfba"),
+    "complete": (
+        ["n=30"], None,
+        "4a71e533131a61e9c950a695227d2e5a3d161b1d9c9a8e647f34944ddba76f28"),
+    "grid": (
+        ["rows=4", "cols=4"], None,
+        "99771d15e37c9205a2ca3d1aa67e90ed56e5a98c78714b309b00cda3cc7d39c7"),
+    "regular": (
+        ["n=12", "d=3"], None,
+        "9e44907de11e3ee9b506ecab586797fc78d50446a0b88cab44e248b9e260def3"),
+    "geometric": (
+        ["n=15", "radius=0.5"], None,
+        "122349178ec7d8158adc7373d8f6a4b64760bc345938cad42b7933036fc400c6"),
+}
+
+
 @pytest.fixture
 def host_path(tmp_path):
     path = str(tmp_path / "host.json")
-    assert main(["generate", "gnp-connected", "--n", "14", "--p", "0.5",
-                 "--seed", "3", "--out", path]) == 0
+    assert materialize(path, "gnp-connected", "n=14", "p=0.5", seed=3) == 0
     return path
 
 
 @pytest.fixture
 def digraph_path(tmp_path):
     path = str(tmp_path / "mesh.json")
-    assert main(["generate", "gnp-digraph", "--n", "10", "--p", "0.5",
-                 "--seed", "4", "--out", path]) == 0
+    assert materialize(path, "gnp-digraph", "n=10", "p=0.5", seed=4) == 0
     return path
 
 
-class TestGenerate:
+class TestHostsMaterialize:
     def test_writes_valid_json(self, host_path):
         graph = load_json(host_path)
         assert graph.num_vertices == 14
         assert not graph.directed
 
-    @pytest.mark.parametrize(
-        "kind,extra",
-        [
-            ("gnp", []),
-            ("complete", []),
-            ("grid", ["--n", "4"]),
-            ("regular", ["--n", "12", "--degree", "3"]),
-            ("geometric", ["--n", "15", "--radius", "0.5"]),
-        ],
-    )
-    def test_all_kinds(self, tmp_path, kind, extra):
-        path = str(tmp_path / f"{kind}.json")
-        assert main(["generate", kind, "--out", path, *extra]) == 0
-        assert load_json(path).num_vertices > 0
+    @pytest.mark.parametrize("name", list(GENERATE_DIGESTS))
+    def test_writes_pinned_bytes(self, tmp_path, name):
+        params, seed, digest = GENERATE_DIGESTS[name]
+        path = str(tmp_path / f"{name}.json")
+        assert materialize(path, name, *params, seed=seed) == 0
+        with open(path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest
 
     def test_digraph_kind(self, digraph_path):
         assert load_json(digraph_path).directed
+
+    def test_json_reports_materialized(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        assert materialize(path, "gnp", "n=12", "p=0.3", flags=["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["materialized"] == {
+            "n": 12, "m": load_json(path).num_edges, "directed": False,
+            "out": path,
+        }
+
+    def test_hosts_is_the_only_host_writer(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "gnp", "--out", str(tmp_path / "g.json")])
+        assert "invalid choice: 'generate'" in capsys.readouterr().err
 
 
 class TestFtSpanner:
@@ -124,10 +167,8 @@ class TestVerify:
 
 
 def test_error_reporting(tmp_path, capsys):
-    # generating a regular graph with bad parity surfaces a clean error
-    path = str(tmp_path / "x.json")
-    code = main(["generate", "regular", "--n", "7", "--degree", "3",
-                 "--out", path])
+    # materializing a regular graph with odd n * d surfaces a clean error
+    code = materialize(str(tmp_path / "x.json"), "regular", "n=7", "d=3")
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -141,17 +182,11 @@ class TestSharedFlags:
                      "--method", method]) == 0
         capsys.readouterr()
 
-    def test_method_flag_on_generate(self, tmp_path, capsys):
+    def test_method_flag_on_hosts(self, tmp_path, capsys):
         path = str(tmp_path / "g.json")
-        assert main(["generate", "gnp", "--out", path, "--method", "dict"]) == 0
+        assert materialize(path, "gnp", "n=30", "p=0.3",
+                           flags=["--method", "dict"]) == 0
         capsys.readouterr()
-
-    def test_json_generate(self, tmp_path, capsys):
-        path = str(tmp_path / "g.json")
-        assert main(["generate", "gnp", "--n", "12", "--out", path,
-                     "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["n"] == 12 and doc["out"] == path
 
     def test_json_ft_spanner(self, host_path, capsys):
         assert main(["ft-spanner", host_path, "--r", "1", "--seed", "5",
@@ -274,6 +309,10 @@ class TestAlgorithms:
         names = [row["name"] for row in doc["algorithms"]]
         assert "ft2-approx" in names
         assert all("fault_tolerant" in row for row in doc["algorithms"])
+        # One Theorem 2.1 row serves both fault kinds.
+        assert len(names) == 11
+        [theorem21] = [r for r in doc["algorithms"] if r["name"] == "theorem21"]
+        assert theorem21["fault_kinds"] == ["none", "vertex", "edge"]
 
 
 class TestSweep:
@@ -439,12 +478,13 @@ class TestScheduledSweep:
     ):
         from repro import SpannerSpec, SweepPlan
 
-        # greedy serves no faults; theorem21-adaptive requires them — the
-        # second shard fails deterministically at build time.
+        # greedy serves no faults; theorem21's adaptive stop requires them
+        # — the second shard fails deterministically at build time.
         plan = SweepPlan.build(
             [
                 SpannerSpec("greedy", stretch=3, graph=host_path),
-                SpannerSpec("theorem21-adaptive", stretch=3, graph=host_path),
+                SpannerSpec("theorem21", stretch=3, graph=host_path,
+                            params={"until_valid": {}}),
             ],
             name="poison",
         )
@@ -479,8 +519,7 @@ class TestServe:
     @pytest.fixture
     def dense_path(self, tmp_path):
         path = str(tmp_path / "dense.json")
-        assert main(["generate", "gnp-connected", "--n", "20", "--p", "0.6",
-                     "--seed", "3", "--out", path]) == 0
+        assert materialize(path, "gnp-connected", "n=20", "p=0.6", seed=3) == 0
         return path
 
     @pytest.fixture

@@ -495,7 +495,7 @@ class TestSessionScenario:
     def test_edge_kind_and_errors(self):
         g = connected_gnp_graph(20, 0.3, seed=4)
         session = Session()
-        espec = SpannerSpec("theorem21-edge", stretch=3,
+        espec = SpannerSpec("theorem21", stretch=3,
                             faults=FaultModel.edge(2), seed=23)
         scs = [session.scenario(espec, graph=g, iteration=i) for i in range(3)]
         ref = edge_fault_tolerant_spanner(g, 3, 2, iterations=3, seed=23)
@@ -508,12 +508,35 @@ class TestSessionScenario:
         with pytest.raises(InvalidSpec):
             session.scenario(espec, graph=g, iteration=-1)
 
+    @pytest.mark.parametrize(
+        "faults,params",
+        [
+            (FaultModel.edge(2), {"iterations": 4}),
+            (FaultModel.vertex(2), {"until_valid": {"trials": 5, "batch": 2}}),
+            (FaultModel.edge(1), {"until_valid": {"trials": 5, "batch": 2}}),
+        ],
+        ids=["edge", "vertex-until-valid", "edge-until-valid"],
+    )
+    def test_scenario_names_the_survivors_the_build_drew(self, faults, params):
+        """Every variant of the one theorem21 row samples with the spec's
+        ``survival_prob``, so ``Session.scenario`` replays its draws."""
+        g = connected_gnp_graph(30, 0.3, seed=4)
+        session = Session()
+        spec = SpannerSpec("theorem21", stretch=3, faults=faults, seed=5,
+                           params={**params, "survival_prob": 0.3})
+        sizes = session.build(spec, graph=g).stats["survivor_sizes"]
+        units = g.num_edges if faults.kind == "edge" else g.num_vertices
+        assert sizes
+        for i, built in enumerate(sizes):
+            sc = session.scenario(spec, graph=g, iteration=i)
+            assert units - len(sc.edges or sc.vertices) == built
+
     def test_theorem21_edge_primes_host_snapshot(self):
         """Regression: the edge conversion reads the host CSR snapshot, so
         the session must warm it through its cache (csr_path=True)."""
         g = connected_gnp_graph(64, 0.15, seed=9)
         session = Session()
-        spec = SpannerSpec("theorem21-edge", stretch=3,
+        spec = SpannerSpec("theorem21", stretch=3,
                            faults=FaultModel.edge(1), seed=13)
         report = session.build(spec, graph=g)
         # the session primed the snapshot (a build or a cache hit, depending

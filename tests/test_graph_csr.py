@@ -71,6 +71,16 @@ class TestRoundTrip:
         for i, v in enumerate(snap.verts):
             assert snap.index[v] == i
 
+    def test_endpoint_arrays_are_built_once_on_first_use(self):
+        snap = CSRGraph.from_graph(random_graph(4))
+        assert snap._endpoints_np is None  # a snapshot does not pay up front
+        alive = [i % 3 != 0 for i in range(snap.num_vertices)]
+        snap.survivor_view(alive).filter_edge_ids(range(snap.num_edges))
+        edge_u, edge_v = snap.endpoints_np()
+        assert snap.endpoints_np()[0] is edge_u  # cached: no second copy
+        assert edge_u.dtype == edge_v.dtype == "int64"
+        assert (edge_u.tolist(), edge_v.tolist()) == (snap.edge_u, snap.edge_v)
+
     def test_empty_and_isolated(self):
         g = Graph()
         g.add_vertices(["a", "b"])

@@ -305,7 +305,7 @@ class TestQuarantine:
             [
                 SpannerSpec("greedy", stretch=3, graph=host),
                 SpannerSpec(
-                    "theorem21-adaptive", stretch=3, graph=host,
+                    "theorem21", stretch=3, graph=host,
                     params={"until_valid": {"trials": 30}},
                 ),
             ],

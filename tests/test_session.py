@@ -13,7 +13,7 @@ from repro import (
 from repro.compiled import compiled_available
 from repro.core import clpr_fault_tolerant_spanner, edge_fault_tolerant_spanner
 from repro.distributed import distributed_ft2_spanner, distributed_ft_spanner
-from repro.errors import InvalidSpec
+from repro.errors import InvalidSpec, UnknownAlgorithm
 from repro.graph import (
     complete_graph,
     connected_gnp_graph,
@@ -96,7 +96,7 @@ class TestLegacyIdentity:
     def test_theorem21_edge(self):
         comm = connected_gnp_graph(26, 0.3, seed=50)
         spec = SpannerSpec(
-            "theorem21-edge", stretch=3, faults=FaultModel.edge(1), seed=13
+            "theorem21", stretch=3, faults=FaultModel.edge(1), seed=13
         )
         report = Session().build(spec, graph=comm)
         legacy = edge_fault_tolerant_spanner(comm, 3, 1, seed=13)
@@ -155,7 +155,7 @@ class TestLegacyIdentity:
         """
         covered = {
             "greedy", "baswana-sen", "thorup-zwick", "tz-oracle",
-            "theorem21", "theorem21-edge", "theorem21-adaptive", "clpr09",
+            "theorem21", "clpr09",
             "ft2-approx", "dk10-baseline", "distributed-ft",
             "distributed-ft2",
             "ft2-stream",  # exercised by tests/test_serve.py
@@ -322,14 +322,13 @@ class TestResolvedMethod:
             for method in ("auto", "csr", "dict"):
                 reports = [
                     Session().build(
-                        SpannerSpec(name, stretch=3, faults=FaultModel.vertex(1),
-                                    seed=2, params=params, method=method),
+                        SpannerSpec("theorem21", stretch=3,
+                                    faults=FaultModel.vertex(1), seed=2,
+                                    params=params, method=method),
                         graph=host,
                     )
-                    for name, params in (
-                        ("theorem21", {"iterations": 2}),
-                        ("theorem21-adaptive",
-                         {"until_valid": {"trials": 2}}),
+                    for params in (
+                        {"iterations": 2}, {"until_valid": {"trials": 2}}
                     )
                 ]
                 assert reports[1].resolved_method == reports[0].resolved_method
@@ -409,9 +408,10 @@ class TestCapabilityChecks:
         assert "theorem21" in str(excinfo.value)  # actionable: names the fix
 
     def test_wrong_fault_kind(self, host):
+        # clpr09 tolerates vertex faults only (theorem21 serves both kinds).
         with pytest.raises(InvalidSpec):
             Session().build(
-                SpannerSpec("theorem21", stretch=3, faults=FaultModel.edge(1)),
+                SpannerSpec("clpr09", stretch=3, faults=FaultModel.edge(1)),
                 graph=host,
             )
 
@@ -448,7 +448,7 @@ class TestVerify:
         comm = connected_gnp_graph(22, 0.4, seed=3)
         session = Session()
         report = session.build(
-            SpannerSpec("theorem21-edge", stretch=3, faults=FaultModel.edge(1),
+            SpannerSpec("theorem21", stretch=3, faults=FaultModel.edge(1),
                         seed=13),
             graph=comm,
         )
@@ -467,7 +467,7 @@ class TestVerify:
         assert comm.num_edges == 699
         session = Session()
         report = session.build(
-            SpannerSpec("theorem21-edge", stretch=3, faults=FaultModel.edge(2),
+            SpannerSpec("theorem21", stretch=3, faults=FaultModel.edge(2),
                         seed=5, params={"iterations": 8}),
             graph=comm,
         )
@@ -510,6 +510,33 @@ class TestVerify:
         with pytest.raises(InvalidSpec) as excinfo:
             session.verify(report, graph=host)
         assert "no spanner graph" in str(excinfo.value)
+
+
+class TestTheorem21Row:
+    """One row: the fault kind comes from the spec, the adaptive stop
+    from ``params.until_valid``."""
+
+    @pytest.mark.parametrize("name", ["theorem21-edge", "theorem21-adaptive"])
+    def test_folded_names_are_unknown(self, host, name):
+        with pytest.raises(UnknownAlgorithm):
+            Session().build(
+                SpannerSpec(name, stretch=3, faults=FaultModel.edge(1), seed=1),
+                graph=host,
+            )
+
+    def test_exhaustive_edge_stop_agrees_across_tiers(self):
+        comm = connected_gnp_graph(16, 0.4, seed=2)
+        spec = SpannerSpec("theorem21", stretch=3, faults=FaultModel.edge(1),
+                           seed=3, params={"until_valid": {"check": "exhaustive"}})
+        methods = ["dict", "csr"] + (["compiled"] if compiled_available() else [])
+        spanners = []
+        for method in methods:
+            session = Session()
+            report = session.build(spec.replace(method=method), graph=comm)
+            assert report.stats["until_valid"]["check"] == "exhaustive"
+            assert session.verify(report, graph=comm, mode="exhaustive")
+            spanners.append(list(report.spanner.edges()))
+        assert all(edges == spanners[0] for edges in spanners)
 
 
 def test_one_shot_build_helper(host):

@@ -222,7 +222,7 @@ class TestRegistry:
         assert names == tuple(sorted(names))
         for expected in (
             "greedy", "baswana-sen", "thorup-zwick", "tz-oracle",
-            "theorem21", "theorem21-edge", "clpr09", "ft2-approx",
+            "theorem21", "clpr09", "ft2-approx",
             "dk10-baseline", "distributed-ft", "distributed-ft2",
         ):
             assert expected in names

@@ -499,7 +499,7 @@ class TestAdaptiveRegistration:
         g1, _ = hosts
         report = Session().build(
             SpannerSpec(
-                "theorem21-adaptive", stretch=3, faults=FaultModel.vertex(1),
+                "theorem21", stretch=3, faults=FaultModel.vertex(1),
                 seed=6, params={"until_valid": {"trials": 15, "seed": 2}},
             ),
             graph=g1,
@@ -518,7 +518,7 @@ class TestAdaptiveRegistration:
         with pytest.raises(InvalidSpec) as excinfo:
             Session().build(
                 SpannerSpec(
-                    "theorem21-adaptive", stretch=3,
+                    "theorem21", stretch=3,
                     faults=FaultModel.vertex(1), seed=1,
                     params={"until_valid": {"trials": "30"}},
                 ),
@@ -530,7 +530,7 @@ class TestAdaptiveRegistration:
         with pytest.raises(InvalidSpec) as excinfo:
             Session().build(
                 SpannerSpec(
-                    "theorem21-adaptive", stretch=3,
+                    "theorem21", stretch=3,
                     faults=FaultModel.vertex(1), seed=1,
                     params={"until_valid": {"trails": 3}},
                 ),
@@ -541,7 +541,8 @@ class TestAdaptiveRegistration:
     def test_requires_faults(self, hosts):
         with pytest.raises(InvalidSpec):
             Session().build(
-                SpannerSpec("theorem21-adaptive", stretch=3, seed=1),
+                SpannerSpec("theorem21", stretch=3, seed=1,
+                            params={"until_valid": {}}),
                 graph=hosts[0],
             )
 
@@ -549,7 +550,7 @@ class TestAdaptiveRegistration:
         plan = SweepPlan.build(
             [
                 SpannerSpec(
-                    "theorem21-adaptive", stretch=3,
+                    "theorem21", stretch=3,
                     faults=FaultModel.vertex(1), seed=4,
                     params={"until_valid": {"trials": 10, "seed": 1}},
                     graph=hosts[0],
@@ -667,7 +668,7 @@ class TestWorkerCrashResilience:
             [
                 SpannerSpec("greedy", stretch=3, graph=host),
                 SpannerSpec(
-                    "theorem21-adaptive", stretch=3, graph=host,
+                    "theorem21", stretch=3, graph=host,
                     params={"until_valid": {"trials": 30}},
                 ),
             ],
