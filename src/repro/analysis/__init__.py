@@ -1,15 +1,11 @@
-"""Measurement and reporting harness shared by tests and benchmarks."""
+"""Measurement and reporting harness shared by tests, benchmarks and the CLI.
 
-from .experiments import (
-    ExperimentResult,
-    TrialFunction,
-    compare_experiments,
-    merge_shard_reports,
-    run_experiment,
-    run_spec_sweep,
-)
+Stretch profiles of a spanner under faults, the log-log slope that E2
+fits against the theoretical size exponent, and plain-text tables.
+Sweeps themselves run through :func:`repro.sweep.run_sweep`.
+"""
 
-from .stats import Summary, geometric_mean, growth_ratios, log_log_slope, summarize
+from .stats import log_log_slope
 from .stretch import (
     StretchProfile,
     exhaustive_stretch_profile,
@@ -19,22 +15,12 @@ from .stretch import (
 from .tables import format_cell, print_table, render_table
 
 __all__ = [
-    "ExperimentResult",
     "StretchProfile",
-    "Summary",
-    "TrialFunction",
-    "compare_experiments",
     "exhaustive_stretch_profile",
     "format_cell",
-    "geometric_mean",
-    "growth_ratios",
     "log_log_slope",
-    "merge_shard_reports",
     "print_table",
     "render_table",
-    "run_experiment",
-    "run_spec_sweep",
     "sampled_stretch_profile",
     "stretch_after_faults",
-    "summarize",
 ]

@@ -60,7 +60,6 @@ from typing import List, Optional
 from .analysis import render_table
 from .errors import ReproError
 from .graph import dump_json, load_json, to_dot
-from .analysis.experiments import merge_shard_reports
 from .hosts import (
     HostSpec,
     describe_host_generators,
@@ -82,6 +81,7 @@ from .sweep import (
     coverage_matrix,
     emit_grid_plan,
     load_shard_report,
+    merge_shard_reports,
     parse_shard,
     run_shard,
     run_sweep,

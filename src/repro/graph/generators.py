@@ -513,38 +513,6 @@ def knapsack_gap_gadget(r: int, expensive_cost: float = 1000.0) -> DiGraph:
     return g
 
 
-def parallel_paths_instance(
-    demands: int, width: int, direct_cost: Optional[float] = None
-) -> DiGraph:
-    """Directed instance with many parallel 2-paths per demand (E6 workload).
-
-    For each demand ``j`` there are endpoints ``("s", j)``, ``("t", j)``, a
-    direct arc of cost ``direct_cost`` (default ``width + 10``), and
-    ``width`` disjoint midpoints ``("m", j, i)`` with unit-cost arcs
-    ``s → m_i → t``.
-
-    Why this family: the optimal r-FT 2-spanner buys ``r + 1`` cheap
-    two-paths per demand (cost ``2(r+1)``), and the LP spreads flow
-    ``(r+1)/width`` per path — so the x values are *small*. That keeps
-    threshold rounding out of its saturation regime (where ``α·x >= 1``
-    buys everything) and makes the α = Θ(log n) vs α = Θ(r log n)
-    difference between Theorem 3.3 and the [DK10] baseline visible at
-    laptop scale.
-    """
-    if demands < 1 or width < 1:
-        raise GraphError(f"need demands >= 1 and width >= 1, got {demands}, {width}")
-    cost = float(direct_cost) if direct_cost is not None else float(width + 10)
-    g = DiGraph()
-    for j in range(demands):
-        s, t = ("s", j), ("t", j)
-        g.add_edge(s, t, cost)
-        for i in range(width):
-            m = ("m", j, i)
-            g.add_edge(s, m, 1.0)
-            g.add_edge(m, t, 1.0)
-    return g
-
-
 def layered_fault_graph(width: int, layers: int, weight: float = 1.0) -> Graph:
     """Layered graph with ``width`` parallel vertex-disjoint paths.
 

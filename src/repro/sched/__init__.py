@@ -14,7 +14,10 @@ a ``failed/`` ledger (with its captured exceptions) so the sweep
 finishes degraded instead of wedging. Because every shard is a pure
 function of the resolved plan, the recovered sweep's merge is
 byte-identical to the fault-free sequential run — the same discipline
-:func:`repro.analysis.experiments.merge_shard_reports` already enforces.
+:func:`repro.sweep.merge_shard_reports` already enforces. Every document
+the directory holds is written through
+:func:`repro.sweep.atomic_write_json` (re-exported here), apart from
+the ``O_EXCL`` create that claims a lease.
 
 Entry points: ``repro sweep PLAN --scheduler DIR --workers N`` (drive on
 one host), ``repro sweep-worker DIR`` (join from another machine),
@@ -22,8 +25,9 @@ one host), ``repro sweep-worker DIR`` (join from another machine),
 ``repro merge DIR`` (scheduler-aware strict merge).
 """
 
+from ..sweep import atomic_write_json
 from .lease import Lease, claim_lease, default_worker_id, read_lease
-from .manifest import Manifest, atomic_write_json
+from .manifest import Manifest
 from .scheduler import (
     init_scheduler_dir,
     is_scheduler_dir,

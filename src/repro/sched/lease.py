@@ -7,11 +7,12 @@ shared POSIX directory (NFS included, modulo close-to-open caching):
   create ``leases/shard-<i>.lease``; everyone else gets ``EEXIST`` and
   moves on. The content (worker id, attempt number, heartbeat timestamp)
   is fsynced before the claim counts.
-* **heartbeat** — the owner periodically rewrites the lease through a
-  temp file + ``os.replace`` with a fresh ``heartbeat_at``. Readers call
-  a lease *expired* when ``now - heartbeat_at > ttl`` (clocks across
-  machines must agree to within the TTL — pick a TTL well above both the
-  expected skew and the heartbeat interval).
+* **heartbeat** — the owner periodically rewrites the lease with a
+  fresh ``heartbeat_at`` through :func:`repro.sweep.atomic_write_json`
+  (fsynced temp file + ``os.replace``). Readers call a lease *expired*
+  when ``now - heartbeat_at > ttl`` (clocks across machines must agree
+  to within the TTL — pick a TTL well above both the expected skew and
+  the heartbeat interval).
 * **reclaim** — ``os.replace(lease, attempts/shard-<i>.attempt-<k>.json)``:
   a rename is atomic, so when several workers notice the same expired
   lease exactly one wins the steal; the winner then owns the attempt
@@ -32,12 +33,12 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from ..errors import LeaseError
+from ..sweep import atomic_write_json
 
 #: File-name pattern of active lease files.
 LEASE_FILE = "shard-{index}.lease"
@@ -85,24 +86,7 @@ class Lease:
     def renew(self) -> None:
         """Refresh the heartbeat; atomic, so readers never see a torn file."""
         self.heartbeat_at = _now()
-        directory = os.path.dirname(self.path) or "."
-        blob = json.dumps(self.to_dict(), sort_keys=True) + "\n"
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
-            dir=directory,
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            raise
+        atomic_write_json(self.to_dict(), self.path)
 
     def release(self) -> None:
         """Drop the claim. Only the owner may call this.

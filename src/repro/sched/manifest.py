@@ -13,12 +13,11 @@ their shards.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional
 
 from ..errors import InvalidSpec
+from ..sweep import atomic_write_json
 
 #: Format tags of the scheduler's on-disk documents.
 MANIFEST_FORMAT = "repro-sched-manifest"
@@ -34,35 +33,6 @@ LEASES_DIR = "leases"
 ATTEMPTS_DIR = "attempts"
 FAILED_DIR = "failed"
 TMP_DIR = "tmp"
-
-
-def atomic_write_json(doc: Mapping[str, Any], path: str) -> str:
-    """Serialize ``doc`` and move it into place atomically, fsynced.
-
-    The same discipline as :func:`repro.sweep.save_shard_report`: the temp
-    file lives in the target directory (same filesystem, invisible to the
-    ``*.json`` globs) and is ``os.replace``d over ``path``, so a writer
-    killed at any instant leaves either the old content or the new —
-    never a truncated document.
-    """
-    directory = os.path.dirname(path) or "."
-    blob = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
-    return path
 
 
 @dataclass(frozen=True)
@@ -216,5 +186,4 @@ __all__ = [
     "REPORTS_DIR",
     "SCHED_VERSION",
     "TMP_DIR",
-    "atomic_write_json",
 ]

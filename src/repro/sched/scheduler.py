@@ -19,7 +19,9 @@ A shard's lifecycle reads directly off the directory: *pending* (no
 file anywhere), *claimed* (fresh lease), *expired* (stale lease, about
 to be reclaimed), *retrying* (attempt records, waiting out backoff),
 *done* (envelope in ``reports/``), *quarantined* (ledger entry in
-``failed/``). :func:`scheduler_status` renders exactly that, read-only;
+``failed/``). :func:`shard_state` classifies one shard that way for both
+the supervisor and :func:`scheduler_status`, which renders every shard
+read-only;
 :func:`reclaim_expired_leases` performs the one mutating scan (stealing
 stale leases into attempt records and quarantining shards past the
 attempt cap).
@@ -35,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import InvalidSpec, ShardQuarantined
 from ..rng import RandomLike
-from ..sweep import SHARD_FILE, SweepPlan
+from ..sweep import SHARD_FILE, SweepPlan, atomic_write_json
 from .lease import (
     _now,
     is_expired,
@@ -55,7 +57,6 @@ from .manifest import (
     SCHED_VERSION,
     TMP_DIR,
     Manifest,
-    atomic_write_json,
 )
 
 _ATTEMPT_RE = re.compile(r"shard-(\d+)\.attempt-(\d+)\.json$")
@@ -357,11 +358,53 @@ def reclaim_expired_leases(
 # ---------------------------------------------------------------------------
 
 
+def shard_state(
+    sched_dir: str, manifest: Manifest, index: int
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Classify one shard from the directory alone (no plan is read).
+
+    The first that applies wins: *quarantined* (a ledger entry in
+    ``failed/``), *done* (an envelope in ``reports/``), *claimed* or
+    *expired* (a lease, fresh or older than the TTL), *retrying* (failed
+    attempt records), *pending* (none of these). Returns the shard's
+    :func:`scheduler_status` entry and its failed-attempt records; the
+    supervisor calls this for every shard on every pass, and claims a
+    retrying shard once its ``retry_backoff_remaining_s`` reads 0.
+    """
+    attempts = shard_attempts(sched_dir, index)
+    entry: Dict[str, Any] = {"shard": index, "attempts": len(attempts)}
+    lease_file = lease_path(leases_dir(sched_dir), index)
+    record = read_lease(lease_file)
+    if os.path.exists(quarantine_path(sched_dir, index)):
+        entry["state"] = "quarantined"
+    elif os.path.exists(envelope_path(sched_dir, index)):
+        entry["state"] = "done"
+    elif record is not None:
+        age = lease_age_s(lease_file, record)
+        entry["lease_age_s"] = round(age, 3)
+        entry["worker"] = record.get("worker")
+        entry["state"] = "expired" if age > manifest.lease_ttl_s else "claimed"
+    elif attempts:
+        entry["state"] = "retrying"
+        recorded = attempts[-1].get("recorded_at")
+        if isinstance(recorded, (int, float)):
+            entry["retry_backoff_remaining_s"] = round(
+                max(
+                    0.0,
+                    recorded + manifest.backoff_s(len(attempts)) - _now(),
+                ),
+                3,
+            )
+    else:
+        entry["state"] = "pending"
+    return entry, attempts
+
+
 def scheduler_status(sched_dir: str) -> Dict[str, Any]:
     """One read-only scan of the directory, as a JSON-ready document.
 
-    ``shards`` holds one entry per shard with its state (``pending`` /
-    ``claimed`` / ``expired`` / ``retrying`` / ``done`` /
+    ``shards`` holds one :func:`shard_state` entry per shard: its state
+    (``pending`` / ``claimed`` / ``expired`` / ``retrying`` / ``done`` /
     ``quarantined``), lease age and owner where claimed, attempt count,
     and the next-retry backoff deadline where retrying. The quarantine
     ledger rides along in full under ``quarantined`` so downstream
@@ -376,44 +419,12 @@ def scheduler_status(sched_dir: str) -> Dict[str, Any]:
     }
     ledger: List[Dict[str, Any]] = []
     for index in range(manifest.of):
-        attempts = shard_attempts(sched_dir, index)
-        entry: Dict[str, Any] = {
-            "shard": index,
-            "attempts": len(attempts),
-        }
-        lease_file = lease_path(leases_dir(sched_dir), index)
-        record = read_lease(lease_file)
-        if os.path.exists(quarantine_path(sched_dir, index)):
-            entry["state"] = "quarantined"
+        entry, _ = shard_state(sched_dir, manifest, index)
+        if entry["state"] == "quarantined":
             with open(
                 quarantine_path(sched_dir, index), "r", encoding="utf-8"
             ) as handle:
                 ledger.append(json.load(handle))
-        elif os.path.exists(envelope_path(sched_dir, index)):
-            entry["state"] = "done"
-        elif record is not None:
-            age = lease_age_s(lease_file, record)
-            entry["lease_age_s"] = round(age, 3)
-            entry["worker"] = record.get("worker")
-            entry["state"] = (
-                "expired" if age > manifest.lease_ttl_s else "claimed"
-            )
-        elif attempts:
-            entry["state"] = "retrying"
-            last = attempts[-1]
-            recorded = last.get("recorded_at")
-            if isinstance(recorded, (int, float)):
-                entry["retry_backoff_remaining_s"] = round(
-                    max(
-                        0.0,
-                        recorded
-                        + manifest.backoff_s(len(attempts))
-                        - _now(),
-                    ),
-                    3,
-                )
-        else:
-            entry["state"] = "pending"
         counts[entry["state"]] += 1
         shards.append(entry)
     return {
@@ -504,5 +515,6 @@ __all__ = [
     "scheduler_envelope_paths",
     "scheduler_status",
     "shard_attempts",
+    "shard_state",
     "tmp_dir",
 ]

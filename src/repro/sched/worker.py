@@ -56,29 +56,28 @@ from ..errors import InvalidSpec, LeaseError
 from ..lp.scipy_backend import highs_binding
 from ..registry import describe_algorithms
 from ..spec import BuildReport
-from ..sweep import SweepPlan, run_shard, save_shard_report
-from .lease import (
-    Lease,
-    claim_lease,
-    default_worker_id,
-    lease_age_s,
-    lease_path,
-    read_lease,
+from ..sweep import (
+    SweepPlan,
+    atomic_write_json,
+    merge_shard_reports,
+    run_shard,
+    save_shard_report,
 )
-from .manifest import Manifest, atomic_write_json
+from .lease import Lease, claim_lease, default_worker_id
+from .manifest import Manifest
 from .scheduler import (
     attempts_dir,
     envelope_path,
     leases_dir,
     load_scheduler,
     quarantine_if_exhausted,
-    quarantine_path,
     reclaim_expired_leases,
     record_attempt,
     reports_dir,
     scheduler_envelope_paths,
     scheduler_status,
     shard_attempts,
+    shard_state,
     tmp_dir,
 )
 
@@ -191,67 +190,30 @@ def _read_error(error_path: str) -> Optional[str]:
             pass
 
 
-def _shard_states(
-    sched_dir: str, manifest: Manifest
-) -> Dict[int, Dict[str, Any]]:
-    """A light per-shard scan (no plan load) for the claim loop."""
-    states: Dict[int, Dict[str, Any]] = {}
-    for index in range(manifest.of):
-        if os.path.exists(quarantine_path(sched_dir, index)):
-            states[index] = {"state": "quarantined"}
-            continue
-        if os.path.exists(envelope_path(sched_dir, index)):
-            states[index] = {"state": "done"}
-            continue
-        path = lease_path(leases_dir(sched_dir), index)
-        record = read_lease(path)
-        if record is not None:
-            states[index] = {
-                "state": "claimed",
-                "age": lease_age_s(path, record),
-            }
-            continue
-        attempts = shard_attempts(sched_dir, index)
-        if attempts:
-            last = attempts[-1]
-            recorded = last.get("recorded_at", 0.0)
-            ready_at = (
-                float(recorded) if isinstance(recorded, (int, float)) else 0.0
-            ) + manifest.backoff_s(len(attempts))
-            states[index] = {
-                "state": "retrying",
-                "attempts": len(attempts),
-                "ready_at": ready_at,
-                "last_worker": last.get("worker"),
-            }
-        else:
-            states[index] = {"state": "pending"}
-    return states
-
-
 def _pick_claimable(
-    states: Dict[int, Dict[str, Any]], worker: str, now: float
+    states: List[Tuple[Dict[str, Any], List[Dict[str, Any]]]], worker: str
 ) -> Optional[Tuple[int, int]]:
     """Choose ``(index, attempt_number)`` to claim next, or ``None``.
 
-    Pending shards first (plan order). Retryable shards whose backoff
-    elapsed come next, preferring ones last failed by a *different*
-    worker — so with several workers alive, a poison shard's attempts
-    spread across distinct machines before quarantine concludes it is
-    the shard, not the worker.
+    ``states`` holds :func:`repro.sched.scheduler.shard_state` for every
+    shard, in plan order. Pending shards come first. Retryable shards
+    whose backoff elapsed come next, preferring ones last failed by a
+    *different* worker — so with several workers alive, a poison shard's
+    attempts spread across distinct machines before quarantine concludes
+    it is the shard, not the worker.
     """
-    for index in sorted(states):
-        if states[index]["state"] == "pending":
-            return index, 1
+    for entry, _ in states:
+        if entry["state"] == "pending":
+            return entry["shard"], 1
     retryable = [
-        (info.get("last_worker") == worker, index)
-        for index, info in states.items()
-        if info["state"] == "retrying" and now >= info["ready_at"]
+        (attempts[-1].get("worker") == worker, entry["shard"], len(attempts))
+        for entry, attempts in states
+        if entry["state"] == "retrying"
+        and entry.get("retry_backoff_remaining_s", 0.0) == 0.0
     ]
     if retryable:
-        retryable.sort()
-        _, index = retryable[0]
-        return index, states[index]["attempts"] + 1
+        _, index, failed = min(retryable)
+        return index, failed + 1
     return None
 
 
@@ -372,16 +334,19 @@ def _supervise(
             counts["reclaimed"] += len(
                 reclaim_expired_leases(sched_dir, manifest, worker)
             )
-            states = _shard_states(sched_dir, manifest)
+            states = [
+                shard_state(sched_dir, manifest, index)
+                for index in range(manifest.of)
+            ]
             capped = max_shards is not None and counts["claimed"] >= max_shards
             if not running and (capped or all(
-                info["state"] in ("done", "quarantined")
-                for info in states.values()
+                entry["state"] in ("done", "quarantined")
+                for entry, _ in states
             )):
                 break
             pick = None
             if len(running) < slots and not capped:
-                pick = _pick_claimable(states, worker, time.time())
+                pick = _pick_claimable(states, worker)
             if pick is not None:
                 index, attempt = pick
                 lease = claim_lease(
@@ -483,8 +448,6 @@ def run_scheduled_sweep(
     with the status document (quarantine ledger included) when it
     finished degraded.
     """
-    from ..analysis.experiments import merge_shard_reports
-
     if workers < 1:
         raise InvalidSpec(f"scheduled sweeps need workers >= 1, got {workers}")
     manifest, plan = load_scheduler(sched_dir)

@@ -24,10 +24,14 @@ it without giving up a single byte of reproducibility:
   wall-clock timeout, one retry, ``attempts`` and ``timed_out`` recorded
   in the envelope). Every shard yields one :class:`repro.spec.BuildReport`
   envelope (``shard-<i>.json``) with wall times kept *outside* the
-  report list, and the merge layer
-  (:func:`repro.analysis.experiments.merge_shard_reports`) recombines
-  shards into exactly the sequential path's reports — byte-identical for
-  the same plan and seeds;
+  report list, and :func:`merge_shard_reports` recombines shards into
+  exactly the sequential path's reports — byte-identical for the same
+  plan and seeds;
+* the envelope file format itself: :func:`save_shard_report` writes it
+  through :func:`atomic_write_json` (the library's one durable JSON
+  writer, which :mod:`repro.sched` shares), :func:`load_shard_report`
+  reads it and :func:`merge_shard_reports` checks and recombines it —
+  this module is the only one that knows its shape;
 * :func:`emit_grid_plan` / :func:`coverage_matrix` — the plan emitter
   over a parameter grid, driven by the registry's machine-readable
   capability flags so unsupported ``(algorithm, fault kind, stretch)``
@@ -45,7 +49,17 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .errors import InvalidSpec, SweepError
 from .graph.graph import BaseGraph
@@ -53,7 +67,7 @@ from .graph.io import graph_from_dict, graph_to_dict, load_json
 from .hosts import HostSpec, get_host_generator, is_host_document
 from .registry import get_algorithm
 from .rng import RandomLike, ensure_rng
-from .spec import FAULT_KINDS, FaultModel, SpannerSpec
+from .spec import FAULT_KINDS, BuildReport, FaultModel, SpannerSpec
 
 #: Format tags stamped into serialized sweep documents.
 PLAN_FORMAT = "repro-sweep-plan"
@@ -62,6 +76,39 @@ SWEEP_VERSION = 1
 
 #: File-name pattern of persisted shard envelopes.
 SHARD_FILE = "shard-{index}.json"
+
+
+def atomic_write_json(doc: Mapping[str, Any], path: str) -> str:
+    """Write ``doc`` to ``path`` as canonical JSON, atomically and durably.
+
+    The library's one writer of persisted JSON documents: shard
+    envelopes, sweep plans, and the scheduler's manifest, lease
+    heartbeats, attempt records and quarantine ledger. The text (sorted
+    keys, two-space indent, trailing newline) goes to a temp file in the
+    target directory — same filesystem, and a ``.tmp`` name invisible to
+    the ``*.json`` globs — which is flushed and fsynced before
+    ``os.replace`` moves it over ``path``. A writer killed at any instant
+    leaves either the old content or the new, never a truncated
+    document. Returns ``path``.
+    """
+    directory = os.path.dirname(path) or "."
+    blob = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
+        raise
+    return path
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -492,9 +539,13 @@ class SweepPlan:
         return cls.from_dict(data)
 
     def save(self, path: str) -> None:
-        """Write the plan as a JSON file (consumed by ``repro sweep``)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+        """Write the plan as a JSON file (consumed by ``repro sweep``).
+
+        Goes through :func:`atomic_write_json`, so a scheduler's
+        ``plan.json`` is complete and on disk before the manifest that
+        pins its fingerprint is written.
+        """
+        atomic_write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str) -> "SweepPlan":
@@ -561,33 +612,32 @@ def shard_report_path(reports_dir: str, index: int) -> str:
 def save_shard_report(envelope: Dict[str, Any], reports_dir: str) -> str:
     """Persist one shard envelope under its canonical name, crash-safely.
 
-    The document is serialized to a temp file *in* ``reports_dir`` and
-    ``os.replace``d into place (atomic on POSIX and Windows within one
-    filesystem), so a worker killed mid-write leaves either no
-    ``shard-<i>.json`` or a complete one — never a truncated envelope
-    for the strict merge layer to choke on.
+    Written through :func:`atomic_write_json`, so a worker killed
+    mid-write leaves either no ``shard-<i>.json`` or a complete one —
+    never a truncated envelope for the strict merge to choke on.
     """
     os.makedirs(reports_dir, exist_ok=True)
     path = shard_report_path(reports_dir, envelope["shard"]["index"])
-    blob = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=reports_dir
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
-    return path
+    return atomic_write_json(envelope, path)
+
+
+def _check_envelope(envelope: Any, where: str) -> None:
+    """Refuse a document that is not a shard envelope this library reads."""
+    if (
+        not isinstance(envelope, Mapping)
+        or envelope.get("format") != SHARD_FORMAT
+    ):
+        raise InvalidSpec(f"{where}: not a sweep-shard envelope")
+    if envelope.get("version", SWEEP_VERSION) != SWEEP_VERSION:
+        raise InvalidSpec(
+            f"{where}: unsupported sweep-shard version "
+            f"{envelope.get('version')!r} (this library reads version "
+            f"{SWEEP_VERSION})"
+        )
 
 
 def load_shard_report(path: str) -> Dict[str, Any]:
-    """Read a shard envelope, validating its shape and format tag.
+    """Read a shard envelope, validating its shape, format tag and version.
 
     Truncated or otherwise unparseable JSON — the leftovers of a killed
     *non-atomic* writer (library writers go through
@@ -606,9 +656,101 @@ def load_shard_report(path: str) -> Dict[str, Any]:
             "exactly this — delete the file and re-run its shard (or let "
             "the scheduler reclaim it)"
         ) from exc
-    if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT:
-        raise InvalidSpec(f"{path}: not a sweep-shard envelope")
+    _check_envelope(data, path)
     return data
+
+
+def _shard_name(envelope: Any) -> str:
+    """``shard i/of`` for error messages, from whatever the envelope says."""
+    shard = envelope.get("shard") if isinstance(envelope, Mapping) else None
+    if isinstance(shard, Mapping):
+        return f"shard {shard.get('index')}/{shard.get('of')}"
+    return f"shard {shard!r}"
+
+
+def merge_shard_reports(
+    shards: Iterable[Union[str, Mapping[str, Any]]],
+) -> List[BuildReport]:
+    """Recombine shard envelopes into the sequential path's report list.
+
+    ``shards`` are envelope dicts (from :func:`run_shard`) and/or paths
+    to persisted ``shard-<i>.json`` files. The merge is strict; it
+    raises :class:`repro.errors.InvalidSpec`, naming the shard at fault
+    where there is one, unless
+
+    * every envelope carries this library's format tag and version, one
+      report per parent-plan index and one wall time per report;
+    * all carry the same plan fingerprint and plan size, and either all
+      or none carry spanners (``include_spanner``);
+    * their indices are disjoint and together cover ``0..total-1`` — a
+      merge of half a sweep is an error, not a short table.
+
+    Reports come back rehydrated (:meth:`repro.spec.BuildReport.from_dict`)
+    in parent-plan order with the envelopes' wall times reattached, so
+    downstream tables are exactly what
+    :meth:`repro.session.Session.build_many` would have produced for the
+    same plan and seeds.
+    """
+    envelopes = [
+        load_shard_report(shard) if isinstance(shard, str) else shard
+        for shard in shards
+    ]
+    if not envelopes:
+        raise InvalidSpec("no shard envelopes to merge")
+    for env in envelopes:
+        _check_envelope(env, _shard_name(env))
+    fingerprints = {env.get("plan") for env in envelopes}
+    if len(fingerprints) != 1:
+        raise InvalidSpec(
+            f"shard envelopes come from different plans: {sorted(fingerprints)}"
+        )
+    by_index: Dict[int, Tuple[Mapping[str, Any], float]] = {}
+    carriers: Dict[bool, str] = {}
+    for env in envelopes:
+        indices = env.get("indices", [])
+        reports = env.get("reports", [])
+        times = env.get("timing", {}).get("wall_times_s", [0.0] * len(reports))
+        if not len(indices) == len(reports) == len(times):
+            raise InvalidSpec(
+                f"{_shard_name(env)} has {len(reports)} reports and "
+                f"{len(times)} wall times for {len(indices)} indices"
+            )
+        for index, doc, wall in zip(indices, reports, times):
+            if index in by_index:
+                raise InvalidSpec(
+                    f"plan index {index} appears in more than one shard "
+                    "envelope; shards must be disjoint"
+                )
+            by_index[index] = (doc, wall)
+            carriers.setdefault("spanner" in doc, _shard_name(env))
+    if len(carriers) > 1:
+        raise InvalidSpec(
+            f"{carriers[False]} carries no spanners but {carriers[True]} "
+            "does; run every shard of a sweep with include_spanner, or none"
+        )
+    sizes = {env.get("plan_size") for env in envelopes}
+    if len(sizes) != 1:
+        raise InvalidSpec(
+            f"shard envelopes disagree on the plan size: {sorted(sizes)}"
+        )
+    (total,) = sizes
+    if total is None:
+        total = len(by_index)
+    expected = set(range(total))
+    if set(by_index) != expected:
+        missing = sorted(expected - set(by_index))
+        raise InvalidSpec(
+            f"shard envelopes do not cover the whole plan of {total} specs "
+            f"(missing indices {missing[:10]}); run or collect the missing "
+            "shards before merging"
+        )
+    merged: List[BuildReport] = []
+    for index in sorted(by_index):
+        doc, wall = by_index[index]
+        report = BuildReport.from_dict(doc)
+        report.wall_time_s = wall
+        merged.append(report)
+    return merged
 
 
 def run_sweep(
@@ -646,8 +788,6 @@ def run_sweep(
     more attempts, backoff and cross-machine recovery, drive
     :mod:`repro.sched` directly.
     """
-    from .analysis.experiments import merge_shard_reports
-
     if workers < 1:
         raise InvalidSpec(f"workers must be >= 1, got {workers}")
     if shard_timeout_s is not None and shard_timeout_s <= 0:
@@ -872,13 +1012,15 @@ def coverage_matrix(
 
 __all__ = [
     "PLAN_FORMAT",
-    "parse_shard",
     "SHARD_FORMAT",
     "SweepPlan",
+    "atomic_write_json",
     "coverage_matrix",
     "emit_grid_plan",
     "host_spec_key",
     "load_shard_report",
+    "merge_shard_reports",
+    "parse_shard",
     "run_shard",
     "run_sweep",
     "save_shard_report",

@@ -10,13 +10,10 @@ from repro.analysis import (
     StretchProfile,
     exhaustive_stretch_profile,
     format_cell,
-    geometric_mean,
-    growth_ratios,
     log_log_slope,
     render_table,
     sampled_stretch_profile,
     stretch_after_faults,
-    summarize,
 )
 from repro.core import fault_tolerant_spanner
 from repro.graph import complete_graph, connected_gnp_graph, cycle_graph
@@ -69,17 +66,6 @@ class TestStretch:
 
 
 class TestStats:
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.count == 3
-        assert s.mean == 2.0
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert s.std == pytest.approx(math.sqrt(2 / 3))
-
-    def test_summarize_empty(self):
-        assert math.isnan(summarize([]).mean)
-
     def test_log_log_slope_recovers_exponent(self):
         xs = [10, 20, 40, 80]
         ys = [x ** 1.5 for x in xs]
@@ -92,16 +78,6 @@ class TestStats:
             log_log_slope([1, 2], [1])
         with pytest.raises(ValueError):
             log_log_slope([5, 5], [1, 2])
-
-    def test_growth_ratios(self):
-        assert growth_ratios([1.0, 2.0, 6.0]) == [2.0, 3.0]
-        assert growth_ratios([0.0, 1.0]) == [math.inf]
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-        assert math.isnan(geometric_mean([]))
 
 
 class TestTables:

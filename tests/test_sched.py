@@ -23,7 +23,6 @@ import time
 import pytest
 
 from repro import FaultModel, SpannerSpec
-from repro.analysis import merge_shard_reports
 from repro.errors import InvalidSpec, LeaseError, ShardQuarantined, SweepError
 from repro.graph import connected_gnp_graph, gnp_random_digraph
 from repro.sched import (
@@ -47,8 +46,16 @@ from repro.sched.scheduler import (
     leases_dir,
     quarantine_path,
     record_attempt,
+    shard_state,
 )
-from repro.sweep import SweepPlan, load_shard_report, run_sweep
+from repro.sweep import (
+    SweepPlan,
+    load_shard_report,
+    merge_shard_reports,
+    run_shard,
+    run_sweep,
+    save_shard_report,
+)
 
 REPO_SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "src")
@@ -212,8 +219,6 @@ class TestSchedulerDir:
         monkeypatch.setattr(lease_module, "_now", lambda: clock[0])
         lease = claim_lease(leases_dir(sd), 0, "crashed-late", ttl_s=5.0)
         # The worker persisted its envelope but died before releasing.
-        from repro.sweep import run_shard, save_shard_report
-
         envelope = run_shard(resolved.shard(0, 2))
         save_shard_report(envelope, os.path.join(sd, "reports"))
         clock[0] = 1010.0
@@ -226,8 +231,6 @@ class TestSchedulerDir:
         manifest, resolved = init_scheduler_dir(
             sd, plan, of=4, seed=4, lease_ttl_s=5.0
         )
-        from repro.sweep import run_shard, save_shard_report
-
         save_shard_report(run_shard(resolved.shard(0, 4)),
                           os.path.join(sd, "reports"))
         claim_lease(leases_dir(sd), 1, "w1", ttl_s=5.0)
@@ -242,6 +245,56 @@ class TestSchedulerDir:
         retrying = status["shards"][2]
         assert retrying["attempts"] == 1
         assert retrying["retry_backoff_remaining_s"] >= 0.0
+
+    def test_shard_state_reads_no_plan(self, plan, tmp_path, monkeypatch):
+        sd = str(tmp_path / "sched")
+        manifest, _ = init_scheduler_dir(
+            sd, plan, of=3, seed=4, lease_ttl_s=5.0
+        )
+        clock = [1000.0]
+        monkeypatch.setattr(lease_module, "_now", lambda: clock[0])
+        claim_lease(leases_dir(sd), 0, "w0", ttl_s=5.0)
+        clock[0] = 1004.0
+        claim_lease(leases_dir(sd), 1, "w1", ttl_s=5.0)
+        clock[0] = 1007.0  # shard 0's lease is 7s stale, shard 1's 3s
+        os.unlink(os.path.join(sd, "plan.json"))
+        states = [shard_state(sd, manifest, i)[0] for i in range(3)]
+        assert [s["state"] for s in states] == ["expired", "claimed", "pending"]
+        assert [s.get("worker") for s in states] == ["w0", "w1", None]
+
+
+class TestDurableWrites:
+    def test_envelope_and_plan_are_fsynced_before_rename(
+        self, plan, tmp_path, monkeypatch
+    ):
+        """Each document's temp file reaches the disk before its rename."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        sd = str(tmp_path / "sched")
+        _, resolved = init_scheduler_dir(sd, plan, of=2, seed=4)
+        save_shard_report(
+            run_shard(resolved.shard(0, 2)), os.path.join(sd, "reports")
+        )
+        for name in ("plan.json", "shard-0.json"):
+            renames = [
+                (position, event[1])
+                for position, event in enumerate(events)
+                if event[0] == "replace" and event[2] == name
+            ]
+            assert len(renames) == 1, f"{name} was not renamed into place"
+            [(position, inode)] = renames
+            assert ("fsync", inode) in events[:position], name
 
 
 class TestWorkerByteIdentity:

@@ -26,11 +26,11 @@ from repro import (
     emit_grid_plan,
     run_sweep,
 )
-from repro.analysis import merge_shard_reports
 from repro.errors import InvalidSpec
 from repro.graph import connected_gnp_graph
 from repro.sweep import (
     load_shard_report,
+    merge_shard_reports,
     parse_shard,
     run_shard,
     save_shard_report,
@@ -266,9 +266,8 @@ class TestPartitionDeterminism:
 _HASHSEED_SCRIPT = """
 import json, sys
 from repro import FaultModel, SpannerSpec, SweepPlan
-from repro.analysis import merge_shard_reports
 from repro.graph import Graph
-from repro.sweep import run_shard
+from repro.sweep import merge_shard_reports, run_shard
 
 g = Graph()
 for u, v, w in json.loads(sys.argv[1]):
@@ -373,6 +372,29 @@ class TestMerge:
         with pytest.raises(InvalidSpec):
             merge_shard_reports([])
 
+    @pytest.mark.parametrize(
+        "case", ["mixed-spanners", "version", "format", "short-wall-times"]
+    )
+    def test_malformed_or_mixed_envelopes_are_refused(self, plan, case):
+        # Shard 0 is always well-formed; shard 1 is broken one way each.
+        resolved = plan.resolve_seeds(2)
+        envelopes = [
+            run_shard(
+                resolved.shard(i, 2),
+                include_spanner=case == "mixed-spanners" and i == 0,
+            )
+            for i in range(2)
+        ]
+        bad = envelopes[1]
+        if case == "version":
+            bad["version"] = 99
+        elif case == "format":
+            bad["format"] = "nope"
+        elif case == "short-wall-times":
+            bad["timing"]["wall_times_s"].pop()
+        with pytest.raises(InvalidSpec, match="shard 1/2"):
+            merge_shard_reports(envelopes)
+
     def test_envelope_files_round_trip(self, plan, tmp_path):
         envelope = self.make_envelopes(plan, of=1)[0]
         path = save_shard_report(envelope, str(tmp_path))
@@ -381,48 +403,6 @@ class TestMerge:
         bogus.write_text('{"format": "not-a-shard"}')
         with pytest.raises(InvalidSpec):
             load_shard_report(str(bogus))
-
-
-class TestRunSpecSweepWorkers:
-    def test_sharded_records_match_sequential(self, hosts, tmp_path):
-        from repro.analysis import run_spec_sweep
-
-        g1, _ = hosts
-        specs = [
-            SpannerSpec("baswana-sen", stretch=3, seed=s) for s in range(4)
-        ]
-        seq_result, seq_reports = run_spec_sweep("seq", specs, graph=g1)
-        par_result, par_reports = run_spec_sweep(
-            "par", specs, graph=g1, reports_dir=str(tmp_path / "rp")
-        )
-        assert report_docs(par_reports) == report_docs(seq_reports)
-        for a, b in zip(seq_result.records, par_result.records):
-            a, b = dict(a), dict(b)
-            a.pop("wall_time_s"), b.pop("wall_time_s")
-            assert a == b
-        assert par_result.seeds == seq_result.seeds
-
-    def test_sharded_path_requires_seeds(self, hosts):
-        from repro.analysis import run_spec_sweep
-
-        with pytest.raises(InvalidSpec) as excinfo:
-            run_spec_sweep(
-                "unseeded",
-                [SpannerSpec("greedy", stretch=3, graph=hosts[0])],
-                workers=2,
-            )
-        assert "seed" in str(excinfo.value)
-
-    def test_sharded_path_refuses_unhonorable_arguments(self, hosts):
-        from repro.analysis import run_spec_sweep
-
-        specs = [SpannerSpec("greedy", stretch=3, seed=1, graph=hosts[0])]
-        with pytest.raises(InvalidSpec) as excinfo:
-            run_spec_sweep("s", specs, workers=2, on_error="skip")
-        assert "on_error" in str(excinfo.value)
-        with pytest.raises(InvalidSpec) as excinfo:
-            run_spec_sweep("s", specs, workers=2, session=Session())
-        assert "session" in str(excinfo.value)
 
 
 class TestEmitter:
@@ -934,4 +914,8 @@ class TestCorruptEnvelope:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"format": "something-else"}, handle)
         with pytest.raises(InvalidSpec, match="not a sweep-shard envelope"):
+            load_shard_report(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"format": "repro-sweep-shard", "version": 99}, handle)
+        with pytest.raises(InvalidSpec, match="version 99"):
             load_shard_report(path)
