@@ -490,14 +490,12 @@ def bench_edge_conversion(n: int = 400, p: float = 0.05, r: int = 2,
     masks, integer edge-id union) against the pinned dict reference
     (materialize ``edge_subgraph`` + dict greedy per iteration).
     """
-    from repro.core.edge_faults import edge_fault_tolerant_spanner
-
     g = gnp_random_graph(n, p, seed=2, weight_range=(0.5, 3.0))
-    fast = lambda: edge_fault_tolerant_spanner(  # noqa: E731
-        g, 3, r, iterations=iters, seed=7, method="csr"
+    fast = lambda: fault_tolerant_spanner(  # noqa: E731
+        g, 3, r, iterations=iters, seed=7, method="csr", kind="edge"
     )
-    slow = lambda: edge_fault_tolerant_spanner(  # noqa: E731
-        g, 3, r, iterations=iters, seed=7, method="dict"
+    slow = lambda: fault_tolerant_spanner(  # noqa: E731
+        g, 3, r, iterations=iters, seed=7, method="dict", kind="edge"
     )
     a, b = fast(), slow()
     assert _edge_set(a.spanner) == _edge_set(b.spanner)

@@ -74,7 +74,7 @@ from .sched import (
     scheduler_envelope_paths,
     scheduler_status,
 )
-from .session import Session
+from .session import Session, _lemma31_decides
 from .spec import BuildReport, FaultModel, SpannerSpec
 from .sweep import (
     SweepPlan,
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify",
         choices=["none", "exhaustive", "sampled", "lemma31", "auto"],
         default=None,
-        help="default: sampled (lemma31 for the stretch-2 pipelines)",
+        help="default: sampled (lemma31 for the fixed-stretch-2 algorithms)",
     )
 
     sweep = sub.add_parser(
@@ -549,14 +549,10 @@ def _cmd_run(args) -> int:
     }.get(spec.algorithm, _generic_table_rows)
     verify_mode = args.verify
     if verify_mode is None:
-        # Unset: the stretch-2 pipelines get their natural Lemma 3.1
+        # Unset: the rows Lemma 3.1 decides (fixed stretch 2) get its
         # counting check, everything else the sampled default. An
         # explicit choice is always respected.
-        verify_mode = (
-            "lemma31"
-            if spec.algorithm in ("ft2-approx", "dk10-baseline")
-            else "sampled"
-        )
+        verify_mode = "lemma31" if _lemma31_decides(spec) else "sampled"
     return _execute_spec(
         spec,
         verify_mode=verify_mode,

@@ -5,9 +5,8 @@ conversion (and its Corollary 2.2 instantiation with the greedy spanner),
 :mod:`repro.core.clpr` the CLPR09 exponential-in-r baseline it improves on,
 and :mod:`repro.core.verify` the exhaustive / sampled / Lemma 3.1 verifiers
 used by tests and benchmarks. Both fault kinds share that code: the
-conversion's one loop and the verifier's drivers take the kind, and
-:mod:`repro.core.edge_faults` holds the edge-fault entry points as shells
-over them.
+conversion and the fault-set verifiers take the kind as ``kind="vertex"``
+(the paper's model) or ``kind="edge"`` (Theorem 2.3's sampling).
 
 The constructors here self-register in :mod:`repro.registry` under two
 names: ``theorem21`` (both fault kinds, read from ``spec.faults.kind``,
@@ -17,11 +16,6 @@ can be built.
 """
 
 from .clpr import CLPRResult, clpr_fault_tolerant_spanner
-from .edge_faults import (
-    edge_fault_tolerant_spanner,
-    is_edge_fault_tolerant_spanner,
-    sampled_edge_fault_check,
-)
 from .conversion import (
     BaseSpannerAlgorithm,
     ConversionResult,
@@ -53,17 +47,14 @@ __all__ = [
     "clpr_fault_tolerant_spanner",
     "count_fault_sets",
     "count_two_paths",
-    "edge_fault_tolerant_spanner",
     "edge_satisfied",
     "fault_sets",
     "fault_tolerant_spanner",
     "fault_tolerant_spanner_until_valid",
     "first_violating_fault_set",
-    "is_edge_fault_tolerant_spanner",
     "is_fault_tolerant_spanner",
     "is_ft_2spanner",
     "resolve_iterations",
-    "sampled_edge_fault_check",
     "sampled_fault_check",
     "survival_probability",
     "unsatisfied_edges",

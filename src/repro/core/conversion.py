@@ -20,6 +20,9 @@ The expected survivor size is ``n/r`` per iteration, so the union has size
 ``O(r^3 log n · f(2n/r))``; applying the greedy spanner's
 ``f(n) = O(n^{1+2/(k+1)})`` yields Theorem 1.1's
 ``O(r^{2-2/(k+1)} n^{1+2/(k+1)} log n)``.
+
+Edge faults run the same loop with ``kind="edge"``: each iteration puts
+every *edge* into ``J`` instead, as Theorem 2.3 phrases the sampling.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def _theorem21(
     validity_check: Optional[Callable[[BaseGraph], bool]] = None,
     batch: int = 1, max_iterations: int = 0,
 ) -> ConversionResult:
-    """The Theorem 2.1 loop behind all three drivers and both fault kinds.
+    """The Theorem 2.1 loop behind both drivers and both fault kinds.
 
     Iteration ``i`` draws one ``random() < p`` per fault unit from the
     ``i``-th derived stream (or replays ``scenarios[i]`` as the same kind
@@ -463,12 +466,14 @@ def fault_tolerant_spanner(
     r: int,
     base_algorithm: BaseSpannerAlgorithm = greedy_spanner,
     iterations: Optional[int] = None,
-    schedule: str = "theorem",
+    schedule: Optional[str] = None,
     constant: float = 16.0,
     seed: RandomLike = None,
     survival_prob: Optional[float] = None,
     method: str = "auto",
     scenarios: Optional[Sequence[FaultScenario]] = None,
+    *,
+    kind: str = "vertex",
 ) -> ConversionResult:
     """Build an r-fault-tolerant k-spanner via the Theorem 2.1 conversion.
 
@@ -481,8 +486,8 @@ def fault_tolerant_spanner(
         it). The paper's size bounds are for odd ``k >= 3`` via the greedy
         base, but the conversion itself is stretch-agnostic.
     r:
-        Number of vertex faults to tolerate, ``r >= 0``. ``r = 0`` reduces
-        to a single run of the base algorithm.
+        Number of faults to tolerate, ``r >= 0``. ``r = 0`` reduces to a
+        single run of the base algorithm.
     base_algorithm:
         Any function ``(graph, k) -> spanner``; defaults to the greedy
         spanner of [ADD+93], which realizes Corollary 2.2.
@@ -490,12 +495,15 @@ def fault_tolerant_spanner(
         Explicit iteration count ``α``; overrides ``schedule``.
     schedule:
         ``"theorem"`` (``r³ ln n``) or ``"light"`` (``r² ln n``), scaled by
-        ``constant``.
+        ``constant``. ``None`` picks ``"theorem"`` for vertex faults and
+        ``"light"`` for edge faults, whose per-pair success probability
+        ``(1/r)(1-1/r)^r`` is one ``1/r`` factor better than the vertex
+        case's ``(1/r)²(1-1/r)^r``.
     seed:
         Randomness for the fault oversampling. Each iteration draws from an
         independently derived stream.
     survival_prob:
-        Override the per-vertex survival probability (default: the paper's
+        Override the per-unit survival probability (default: the paper's
         ``1/r``, or ``1/2`` when r = 1). Exposed for the DESIGN.md §5
         oversampling ablation; non-default values void the size guarantee.
     method:
@@ -507,20 +515,29 @@ def fault_tolerant_spanner(
         algorithms receive ``method=`` when their signature accepts it.
     scenarios:
         Optional explicit list of :class:`repro.graph.scenario
-        .FaultScenario` values (kind ``"none"``/``"vertex"``) to replay
+        .FaultScenario` values (kind ``"none"`` or ``kind``) to replay
         instead of sampling: the iteration count becomes
         ``len(scenarios)``, no randomness is consumed, and each
         iteration builds the base spanner of that scenario's survivor
         graph. This is how a sweep replays the exact fault draws of a
         recorded run (see :meth:`repro.session.Session.scenario`).
+    kind:
+        ``"vertex"`` (the paper's model) or ``"edge"``. Only the sampled
+        unit changes: with ``"edge"`` each iteration puts every *edge*
+        into ``J`` independently (Theorem 2.3's phrasing) and spans
+        ``G`` minus those edges. A surviving edge that is a shortest
+        path in ``G - F`` is then covered with probability
+        ``(1/r)(1 - 1/r)^r >= 1/(2er)``.
 
     Returns
     -------
     :class:`ConversionResult` with the union spanner and per-iteration
     accounting.
     """
+    if schedule is None:
+        schedule = "light" if kind == "edge" else "theorem"
     return _theorem21(
-        graph, k, r, "vertex", base_algorithm, method, seed,
+        graph, k, r, kind, base_algorithm, method, seed,
         iterations=iterations, schedule=schedule, constant=constant,
         survival_prob=survival_prob, scenarios=scenarios,
     )
@@ -630,15 +647,15 @@ def _registry_stats(result: ConversionResult, spec) -> dict:
 def _registry_build(graph: BaseGraph, spec, seed):
     """Spec adapter: ``SpannerSpec -> the Theorem 2.1 loop``.
 
-    ``spec.faults.kind`` picks the fault unit and the default schedule:
-    ``"theorem"`` for vertex faults, ``"light"`` for edge faults (see
-    :func:`repro.core.edge_faults.edge_fault_tolerant_spanner`).
-    ``params.until_valid`` swaps the fixed schedule for the adaptive
-    stop, checked against the same fault kind: the E1/E3 ablations
-    measure how many iterations suffice *in practice*, and sweep plans
-    carry those points with the stopping rule serialized in the params
-    (:func:`resolve_validity_check`). ``params.survival_prob`` reaches
-    every variant, as :meth:`repro.session.Session.scenario` assumes.
+    ``spec.faults.kind`` is the conversion's ``kind``, which picks the
+    fault unit and, without ``params.schedule``, the schedule
+    (:func:`fault_tolerant_spanner`). ``params.until_valid`` swaps the
+    fixed schedule for the adaptive stop, checked against the same fault
+    kind: the E1/E3 ablations measure how many iterations suffice *in
+    practice*, and sweep plans carry those points with the stopping rule
+    serialized in the params (:func:`resolve_validity_check`).
+    ``params.survival_prob`` reaches every variant, as
+    :meth:`repro.session.Session.scenario` assumes.
     """
     kind, k, r = spec.faults.kind, spec.stretch, spec.faults.r
     base = resolve_base_algorithm(spec, seed)
@@ -653,23 +670,15 @@ def _registry_build(graph: BaseGraph, spec, seed):
         stats = _registry_stats(result, spec)
         stats["until_valid"] = knobs
         return result, stats
-    schedule = {
-        "iterations": spec.param("iterations"),
-        "schedule": spec.param(
-            "schedule", "light" if kind == "edge" else "theorem"
-        ),
-        "constant": spec.param("constant", 16.0),
-        "survival_prob": survival_prob,
-    }
-    if kind == "edge":
-        result = _theorem21(graph, k, r, "edge", base, spec.method, seed,
-                            **schedule)
-    else:
-        # Called by its module-global name: perfbench's tracer wraps it
-        # to count ft-build's iterations and survivors.
-        result = fault_tolerant_spanner(graph, k, r, base_algorithm=base,
-                                        seed=seed, method=spec.method,
-                                        **schedule)
+    # Called by its module-global name: perfbench's tracer wraps it to
+    # count ft-build's iterations and survivors. A fault-free spec
+    # (kind "none", so r = 0) is one base run, the same for either kind.
+    result = fault_tolerant_spanner(
+        graph, k, r, base_algorithm=base, seed=seed, method=spec.method,
+        iterations=spec.param("iterations"), schedule=spec.param("schedule"),
+        constant=spec.param("constant", 16.0), survival_prob=survival_prob,
+        kind="vertex" if kind == "none" else kind,
+    )
     return result, _registry_stats(result, spec)
 
 

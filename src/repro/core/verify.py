@@ -25,10 +25,10 @@ Three verification regimes, matching how the experiments use them:
   paths. The same verdict holds for edge faults. This is the verifier
   behind the Section 3 rounding loop.
 
-The first two, and their edge-fault twins in :mod:`repro.core.edge_faults`,
-are shells over one driver, :func:`_first_violation`, which takes the
-fault kind. Each fault set is checked in one of two ways, with identical
-verdicts. With the compiled backend and undirected graphs,
+The first two take the fault kind as ``kind=`` (``"vertex"`` by default,
+or ``"edge"``) and are shells over one driver, :func:`_first_violation`.
+Each fault set is checked in one of two ways, with identical verdicts.
+With the compiled backend and undirected graphs,
 :class:`_CompiledFaultCheck` runs the per-edge criterion: one bounded
 bidirectional search in C per surviving host edge, on the spanner's
 cached CSR snapshot with the fault set applied as ``+inf`` weights.
@@ -52,7 +52,7 @@ from ..errors import FaultToleranceError
 from ..graph.csr import CSRGraph, snapshot
 from ..graph.graph import BaseGraph
 from ..graph.paths import dijkstra
-from ..graph.scenario import scenario_edge_fault_sets, scenario_fault_sets
+from ..graph.scenario import scenario_fault_sets
 from ..rng import RandomLike, ensure_rng
 
 Vertex = Hashable
@@ -183,7 +183,11 @@ def _fault_units(graph: BaseGraph, kind: str) -> list:
     """
     if kind == "vertex":
         return list(graph.vertices())
-    return [(u, v) for u, v, _w in graph.edges()]
+    if kind == "edge":
+        return [(u, v) for u, v, _w in graph.edges()]
+    raise FaultToleranceError(
+        f"fault kind must be 'vertex' or 'edge', got {kind!r}"
+    )
 
 
 def _without_edges(graph: BaseGraph, faults: Iterable[Tuple]) -> BaseGraph:
@@ -267,10 +271,7 @@ def _first_violation(
         )
     units = _fault_units(graph, kind)
     if scenarios is not None:
-        if kind == "vertex":
-            candidates: Iterable = scenario_fault_sets(scenarios)
-        else:
-            candidates = scenario_edge_fault_sets(scenarios)
+        candidates: Iterable = scenario_fault_sets(scenarios, kind)
     elif trials is not None:
         rng = ensure_rng(seed)
         candidates = (
@@ -292,17 +293,20 @@ def is_fault_tolerant_spanner(
     k: float,
     r: int,
     scenarios: Optional[Iterable] = None,
+    *,
+    kind: str = "vertex",
 ) -> bool:
     """Exhaustively verify that ``spanner`` is an r-fault-tolerant k-spanner.
 
-    With ``scenarios`` given — a sequence of
-    :class:`repro.graph.scenario.FaultScenario` values (kind
-    ``"none"``/``"vertex"``) or raw vertex iterables — only those fault
-    sets are verified (used by the Monte Carlo wrapper and by targeted
-    tests); otherwise all ``sum_{i<=r} C(n, i)`` fault sets are
-    enumerated.
+    ``kind`` is ``"vertex"`` or ``"edge"``: the fault sets hold vertices
+    or ``(u, v)`` edges. With ``scenarios`` given — a sequence of
+    :class:`repro.graph.scenario.FaultScenario` values (kind ``"none"``
+    or ``kind``) or raw iterables of vertices or edges — only those fault
+    sets are verified (used by targeted tests); otherwise all
+    ``sum_{i<=r} C(n, i)`` fault sets over the ``n`` vertices or edges
+    are enumerated, so callers must keep that count small.
     """
-    return _first_violation(spanner, graph, k, r, "vertex", scenarios=scenarios) is None
+    return _first_violation(spanner, graph, k, r, kind, scenarios=scenarios) is None
 
 
 def first_violating_fault_set(
@@ -319,15 +323,18 @@ def sampled_fault_check(
     r: int,
     trials: int = 100,
     seed: RandomLike = None,
+    *,
+    kind: str = "vertex",
 ) -> bool:
     """Monte Carlo fault-tolerance check over ``trials`` random fault sets.
 
     Each trial draws a fault-set size uniformly from ``{0, ..., r}`` and
-    then a uniform subset of that size. A False result is a certified
+    then a uniform subset of that size, of vertices or, with
+    ``kind="edge"``, of edges. A False result is a certified
     counterexample; True is only statistical evidence.
     """
     violation = _first_violation(
-        spanner, graph, k, r, "vertex", trials=trials, seed=seed
+        spanner, graph, k, r, kind, trials=trials, seed=seed
     )
     return violation is None
 

@@ -1,7 +1,7 @@
 """Typed fault scenarios: the serializable "what failed" half of a view.
 
 Every per-survivor loop in the library — the Theorem 2.1 oversampling
-conversion, its edge-fault variant, the Corollary 2.4 LOCAL pipeline, and
+conversion for either fault kind, the Corollary 2.4 LOCAL pipeline, and
 the CLPR09 union-over-fault-sets baseline — used to carry its fault set as
 an ad-hoc ``alive`` / ``faults`` / ``survivors`` parameter. This module
 makes the fault set a first-class frozen value:
@@ -10,9 +10,9 @@ makes the fault set a first-class frozen value:
   (``none`` / ``vertex`` / ``edge``), the failed vertices or edges, and
   optional seed/iteration provenance recording *which* RNG draw of a
   sampling loop produced it;
-* :func:`scenario_fault_sets` / :func:`scenario_edge_fault_sets` — the
-  normalizers the verifier entry points use so callers may pass either
-  raw fault tuples or typed scenarios.
+* :func:`scenario_fault_sets` — the normalizer the verifier entry points
+  use, for either fault kind, so callers may pass either raw fault
+  tuples or typed scenarios.
 
 Scenarios round-trip strictly through ``to_dict`` / ``from_dict`` (and
 ``to_json`` / ``from_json``) exactly like :class:`repro.spec.SpannerSpec`
@@ -24,7 +24,7 @@ A scenario executes as a survivor mask: the Theorem 2.1 loop
 (``scenarios=``) replays each one as the mask a sampled draw would give,
 which the kernels read through a zero-copy
 :class:`repro.graph.csr.SurvivorView`; CLPR09 and the verifiers take its
-fault set through the normalizers above.
+fault set through the normalizer above.
 """
 
 from __future__ import annotations
@@ -252,38 +252,28 @@ class FaultScenario:
         return cls.from_dict(data)
 
 
-def scenario_fault_sets(fault_sets: Iterable) -> List[Tuple]:
-    """Normalize vertex fault sets: raw tuples and scenarios both accepted.
+def scenario_fault_sets(fault_sets: Iterable, kind: str = "vertex") -> List[Tuple]:
+    """Normalize fault sets of ``kind``: raw tuples and scenarios both accepted.
 
     The verifier entry points iterate candidate fault sets; each element
-    may be a plain iterable of vertices (the historical calling
-    convention) or a :class:`FaultScenario` of kind ``none``/``vertex``.
+    may be a plain iterable of vertices (``kind="vertex"``) or of
+    ``(u, v)`` pairs (``kind="edge"``), or a :class:`FaultScenario` of
+    kind ``none`` or ``kind``.
     """
+    if kind not in ("vertex", "edge"):
+        raise InvalidSpec(f"fault kind must be 'vertex' or 'edge', got {kind!r}")
+    other = "edge" if kind == "vertex" else "vertex"
     out: List[Tuple] = []
     for fs in fault_sets:
         if isinstance(fs, FaultScenario):
-            if fs.kind == "edge":
+            if fs.kind == other:
                 raise InvalidSpec(
-                    "expected a vertex fault scenario, got kind='edge'; "
-                    "use the edge-fault verifier"
+                    f"expected a {kind} fault scenario, got kind={other!r}; "
+                    f"verify with kind={other!r}"
                 )
-            out.append(fs.vertices)
-        else:
+            out.append(fs.vertices if kind == "vertex" else fs.edges)
+        elif kind == "vertex":
             out.append(tuple(fs))
-    return out
-
-
-def scenario_edge_fault_sets(fault_sets: Iterable) -> List[Tuple]:
-    """Normalize edge fault sets (each a tuple of ``(u, v)`` pairs)."""
-    out: List[Tuple] = []
-    for fs in fault_sets:
-        if isinstance(fs, FaultScenario):
-            if fs.kind == "vertex":
-                raise InvalidSpec(
-                    "expected an edge fault scenario, got kind='vertex'; "
-                    "use the vertex-fault verifier"
-                )
-            out.append(fs.edges)
         else:
             out.append(tuple(tuple(pair) for pair in fs))
     return out
@@ -295,5 +285,4 @@ __all__ = [
     "SCENARIO_KINDS",
     "SCENARIO_VERSION",
     "scenario_fault_sets",
-    "scenario_edge_fault_sets",
 ]

@@ -353,22 +353,24 @@ class Session:
         """Check a report's spanner against its spec's promise.
 
         ``mode`` is ``"exhaustive"``, ``"sampled"``, ``"lemma31"`` (the
-        2-spanner counting check), or ``"auto"`` — which picks lemma31
-        for stretch-2 specs, exhaustive enumeration while the fault-set
-        count stays under :data:`AUTO_EXHAUSTIVE_LIMIT`, and Monte Carlo
-        sampling beyond. The count is over the spec's fault units:
-        ``C(n, <= r)`` vertex sets for vertex faults, ``C(m, <= r)`` edge
-        sets for edge faults.
+        2-spanner counting check), or ``"auto"``. Lemma 3.1 decides the
+        promise of the registry rows with fixed stretch 2 (Section 3's
+        setting: unit lengths, weights read as costs), so on those rows
+        ``auto`` and ``lemma31`` run :func:`repro.core.is_ft_2spanner` at
+        every ``r``, ``r = 0`` included. Every other check reads weights
+        as lengths: without faults it is :func:`repro.spanners.is_spanner`,
+        and ``auto`` enumerates while the fault-set count stays under
+        :data:`AUTO_EXHAUSTIVE_LIMIT` and samples beyond. The count is
+        over the spec's fault units: ``C(n, <= r)`` vertex sets for
+        vertex faults, ``C(m, <= r)`` edge sets for edge faults. An
+        explicit ``lemma31`` on another row runs the counting check for
+        ``r >= 1``.
         """
         from .core import (
             count_fault_sets,
             is_fault_tolerant_spanner,
             is_ft_2spanner,
             sampled_fault_check,
-        )
-        from .core.edge_faults import (
-            is_edge_fault_tolerant_spanner,
-            sampled_edge_fault_check,
         )
         from .spanners import is_spanner
 
@@ -385,30 +387,36 @@ class Session:
             )
         host = self._resolve_graph(spec, graph)
         kind, r, k = spec.faults.kind, spec.faults.r, spec.stretch
+        if mode in ("auto", "lemma31") and _lemma31_decides(spec):
+            return is_ft_2spanner(spanner, host, r)
         if kind == "none" or r == 0:
             return is_spanner(spanner, host, k)
-        if kind == "vertex":
-            units, exhaustive, sampled = (
-                host.num_vertices, is_fault_tolerant_spanner, sampled_fault_check
-            )
-        else:
-            units, exhaustive, sampled = (
-                host.num_edges, is_edge_fault_tolerant_spanner,
-                sampled_edge_fault_check,
-            )
         if mode == "auto":
-            if k == 2:
-                mode = "lemma31"
-            elif count_fault_sets(units, r) <= AUTO_EXHAUSTIVE_LIMIT:
+            units = host.num_vertices if kind == "vertex" else host.num_edges
+            if count_fault_sets(units, r) <= AUTO_EXHAUSTIVE_LIMIT:
                 mode = "exhaustive"
             else:
                 mode = "sampled"
         if mode == "exhaustive":
-            return exhaustive(spanner, host, k, r)
+            return is_fault_tolerant_spanner(spanner, host, k, r, kind=kind)
         if mode == "sampled":
-            return sampled(spanner, host, k, r, trials=trials, seed=seed)
+            return sampled_fault_check(
+                spanner, host, k, r, trials=trials, seed=seed, kind=kind
+            )
         # Lemma 3.1's verdict is the same for both kinds (is_ft_2spanner).
         return is_ft_2spanner(spanner, host, r)
+
+
+def _lemma31_decides(spec: SpannerSpec) -> bool:
+    """Whether Lemma 3.1's counting check decides ``spec``'s promise.
+
+    True for the registry rows with fixed stretch 2 (``ft2-approx``,
+    ``dk10-baseline``, ``distributed-ft2``, ``ft2-stream``): Lemma 3.1
+    holds only in Section 3's setting, unit lengths with weights read as
+    costs, and those rows build for exactly that setting. A spec that
+    merely asks another row for stretch 2 reads weights as lengths.
+    """
+    return get_algorithm(spec.algorithm).fixed_stretch == 2
 
 
 def build(

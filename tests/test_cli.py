@@ -289,6 +289,29 @@ class TestRunSubcommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verification"]["mode"] == "exhaustive"
 
+    @pytest.mark.parametrize("algorithm", ["ft2-stream", "distributed-ft2"])
+    def test_run_checks_fixed_stretch_two_rows_with_lemma31(
+        self, algorithm, tmp_path, capsys
+    ):
+        """Every fixed-stretch-2 row gets the Lemma 3.1 check by default.
+
+        Its host weights are costs, so the length-based sampled check
+        rejects these valid spanners of a cost-weighted host.
+        """
+        host = str(tmp_path / "costs.json")
+        assert materialize(host, "gnp-digraph", "n=12", "p=0.4",
+                           "cost_range=[1.0,10.0]", seed=3) == 0
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump({"format": "repro-spec", "version": 1,
+                       "algorithm": algorithm, "stretch": 2,
+                       "faults": {"kind": "vertex", "r": 1}, "seed": 5,
+                       "graph": host}, handle)
+        capsys.readouterr()
+        assert main(["run", spec_path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verification"] == {"mode": "lemma31", "ok": True}
+
     def test_run_bad_spec_is_clean_error(self, tmp_path, capsys):
         spec_path = str(tmp_path / "bad.json")
         with open(spec_path, "w", encoding="utf-8") as handle:

@@ -31,11 +31,9 @@ from repro.core import (
     fault_sets,
     first_violating_fault_set,
     is_fault_tolerant_spanner,
-    sampled_edge_fault_check,
     sampled_fault_check,
 )
 from repro.core.conversion import fault_tolerant_spanner
-from repro.core.edge_faults import edge_fault_tolerant_spanner
 from repro.core.verify import _compiled_check, _spanner_holds_after_faults
 from repro.graph import (
     BaseGraph,
@@ -151,11 +149,11 @@ class TestGreedyEquivalence:
             FaultScenario.edge([(u, v)])
             for u, v, _w in list(graph.edges())[:6]
         ]
-        fast = edge_fault_tolerant_spanner(
-            graph, 3.0, 1, scenarios=scenarios, method="compiled"
+        fast = fault_tolerant_spanner(
+            graph, 3.0, 1, scenarios=scenarios, method="compiled", kind="edge"
         )
-        slow = edge_fault_tolerant_spanner(
-            graph, 3.0, 1, scenarios=scenarios, method="dict"
+        slow = fault_tolerant_spanner(
+            graph, 3.0, 1, scenarios=scenarios, method="dict", kind="edge"
         )
         assert edge_set(fast.spanner) == edge_set(slow.spanner)
 
@@ -195,8 +193,8 @@ def _conversion_run(driver, graph, k, r, method, seed=3):
             graph, k, r, iterations=12, seed=seed, method=method
         )
     if driver == "edge":
-        return edge_fault_tolerant_spanner(
-            graph, k, r, iterations=12, seed=seed, method=method
+        return fault_tolerant_spanner(
+            graph, k, r, iterations=12, seed=seed, method=method, kind="edge"
         )
     return fault_tolerant_spanner_until_valid(
         graph, k, r,
@@ -279,14 +277,14 @@ class TestTheorem21Batch:
             if kind == "vertex":
                 scenarios = [FaultScenario.vertex(rng.sample(vertices, 12))
                              for _ in range(5)] + [FaultScenario.none()]
-                build = fault_tolerant_spanner
             else:
                 scenarios = [FaultScenario.edge(rng.sample(edges, 40))
                              for _ in range(5)] + [FaultScenario.none()]
-                build = edge_fault_tolerant_spanner
             runs = {
-                method: _outputs(build(graph, 3.0, 2, scenarios=scenarios,
-                                       method=method))
+                method: _outputs(fault_tolerant_spanner(
+                    graph, 3.0, 2, scenarios=scenarios, method=method,
+                    kind=kind,
+                ))
                 for method in ("compiled", "csr", "dict")
             }
             assert runs["compiled"] == runs["csr"]
@@ -313,7 +311,8 @@ class TestTheorem21Batch:
             monkeypatch.setattr(module, "usable_cpus", lambda: threads)
             got = [
                 _outputs(fault_tolerant_spanner(host, 3.0, 2, iterations=40, seed=1)),
-                _outputs(edge_fault_tolerant_spanner(host, 3.0, 2, iterations=40, seed=1)),
+                _outputs(fault_tolerant_spanner(host, 3.0, 2, iterations=40, seed=1,
+                                                kind="edge")),
                 _outputs(fault_tolerant_spanner(digraph, 3.0, 1, iterations=40, seed=1)),
                 _outputs(_conversion_run("adaptive", digraph, 3.0, 1, "auto")),
             ]
@@ -466,7 +465,9 @@ class TestFaultCheckEquivalence:
         monkeypatch.setattr(BaseGraph, "without_vertices", refuse)
         monkeypatch.setattr(verify, "_without_edges", refuse)
         assert sampled_fault_check(spanner, host, 3.0, 1, trials=30, seed=1)
-        assert sampled_edge_fault_check(spanner, host, 3.0, 1, trials=30, seed=1)
+        assert sampled_fault_check(
+            spanner, host, 3.0, 1, trials=30, seed=1, kind="edge"
+        )
 
     def test_pairs_within_contract(self):
         from repro.compiled.pairs import pairs_within

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    edge_fault_tolerant_spanner,
     fault_tolerant_spanner,
     fault_tolerant_spanner_until_valid,
     is_fault_tolerant_spanner,
@@ -64,7 +63,7 @@ class TestParameters:
             with pytest.raises(InvalidStretch):
                 fault_tolerant_spanner(g, math.nan, r, method=method)
             with pytest.raises(InvalidStretch):
-                edge_fault_tolerant_spanner(g, math.nan, r, method=method)
+                fault_tolerant_spanner(g, math.nan, r, method=method, kind="edge")
 
 
 class TestConversionOutput:
@@ -213,8 +212,8 @@ def _pinned_run(driver, g, r, seed, method):
             g, 3, r, schedule="light", constant=2.0, seed=seed, method=method
         )
     if driver == "edge":
-        return edge_fault_tolerant_spanner(
-            g, 3, r, constant=2.0, seed=seed, method=method
+        return fault_tolerant_spanner(
+            g, 3, r, constant=2.0, seed=seed, method=method, kind="edge"
         )
     return fault_tolerant_spanner_until_valid(
         g, 3, r,

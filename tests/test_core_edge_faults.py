@@ -1,7 +1,8 @@
 """Edge-fault-tolerant spanners: conversion, verifiers, and the k=2 lemma.
 
-Edge faults share the vertex-fault code: fault sets are ``fault_sets``
-over the edge list, and the k = 2 verdict is ``is_ft_2spanner``'s.
+Edge faults share the vertex-fault code: the conversion and the verifiers
+take ``kind="edge"``, fault sets are ``fault_sets`` over the edge list,
+and the k = 2 verdict is ``is_ft_2spanner``'s.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    edge_fault_tolerant_spanner,
     edge_satisfied,
     fault_sets,
     fault_tolerant_spanner,
-    is_edge_fault_tolerant_spanner,
+    is_fault_tolerant_spanner,
     is_ft_2spanner,
-    sampled_edge_fault_check,
+    resolve_iterations,
+    sampled_fault_check,
 )
 from repro.errors import FaultToleranceError, InvalidStretch
 from repro.graph import (
@@ -49,55 +50,80 @@ class TestEdgeFaultEnumeration:
 class TestEdgeFaultVerifiers:
     def test_whole_graph_tolerates_edge_faults(self):
         g = complete_graph(5)
-        assert is_edge_fault_tolerant_spanner(g, g, k=3, r=2)
+        assert is_fault_tolerant_spanner(g, g, k=3, r=2, kind="edge")
 
     def test_cycle_subgraph_fails(self):
         g = cycle_graph(5)
         h = g.copy()
         h.remove_edge(0, 1)
         # Faulting another cycle edge disconnects h - F while g - F is a path.
-        assert not is_edge_fault_tolerant_spanner(h, g, k=10, r=1)
+        assert not is_fault_tolerant_spanner(h, g, k=10, r=1, kind="edge")
 
     def test_sampled_check_consistency(self):
         g = complete_graph(6)
-        assert sampled_edge_fault_check(g, g, k=1, r=2, trials=30, seed=0)
+        assert sampled_fault_check(g, g, k=1, r=2, trials=30, seed=0, kind="edge")
 
     def test_sampled_check_finds_violation(self):
         g = cycle_graph(6)
         h = g.copy()
         h.remove_edge(0, 1)
-        assert not sampled_edge_fault_check(h, g, k=50, r=1, trials=300, seed=1)
+        assert not sampled_fault_check(
+            h, g, k=50, r=1, trials=300, seed=1, kind="edge"
+        )
 
     def test_negative_r(self):
         g = complete_graph(3)
         with pytest.raises(FaultToleranceError):
-            is_edge_fault_tolerant_spanner(g, g, 1, -1)
+            is_fault_tolerant_spanner(g, g, 1, -1, kind="edge")
         with pytest.raises(FaultToleranceError):
             is_ft_2spanner(g, g, -1)
+
+    def test_unknown_kind_is_refused(self):
+        g = complete_graph(3)
+        with pytest.raises(FaultToleranceError, match="'vertex' or 'edge'"):
+            is_fault_tolerant_spanner(g, g, 1, 1, kind="edges")
+        with pytest.raises(FaultToleranceError, match="'vertex' or 'edge'"):
+            sampled_fault_check(g, g, 1, 1, trials=3, kind="none")
 
 
 class TestEdgeFaultConversion:
     def test_r0_is_base_run(self):
         g = connected_gnp_graph(15, 0.4, seed=1)
-        result = edge_fault_tolerant_spanner(g, 3, 0, seed=2)
+        result = fault_tolerant_spanner(g, 3, 0, seed=2, kind="edge")
         assert result.num_edges == greedy_spanner(g, 3).num_edges
 
     def test_output_subgraph_and_valid_r1(self):
         g = connected_gnp_graph(10, 0.55, seed=3)
-        result = edge_fault_tolerant_spanner(g, 3, 1, seed=4)
+        result = fault_tolerant_spanner(g, 3, 1, seed=4, kind="edge")
         assert is_subgraph(result.spanner, g)
-        assert is_edge_fault_tolerant_spanner(result.spanner, g, 3, 1)
+        assert is_fault_tolerant_spanner(result.spanner, g, 3, 1, kind="edge")
 
     def test_parameter_validation(self):
         g = complete_graph(4)
         with pytest.raises(InvalidStretch):
-            edge_fault_tolerant_spanner(g, 0.2, 1)
+            fault_tolerant_spanner(g, 0.2, 1, kind="edge")
         with pytest.raises(FaultToleranceError):
-            edge_fault_tolerant_spanner(g, 3, -1)
+            fault_tolerant_spanner(g, 3, -1, kind="edge")
+        with pytest.raises(FaultToleranceError, match="'vertex' or 'edge'"):
+            fault_tolerant_spanner(g, 3, 1, kind="none")
+
+    def test_default_schedule_depends_on_the_kind(self):
+        """``schedule=None`` is "light" for edge faults, "theorem" for vertex."""
+        g = connected_gnp_graph(15, 0.4, seed=1)
+        n = g.num_vertices
+        edge = fault_tolerant_spanner(g, 3, 2, constant=1.0, seed=2, kind="edge")
+        vertex = fault_tolerant_spanner(g, 3, 2, constant=1.0, seed=2)
+        assert edge.stats.iterations == resolve_iterations(n, 2, None, "light", 1.0)
+        assert vertex.stats.iterations == resolve_iterations(
+            n, 2, None, "theorem", 1.0
+        )
+        assert edge.stats.iterations < vertex.stats.iterations
 
     def test_stats_track_surviving_edges(self):
         g = complete_graph(8)
-        result = edge_fault_tolerant_spanner(g, 3, 2, iterations=5, seed=5)
+        result = fault_tolerant_spanner(
+            g, 3, 2, iterations=5, seed=5, kind="edge"
+        )
         assert len(result.stats.survivor_sizes) == 5
         assert all(0 <= s <= g.num_edges for s in result.stats.survivor_sizes)
 
@@ -107,7 +133,7 @@ class TestEdgeFaultConversion:
         g = complete_digraph(6)
         result = fault_tolerant_spanner(g, 2, 1, iterations=40, seed=6)
         if is_ft_2spanner(result.spanner, g, 1):
-            assert is_edge_fault_tolerant_spanner(result.spanner, g, 2, 1)
+            assert is_fault_tolerant_spanner(result.spanner, g, 2, 1, kind="edge")
 
 
 class TestEdgeFaultLemma31Analogue:
@@ -142,5 +168,5 @@ class TestEdgeFaultLemma31Analogue:
         keep = [(u, v) for u, v, _w in g.edges() if rng.random() < 0.7]
         h = g.edge_subgraph(keep)
         lemma = is_ft_2spanner(h, g, r)
-        exhaustive = is_edge_fault_tolerant_spanner(h, g, 2, r)
+        exhaustive = is_fault_tolerant_spanner(h, g, 2, r, kind="edge")
         assert lemma == exhaustive

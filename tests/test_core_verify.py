@@ -20,10 +20,6 @@ from repro.core import (
     unsatisfied_edges,
 )
 from repro.cli import main
-from repro.core.edge_faults import (
-    is_edge_fault_tolerant_spanner,
-    sampled_edge_fault_check,
-)
 from repro.core.verify import _spanner_holds_after_faults
 from repro.errors import FaultToleranceError
 from repro.graph import (
@@ -114,7 +110,7 @@ class TestExhaustiveVerifier:
         with pytest.raises(FaultToleranceError, match="trials"):
             sampled_fault_check(h, g, 3, 1, trials=trials, seed=0)
         with pytest.raises(FaultToleranceError, match="trials"):
-            sampled_edge_fault_check(h, g, 3, 1, trials=trials, seed=0)
+            sampled_fault_check(h, g, 3, 1, trials=trials, seed=0, kind="edge")
         host_path, spanner_path = str(tmp_path / "g.json"), str(tmp_path / "h.json")
         dump_json(g, host_path)
         dump_json(h, spanner_path)
@@ -147,8 +143,10 @@ class TestSpannerMissingHostVertex:
         assert not is_fault_tolerant_spanner(h, g, 3, 1)
         assert not sampled_fault_check(h, g, 3, 1, trials=10, seed=0)
         assert first_violating_fault_set(h, g, 3, 1) == ()
-        assert not is_edge_fault_tolerant_spanner(h, g, 3, 1)
-        assert not sampled_edge_fault_check(h, g, 3, 1, trials=10, seed=0)
+        assert not is_fault_tolerant_spanner(h, g, 3, 1, kind="edge")
+        assert not sampled_fault_check(
+            h, g, 3, 1, trials=10, seed=0, kind="edge"
+        )
 
     @pytest.mark.parametrize("missing", [0, 3])
     def test_dict_reference_rejects_unless_the_vertex_is_faulted(self, missing):

@@ -27,10 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.clpr import clpr_fault_tolerant_spanner
 from repro.core.conversion import fault_tolerant_spanner, survival_probability
-from repro.core.edge_faults import (
-    edge_fault_tolerant_spanner,
-    is_edge_fault_tolerant_spanner,
-)
 from repro.core.verify import is_fault_tolerant_spanner
 from repro.distributed import distributed_ft_spanner
 from repro.distsim import NodeAlgorithm, Simulation, SimulationTracer
@@ -43,7 +39,6 @@ from repro.graph import (
     connected_gnp_graph,
     csr_snapshot,
     gnp_random_graph,
-    scenario_edge_fault_sets,
     scenario_fault_sets,
 )
 from repro.rng import derive_rng, ensure_rng
@@ -133,13 +128,15 @@ class TestFaultScenarioValue:
         assert scenario_fault_sets([(1, 2), FaultScenario.vertex([3])]) == [
             (1, 2), (3,)
         ]
-        assert scenario_edge_fault_sets(
-            [FaultScenario.edge([(0, 1)]), [(2, 3)]]
+        assert scenario_fault_sets(
+            [FaultScenario.edge([(0, 1)]), [(2, 3)]], kind="edge"
         ) == [((0, 1),), ((2, 3),)]
         with pytest.raises(InvalidSpec):
             scenario_fault_sets([FaultScenario.edge([(0, 1)])])
         with pytest.raises(InvalidSpec):
-            scenario_edge_fault_sets([FaultScenario.vertex([1])])
+            scenario_fault_sets([FaultScenario.vertex([1])], kind="edge")
+        with pytest.raises(InvalidSpec):
+            scenario_fault_sets([(1, 2)], kind="edges")
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +219,10 @@ class TestConversionOnViews:
     @given(seed=st.integers(0, 300))
     def test_edge_conversion_paths_identical(self, seed):
         g = gnp_random_graph(48, 0.18, seed=seed)
-        a = edge_fault_tolerant_spanner(g, 3, 2, iterations=5, seed=seed,
-                                        method="csr")
-        b = edge_fault_tolerant_spanner(g, 3, 2, iterations=5, seed=seed,
-                                        method="dict")
+        a = fault_tolerant_spanner(g, 3, 2, iterations=5, seed=seed,
+                                   method="csr", kind="edge")
+        b = fault_tolerant_spanner(g, 3, 2, iterations=5, seed=seed,
+                                   method="dict", kind="edge")
         assert edge_set(a.spanner) == edge_set(b.spanner)
         assert a.stats.survivor_sizes == b.stats.survivor_sizes
         assert a.stats.iteration_edge_counts == b.stats.iteration_edge_counts
@@ -233,10 +230,10 @@ class TestConversionOnViews:
 
     def test_edge_conversion_directed_host(self):
         g = complete_digraph(6)
-        a = edge_fault_tolerant_spanner(g, 2, 1, iterations=4, seed=5,
-                                        method="csr")
-        b = edge_fault_tolerant_spanner(g, 2, 1, iterations=4, seed=5,
-                                        method="dict")
+        a = fault_tolerant_spanner(g, 2, 1, iterations=4, seed=5,
+                                   method="csr", kind="edge")
+        b = fault_tolerant_spanner(g, 2, 1, iterations=4, seed=5,
+                                   method="dict", kind="edge")
         assert edge_set(a.spanner) == edge_set(b.spanner)
         assert a.stats.survivor_sizes == b.stats.survivor_sizes
 
@@ -265,7 +262,7 @@ class TestConversionOnViews:
         with pytest.raises(FaultToleranceError):
             fault_tolerant_spanner(g, 3, 1, scenarios=[edge_sc])
         with pytest.raises(FaultToleranceError):
-            edge_fault_tolerant_spanner(g, 3, 1, scenarios=[vert_sc])
+            fault_tolerant_spanner(g, 3, 1, scenarios=[vert_sc], kind="edge")
         with pytest.raises(FaultToleranceError):
             fault_tolerant_spanner(g, 3, 1, scenarios=[])
         with pytest.raises(FaultToleranceError):
@@ -278,8 +275,9 @@ class TestScenarioReplayMasks:
     @pytest.mark.parametrize("method", ["dict", "csr", "auto"])
     def test_digraph_edge_scenario_drops_only_the_named_arc(self, method):
         g = complete_digraph(5)
-        rep = edge_fault_tolerant_spanner(
-            g, 1.0, 1, scenarios=[FaultScenario.edge([(0, 1)])], method=method
+        rep = fault_tolerant_spanner(
+            g, 1.0, 1, scenarios=[FaultScenario.edge([(0, 1)])],
+            method=method, kind="edge",
         )
         assert rep.stats.survivor_sizes == [19]
         assert rep.spanner.num_edges == 19
@@ -289,9 +287,9 @@ class TestScenarioReplayMasks:
     def test_undirected_edge_scenario_accepts_either_orientation(self, method):
         g = complete_graph(5)
         for pair in ((0, 1), (1, 0)):
-            rep = edge_fault_tolerant_spanner(
+            rep = fault_tolerant_spanner(
                 g, 1.0, 1, scenarios=[FaultScenario.edge([pair])],
-                method=method,
+                method=method, kind="edge",
             )
             assert rep.stats.survivor_sizes == [9]
             assert not rep.spanner.has_edge(0, 1)
@@ -311,17 +309,17 @@ class TestScenarioReplayMasks:
         path.add_edge(0, 1)
         path.add_edge(1, 2)
         with pytest.raises(FaultToleranceError, match=r"\(0, 2\)"):
-            edge_fault_tolerant_spanner(
+            fault_tolerant_spanner(
                 path, 3, 1, scenarios=[FaultScenario.edge([(0, 2)])],
-                method=method,
+                method=method, kind="edge",
             )
         # On a digraph the reverse arc is another edge.
         g = complete_digraph(4)
         g.remove_edge(0, 1)
         with pytest.raises(FaultToleranceError, match=r"\(0, 1\)"):
-            edge_fault_tolerant_spanner(
+            fault_tolerant_spanner(
                 g, 3, 1, scenarios=[FaultScenario.edge([(0, 1)])],
-                method=method,
+                method=method, kind="edge",
             )
 
 
@@ -460,8 +458,8 @@ class TestVerifierScenarios:
                                    FaultScenario.vertex([v])]
         )
         u, w, _ = next(iter(g.edges()))
-        assert is_edge_fault_tolerant_spanner(
-            g, g, 3, 1, scenarios=[FaultScenario.edge([(u, w)])]
+        assert is_fault_tolerant_spanner(
+            g, g, 3, 1, scenarios=[FaultScenario.edge([(u, w)])], kind="edge"
         )
 
     def test_scenarios_do_not_warn(self):
@@ -471,7 +469,9 @@ class TestVerifierScenarios:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             assert is_fault_tolerant_spanner(h, g, 3, 1, scenarios=[()])
-            assert is_edge_fault_tolerant_spanner(g, g, 3, 1, scenarios=[()])
+            assert is_fault_tolerant_spanner(
+                g, g, 3, 1, scenarios=[()], kind="edge"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +498,8 @@ class TestSessionScenario:
         espec = SpannerSpec("theorem21", stretch=3,
                             faults=FaultModel.edge(2), seed=23)
         scs = [session.scenario(espec, graph=g, iteration=i) for i in range(3)]
-        ref = edge_fault_tolerant_spanner(g, 3, 2, iterations=3, seed=23)
-        rep = edge_fault_tolerant_spanner(g, 3, 2, scenarios=scs)
+        ref = fault_tolerant_spanner(g, 3, 2, iterations=3, seed=23, kind="edge")
+        rep = fault_tolerant_spanner(g, 3, 2, scenarios=scs, kind="edge")
         assert edge_set(rep.spanner) == edge_set(ref.spanner)
         none_spec = SpannerSpec("greedy", stretch=3, seed=1)
         assert session.scenario(none_spec, graph=g).is_null
@@ -559,7 +559,6 @@ class TestSessionScenario:
 _SCENARIO_SCRIPT = """
 import json, sys
 from repro.core.conversion import fault_tolerant_spanner
-from repro.core.edge_faults import edge_fault_tolerant_spanner
 from repro.graph import connected_gnp_graph
 
 method = sys.argv[1]
@@ -569,8 +568,8 @@ for u, v, w in g.edges():
     relabeled.add_edge(f"node-{u}", f"node-{v}", w)
 vres = fault_tolerant_spanner(relabeled, 3, 2, iterations=4, seed=9,
                               method=method)
-eres = edge_fault_tolerant_spanner(relabeled, 3, 2, iterations=4, seed=9,
-                                   method=method)
+eres = fault_tolerant_spanner(relabeled, 3, 2, iterations=4, seed=9,
+                              method=method, kind="edge")
 print(json.dumps({
     "vertex": sorted((u, v) for u, v, _w in vres.spanner.edges()),
     "vertex_sizes": vres.stats.survivor_sizes,

@@ -100,7 +100,6 @@ def test_seed_parameter_conventions():
 def test_method_parameter_conventions():
     """The shared dispatch kwarg reaches every rewired constructor."""
     import repro
-    from repro.core import edge_fault_tolerant_spanner
     from repro.distributed import sample_padded_decomposition
     from repro.spanners import (
         baswana_sen_spanner,
@@ -113,7 +112,6 @@ def test_method_parameter_conventions():
         repro.fault_tolerant_spanner,
         repro.fault_tolerant_spanner_until_valid,
         repro.clpr_fault_tolerant_spanner,
-        edge_fault_tolerant_spanner,
         baswana_sen_spanner,
         build_distance_oracle,
         greedy_spanner,
@@ -169,10 +167,7 @@ def test_fault_scenario_exports():
     import repro
     import repro.graph as rg
 
-    for name in (
-        "FaultScenario", "SurvivorView", "scenario_fault_sets",
-        "scenario_edge_fault_sets",
-    ):
+    for name in ("FaultScenario", "SurvivorView", "scenario_fault_sets"):
         assert name in rg.__all__, name
         assert hasattr(rg, name), name
     assert repro.FaultScenario is rg.FaultScenario
@@ -182,14 +177,38 @@ def test_fault_scenario_exports():
 def test_scenario_parameter_conventions():
     """Every per-survivor pipeline accepts the scenarios= vocabulary."""
     import repro
-    from repro.core import edge_fault_tolerant_spanner
-    from repro.core.edge_faults import is_edge_fault_tolerant_spanner
 
     for fn in (
         repro.fault_tolerant_spanner,
         repro.clpr_fault_tolerant_spanner,
-        edge_fault_tolerant_spanner,
         repro.is_fault_tolerant_spanner,
-        is_edge_fault_tolerant_spanner,
     ):
         assert "scenarios" in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_fault_kind_is_a_keyword_argument():
+    """The conversion and the fault-set verifiers take the fault kind as
+    ``kind=``; no edge-fault twin module or name remains."""
+    import repro.core
+    import repro.graph
+
+    for fn in (
+        repro.core.fault_tolerant_spanner,
+        repro.core.is_fault_tolerant_spanner,
+        repro.core.sampled_fault_check,
+    ):
+        param = inspect.signature(fn).parameters["kind"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
+        assert param.default == "vertex", fn.__name__
+    assert inspect.signature(repro.graph.scenario_fault_sets).parameters[
+        "kind"
+    ].default == "vertex"
+    for name in (
+        "edge_fault_tolerant_spanner",
+        "is_edge_fault_tolerant_spanner",
+        "sampled_edge_fault_check",
+    ):
+        assert not hasattr(repro.core, name), name
+    assert not hasattr(repro.graph, "scenario_edge_fault_sets")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.edge_faults")

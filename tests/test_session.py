@@ -11,7 +11,7 @@ from repro import (
     fault_tolerant_spanner,
 )
 from repro.compiled import compiled_available
-from repro.core import clpr_fault_tolerant_spanner, edge_fault_tolerant_spanner
+from repro.core import clpr_fault_tolerant_spanner
 from repro.distributed import distributed_ft2_spanner, distributed_ft_spanner
 from repro.errors import InvalidSpec, UnknownAlgorithm
 from repro.graph import (
@@ -99,7 +99,7 @@ class TestLegacyIdentity:
             "theorem21", stretch=3, faults=FaultModel.edge(1), seed=13
         )
         report = Session().build(spec, graph=comm)
-        legacy = edge_fault_tolerant_spanner(comm, 3, 1, seed=13)
+        legacy = fault_tolerant_spanner(comm, 3, 1, seed=13, kind="edge")
         assert edge_set(report.spanner) == edge_set(legacy.spanner)
 
     def test_clpr09(self, host):
@@ -184,7 +184,9 @@ class TestMethodThreading:
                     host, 3, 1, lambda union: True, seed=5, method=method
                 )
             with pytest.raises(FaultToleranceError):
-                edge_fault_tolerant_spanner(host, 3, 1, seed=5, method=method)
+                fault_tolerant_spanner(
+                    host, 3, 1, seed=5, method=method, kind="edge"
+                )
             with pytest.raises(ValueError):
                 greedy_spanner(host, 3, method=method)
 
@@ -461,7 +463,7 @@ class TestVerify:
         must sample; the 2,486 vertex fault sets would have picked
         exhaustive enumeration.
         """
-        from repro.core import edge_faults
+        import repro.core
 
         comm = connected_gnp_graph(70, 0.3, seed=0)
         assert comm.num_edges == 699
@@ -476,16 +478,16 @@ class TestVerify:
             raise AssertionError("auto entered the exhaustive driver")
 
         sampled = []
-        real_sampled = edge_faults.sampled_edge_fault_check
+        real_sampled = repro.core.sampled_fault_check
 
         def spy(*args, **kwargs):
-            sampled.append(kwargs["trials"])
+            sampled.append((kwargs["trials"], kwargs["kind"]))
             return real_sampled(*args, **kwargs)
 
-        monkeypatch.setattr(edge_faults, "is_edge_fault_tolerant_spanner", refuse)
-        monkeypatch.setattr(edge_faults, "sampled_edge_fault_check", spy)
+        monkeypatch.setattr(repro.core, "is_fault_tolerant_spanner", refuse)
+        monkeypatch.setattr(repro.core, "sampled_fault_check", spy)
         session.verify(report, graph=comm, mode="auto", trials=3)
-        assert sampled == [3]
+        assert sampled == [(3, "edge")]
 
     def test_verify_lemma31(self, digraph):
         session = Session()
@@ -495,6 +497,45 @@ class TestVerify:
             graph=digraph,
         )
         assert session.verify(report, graph=digraph, mode="auto")
+
+    def test_auto_reads_lengths_for_theorem21_at_stretch_two(self):
+        """Lemma 3.1 counts two-paths at unit length; theorem21 reads weights
+        as lengths. Here the kept ``u-x-v`` detours have length 20 > 2 * 1."""
+        from repro.graph import Graph
+
+        host = Graph()
+        host.add_edge("u", "v", 1.0)
+        for mid in "xyz":
+            host.add_edge("u", mid, 10.0)
+            host.add_edge(mid, "v", 10.0)
+        session = Session()
+        report = session.build(
+            SpannerSpec("theorem21", stretch=2, faults=FaultModel.vertex(1),
+                        seed=76, params={"iterations": 4}),
+            graph=host,
+        )
+        assert not report.spanner.has_edge("u", "v")
+        assert report.spanner.num_edges == 6
+        assert not session.verify(report, graph=host)
+        assert not session.verify(report, graph=host, mode="exhaustive")
+
+    def test_lemma31_decides_fixed_stretch_two_rows_at_r0(self):
+        """A fault-free ft2-stream spanner of a cost-weighted host is valid:
+        auto and lemma31 run Lemma 3.1 at r = 0 instead of the length check."""
+        from repro.core import is_ft_2spanner
+        from repro.hosts import HostSpec
+
+        host = HostSpec("gnp-digraph", params={
+            "n": 12, "p": 0.4, "cost_range": [1.0, 10.0]}, seed=3).materialize()
+        session = Session()
+        report = session.build(
+            SpannerSpec("ft2-stream", stretch=2, seed=5), graph=host
+        )
+        assert is_ft_2spanner(report.spanner, host, 0)
+        assert session.verify(report, graph=host)
+        assert session.verify(report, graph=host, mode="lemma31")
+        # The length checks stay available on request.
+        assert not session.verify(report, graph=host, mode="exhaustive")
 
     def test_verify_rejects_bad_mode(self, host):
         session = Session()
