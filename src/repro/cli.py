@@ -356,7 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k", type=float, default=3.0)
     ver.add_argument("--r", type=int, default=1)
     ver.add_argument(
-        "--mode", choices=["exhaustive", "sampled", "lemma31"], default="sampled"
+        "--mode", choices=["exhaustive", "sampled", "lemma31"], default="sampled",
+        help="exhaustive and sampled read weights as lengths. lemma31 "
+             "needs --k 2 and reads weights as costs with unit lengths "
+             "(Section 3): it counts two-paths, so it decides only "
+             "spanners built for that setting. A file pair cannot say "
+             "which its weights are, so on a host whose weights are "
+             "lengths lemma31 can pass a spanner that exhaustive rejects",
     )
     ver.add_argument("--trials", type=int, default=100)
     return parser
@@ -1169,6 +1175,11 @@ def _cmd_hosts(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.mode == "lemma31" and args.k != 2:
+        raise ReproError(
+            f"--mode lemma31 checks fault-tolerant 2-spanners (Lemma 3.1, "
+            f"unit lengths); it needs --k 2, got --k {args.k:g}"
+        )
     graph = load_json(args.graph)
     spanner = load_json(args.spanner)
     from .core import (

@@ -13,9 +13,10 @@ holds four entry points:
 * the same bounded search, batched over one CSR graph, for the
   fault-set verifier (:mod:`repro.core.verify`, wrapped by
   :mod:`repro.compiled.pairs`);
-* a target-stopped Dijkstra over write-maintained rows, which answers
-  the spanner service's ``QUERY_DIST`` (:mod:`repro.serve.rows`,
-  wrapped by :mod:`repro.compiled.point`).
+* a point-to-point Dijkstra over write-maintained rows and
+  caller-owned search state, which answers the spanner service's
+  ``QUERY_DIST`` (:mod:`repro.serve.rows`, wrapped by
+  :mod:`repro.compiled.point`).
 
 Thread rule: only the Theorem 2.1 batch runs threads. It splits its
 iterations across ``min(CPUs this process may use, iterations in the
@@ -159,11 +160,11 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, p_i64, p_i64, p_f64,   # num_q, qu, qv, bound
         p_u8,                       # out
     ]
-    lib.repro_point_dist.restype = i64
+    lib.repro_point_dist.restype = f64
     lib.repro_point_dist.argtypes = [
-        i64, p_i64, p_i64,          # n, start, len
-        p_i64, p_f64,               # nbr, wt
-        i64, i64, p_f64,            # s, t, out
+        ctypes.c_void_p,            # rows + search state (compiled.point)
+        i64, ctypes.c_int,          # gen, bidirectional
+        i64, i64,                   # s, t
     ]
     return lib
 

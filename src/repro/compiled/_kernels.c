@@ -15,8 +15,10 @@
  *   repro_pairs_within         the fault-set verifier (core/verify.py):
  *       one bounded search per surviving host edge, on the spanner's CSR;
  *   repro_point_dist           the spanner service's QUERY_DIST
- *       (serve/rows.py): CSRGraph.dijkstra_idx(target=) over rows the
- *       service edits in place.
+ *       (serve/rows.py) over rows the service edits in place and search
+ *       state it owns: CSRGraph.dijkstra_idx(target=), or on undirected
+ *       rows with integral weights a bidirectional search whose sums
+ *       are all exact, so both return the reference's double.
  *
  * The port preserves the reference semantics operation-for-operation:
  * the same IEEE-754 double arithmetic, the same tolerances, the same
@@ -770,73 +772,154 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Service reads: one target-stopped Dijkstra over growable rows.      */
+/* Service reads: a point-to-point Dijkstra over growable rows.        */
 /* ------------------------------------------------------------------ */
 
-/* *out = d(s, t) in the graph whose vertex v owns the row
- * nbr/wt[start[v] .. start[v] + len[v]); +inf when t is unreachable.
- * Returns 0, or -1 on allocation failure. The search is
- * CSRGraph.dijkstra_idx(target=) operation-for-operation: one source,
- * the same strict relaxation nd < dist[u], and it stops when t
- * settles. Its distance is the minimum over paths of the left-to-right
- * weight sum, which every correct Dijkstra returns bit-for-bit, so the
- * answer equals the dict reference's. Rows are read in place. */
-int64_t repro_point_dist(
-    int64_t n, const int64_t *start, const int64_t *len,
-    const int64_t *nbr, const double *wt,
-    int64_t s, int64_t t, double *out)
+/* The graph whose vertex v owns the row nbr/wt[start[v] .. start[v] +
+ * len[v]), read in place, and the caller's search state: per vertex a
+ * forward and a backward distance, each with a generation stamp. The
+ * caller binds it once and rebinds only when it reallocates an array. */
+typedef struct {
+    const int64_t *start;
+    const int64_t *len;
+    const int64_t *nbr;
+    const double *wt;
+    double *dist_f;
+    int64_t *stamp_f;
+    double *dist_b;
+    int64_t *stamp_b;
+} point_rows_t;
+
+/* d(s, t) by CSRGraph.dijkstra_idx(target=) operation-for-operation:
+ * one source, the same strict relaxation nd < dist[u] (an unlabeled
+ * vertex reads +inf), and it stops when t settles. stamp_f[v] == gen
+ * marks v labeled in dist_f. A heap entry above its vertex's label is
+ * stale: pushes for one vertex strictly decrease, so its first pop
+ * settles it, and a settled neighbour never passes nd < dist[u]
+ * because weights are nonnegative. Its distance is the minimum over
+ * paths of the left-to-right weight sum, which every correct Dijkstra
+ * returns bit-for-bit, so the answer equals the dict reference's for
+ * any nonnegative weights. */
+static double point_one_sided(
+    const point_rows_t *g, int64_t gen, int64_t s, int64_t t)
 {
-    *out = INFINITY;
-    if (s == t) {
-        *out = 0.0;
-        return 0;
-    }
-    double *dist = (double *)malloc((size_t)n * sizeof(double));
-    unsigned char *settled = (unsigned char *)calloc((size_t)n, 1);
+    double *dist = g->dist_f;
+    int64_t *stamp = g->stamp_f;
     heap_t h = {0};
-    int fail = 0;
-    if (dist == NULL || settled == NULL || heap_init(&h, 64)) {
-        fail = 1;
-        goto done;
-    }
-    for (int64_t v = 0; v < n; v++)
-        dist[v] = INFINITY;
+    double out = INFINITY;
     dist[s] = 0.0;
-    if (heap_push(&h, 0.0, s)) {
-        fail = 1;
+    stamp[s] = gen;
+    if (heap_init(&h, 256) || heap_push(&h, 0.0, s)) {
+        out = -1.0;
         goto done;
     }
     while (h.len) {
         double d = h.d[0];
         int64_t v = h.v[0];
         heap_pop(&h);
-        if (settled[v])
+        if (d > dist[v])
             continue; /* stale heap entry */
-        settled[v] = 1;
         if (v == t) {
-            *out = d;
+            out = d;
             break;
         }
-        const int64_t *to = nbr + start[v];
-        const double *w = wt + start[v];
-        for (int64_t e = 0; e < len[v]; e++) {
+        const int64_t *to = g->nbr + g->start[v];
+        const double *w = g->wt + g->start[v];
+        for (int64_t e = 0; e < g->len[v]; e++) {
             int64_t u = to[e];
-            if (settled[u])
-                continue;
             double nd = d + w[e];
-            if (nd < dist[u]) {
+            if (nd < (stamp[u] == gen ? dist[u] : INFINITY)) {
                 dist[u] = nd;
+                stamp[u] = gen;
                 if (heap_push(&h, nd, u)) {
-                    fail = 1;
+                    out = -1.0;
                     goto done;
                 }
             }
         }
     }
-
 done:
-    free(dist);
-    free(settled);
     heap_free(&h);
-    return fail ? -1 : 0;
+    return out;
+}
+
+/* d(s, t) by balls grown from both ends of undirected rows: expand the
+ * side with the smaller frontier minimum (the forward one on ties),
+ * record the best s-t sum dist_f[u] + dist_b[u] over every vertex
+ * labeled from both sides, and stop once the two frontier minima sum
+ * to at least that best meeting. Exact only when the caller checked
+ * that every weight is an integer and 2 n max_weight <= 2^53: every
+ * tentative distance is then an integer <= n max_weight and every sum
+ * formed here an integer <= 2^53, so each is computed without rounding
+ * and the answer is the one exact distance the reference returns. */
+static double point_bidirectional(
+    const point_rows_t *g, int64_t gen, int64_t s, int64_t t)
+{
+    heap_t hf = {0}, hb = {0};
+    double best = INFINITY;
+    g->dist_f[s] = 0.0;
+    g->stamp_f[s] = gen;
+    g->dist_b[t] = 0.0;
+    g->stamp_b[t] = gen;
+    if (heap_init(&hf, 256) || heap_init(&hb, 256)
+        || heap_push(&hf, 0.0, s) || heap_push(&hb, 0.0, t)) {
+        best = -1.0;
+        goto done;
+    }
+    for (;;) {
+        /* Drop stale entries so the heap tops are true frontier minima. */
+        while (hf.len && hf.d[0] > g->dist_f[hf.v[0]])
+            heap_pop(&hf);
+        while (hb.len && hb.d[0] > g->dist_b[hb.v[0]])
+            heap_pop(&hb);
+        if (!hf.len || !hb.len || hf.d[0] + hb.d[0] >= best)
+            break;
+        int forward = hf.d[0] <= hb.d[0];
+        heap_t *h = forward ? &hf : &hb;
+        double *dist = forward ? g->dist_f : g->dist_b;
+        int64_t *stamp = forward ? g->stamp_f : g->stamp_b;
+        const double *other = forward ? g->dist_b : g->dist_f;
+        const int64_t *other_stamp = forward ? g->stamp_b : g->stamp_f;
+        double d = h->d[0];
+        int64_t v = h->v[0];
+        heap_pop(h);
+        const int64_t *to = g->nbr + g->start[v];
+        const double *w = g->wt + g->start[v];
+        for (int64_t e = 0; e < g->len[v]; e++) {
+            int64_t u = to[e];
+            double nd = d + w[e];
+            if (stamp[u] != gen || nd < dist[u]) {
+                dist[u] = nd;
+                stamp[u] = gen;
+                if (heap_push(h, nd, u)) {
+                    best = -1.0;
+                    goto done;
+                }
+            }
+            if (other_stamp[u] == gen && nd + other[u] < best)
+                best = nd + other[u];
+        }
+    }
+done:
+    heap_free(&hf);
+    heap_free(&hb);
+    return best;
+}
+
+/* d(s, t) over the rows; +inf when t is unreachable, -1 on allocation
+ * failure. stamp[v] == gen marks a label of this query and every stamp
+ * is below gen on entry, so a query touches only the vertices it labels
+ * and allocates nothing proportional to n. bidirectional selects
+ * point_bidirectional, which the caller may set only on undirected rows
+ * (every entry mirrored) under its exactness condition; otherwise the
+ * search is point_one_sided, which is exact for any nonnegative weights
+ * and reads directed rows. */
+double repro_point_dist(
+    const point_rows_t *g, int64_t gen, int bidirectional,
+    int64_t s, int64_t t)
+{
+    if (s == t)
+        return 0.0;
+    return bidirectional ? point_bidirectional(g, gen, s, t)
+                         : point_one_sided(g, gen, s, t);
 }

@@ -2,11 +2,11 @@
 
 :class:`SpannerRows` mirrors the dict spanner that
 :class:`repro.serve.SpannerService` maintains, in the flat layout the C
-kernel :func:`repro.compiled.point.point_dist` reads: per vertex index a
-``start``/``len``/``cap`` triple, per entry a neighbour index ``nbr``
-and a weight ``wt``. An undirected edge is stored in both endpoints'
-rows, an arc only in its tail's row. Writes edit the rows in place, so
-the ``QUERY_DIST`` after a write rebuilds no snapshot:
+kernel behind :class:`repro.compiled.point.PointSearch` reads: per
+vertex index a ``start``/``len``/``cap`` triple, per entry a neighbour
+index ``nbr`` and a weight ``wt``. An undirected edge is stored in both
+endpoints' rows, an arc only in its tail's row. Writes edit the rows in
+place, so the ``QUERY_DIST`` after a write rebuilds no snapshot:
 
 * adding an entry appends it to its row; a full row first moves to the
   end of the arrays with doubled capacity;
@@ -14,10 +14,21 @@ the ``QUERY_DIST`` after a write rebuilds no snapshot:
   row;
 * a new vertex gets a fresh index with an empty row, and so does a
   label that was deleted and is added again;
-* a deleted vertex keeps an empty row under its retired index. Entries
-  in other rows that still point at it are harmless: the retired row
-  has no out-entries, and a query never names it (the service rejects a
-  missing label before the kernel). So deletion needs no reverse scan.
+* a deleted vertex keeps an empty row under its retired index. On
+  undirected rows the entries that point at it are deleted too, one
+  neighbour row each: otherwise both ends of a bidirectional search
+  could label the retired index and meet at a vertex that no longer
+  exists. Only directed rows keep such stale entries. The one-sided
+  search that reads them is unharmed: the retired row has no
+  out-entries, and a query never names it (the service rejects a
+  missing label before the kernel).
+
+The rows also own the kernel's search state: forward and backward
+distances with generation stamps, one slot per index and grown with the
+rows, and the generation counter each query advances. Every write keeps
+a count of the entries whose weight is not an integer and a running
+maximum weight, from which :attr:`SpannerRows.bidirectional` decides,
+per query, whether the exact bidirectional search may run.
 
 Moved rows and deleted vertices leave dead slots behind. When the dead
 slots outnumber the live entries, the rows are rebuilt from the dict
@@ -30,7 +41,7 @@ from typing import Dict, Hashable, Iterator, List, Tuple
 
 import numpy as np
 
-from ..compiled.point import point_dist
+from ..compiled.point import PointSearch
 from ..graph.graph import BaseGraph
 
 Vertex = Hashable
@@ -43,6 +54,17 @@ def _grown(arr: np.ndarray, size: int) -> np.ndarray:
     out = np.zeros(max(size, 2 * arr.shape[0]), dtype=arr.dtype)
     out[: arr.shape[0]] = arr
     return out
+
+
+#: The per-index arrays, grown together: the rows, then the search state.
+_VERTEX_ARRAYS = (
+    "_start", "_len", "_cap", "_dist_f", "_stamp_f", "_dist_b", "_stamp_b",
+)
+
+
+def _count_nonintegral(wt: np.ndarray) -> int:
+    """How many of the weights ``wt`` are not integers (``inf`` is not)."""
+    return int(np.count_nonzero(~np.isfinite(wt) | (np.floor(wt) != wt)))
 
 
 class SpannerRows:
@@ -60,6 +82,7 @@ class SpannerRows:
     def load(self, graph: BaseGraph) -> None:
         """Rebuild the rows from ``graph``: fresh indices, no dead slots."""
         self.graph = graph
+        self._directed = graph.directed
         self._index: Dict[Vertex, int] = {
             v: i for i, v in enumerate(graph.vertices())
         }
@@ -74,15 +97,23 @@ class SpannerRows:
                 nbr.append(index[u])
                 wt.append(w)
             length.append(len(nbr) - before)
-        self._n = len(index)
+        self._n = n = len(index)
         self._len = np.array(length, dtype=np.int64)
         self._cap = self._len.copy()
-        self._start = np.zeros(self._n, dtype=np.int64)
+        self._start = np.zeros(n, dtype=np.int64)
         np.cumsum(self._len[:-1], out=self._start[1:])
         self._nbr = np.array(nbr, dtype=np.int64)
         self._wt = np.array(wt, dtype=np.float64)
         self._end = self._live = len(nbr)
         self._dead = 0
+        self._nonintegral = _count_nonintegral(self._wt)
+        self._max_weight = max(wt, default=0.0)
+        self._dist_f = np.zeros(n, dtype=np.float64)
+        self._stamp_f = np.zeros(n, dtype=np.int64)
+        self._dist_b = np.zeros(n, dtype=np.float64)
+        self._stamp_b = np.zeros(n, dtype=np.int64)
+        self._gen = 0
+        self._search = None  # bound on the next read
 
     # -- writes (after the same write on the dict graph) ----------------
 
@@ -91,13 +122,19 @@ class SpannerRows:
             return
         self._index[v] = self._n
         self._n += 1
-        self._start = _grown(self._start, self._n)
-        self._len = _grown(self._len, self._n)
-        self._cap = _grown(self._cap, self._n)
+        if self._n > self._start.shape[0]:
+            for name in _VERTEX_ARRAYS:
+                setattr(self, name, _grown(getattr(self, name), self._n))
+            self._search = None
 
     def remove_vertex(self, v: Vertex) -> None:
         i = self._index.pop(v)
-        self._live -= int(self._len[i])
+        start, length = int(self._start[i]), int(self._len[i])
+        self._nonintegral -= _count_nonintegral(self._wt[start : start + length])
+        if not self._directed:
+            for j in self._nbr[start : start + length].tolist():
+                self._delete(j, i)
+        self._live -= length
         self._dead += int(self._cap[i])
         self._len[i] = self._cap[i] = 0
         self._repack_if_sparse()
@@ -106,15 +143,16 @@ class SpannerRows:
         self.add_vertex(u)
         self.add_vertex(v)
         i, j = self._index[u], self._index[v]
+        weight = float(weight)
         self._append(i, j, weight)
-        if not self.graph.directed:
+        if not self._directed:
             self._append(j, i, weight)
         self._repack_if_sparse()
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         i, j = self._index[u], self._index[v]
         self._delete(i, j)
-        if not self.graph.directed:
+        if not self._directed:
             self._delete(j, i)
 
     def _append(self, i: int, j: int, weight: float) -> None:
@@ -124,8 +162,10 @@ class SpannerRows:
         if length == cap:
             new_cap = max(2 * cap, 4)
             end = self._end
-            self._nbr = _grown(self._nbr, end + new_cap)
-            self._wt = _grown(self._wt, end + new_cap)
+            if end + new_cap > self._nbr.shape[0]:
+                self._nbr = _grown(self._nbr, end + new_cap)
+                self._wt = _grown(self._wt, end + new_cap)
+                self._search = None
             self._nbr[end : end + length] = self._nbr[start : start + length]
             self._wt[end : end + length] = self._wt[start : start + length]
             self._dead += cap
@@ -136,11 +176,16 @@ class SpannerRows:
         self._wt[start + length] = weight
         self._len[i] = length + 1
         self._live += 1
+        if not weight.is_integer():
+            self._nonintegral += 1
+        self._max_weight = max(self._max_weight, weight)
 
     def _delete(self, i: int, j: int) -> None:
         start, length = int(self._start[i]), int(self._len[i])
         hit = start + int(np.flatnonzero(self._nbr[start : start + length] == j)[0])
         last = start + length - 1
+        if not float(self._wt[hit]).is_integer():
+            self._nonintegral -= 1
         self._nbr[hit] = self._nbr[last]
         self._wt[hit] = self._wt[last]
         self._len[i] = length - 1
@@ -152,12 +197,37 @@ class SpannerRows:
 
     # -- reads -----------------------------------------------------------
 
+    @property
+    def bidirectional(self) -> bool:
+        """Whether :meth:`distance` runs the bidirectional search.
+
+        Only where every sum that search forms is an exact integer: the
+        rows are undirected, no entry has a weight that is not an
+        integer, and ``2 n max_weight`` is below ``2**53`` (a meeting
+        adds two tentative distances, each at most ``n max_weight``).
+        The bound is strict so that the rounded product decides it
+        soundly; ``n`` counts retired indices and the maximum is kept
+        over every weight written since the last rebuild, so both only
+        err towards the one-sided search, which is exact for any
+        weights.
+        """
+        return (
+            not self._directed
+            and not self._nonintegral
+            and 2 * self._n * self._max_weight < 2.0**53
+        )
+
     def distance(self, u: Vertex, v: Vertex) -> float:
         """``d(u, v)`` in the spanner; ``inf`` when unreachable."""
-        n = self._n
-        return point_dist(
-            self._start[:n], self._len[:n], self._nbr, self._wt,
-            self._index[u], self._index[v],
+        search = self._search
+        if search is None:
+            search = self._search = PointSearch(
+                self._start, self._len, self._nbr, self._wt,
+                self._dist_f, self._stamp_f, self._dist_b, self._stamp_b,
+            )
+        self._gen += 1
+        return search(
+            self._index[u], self._index[v], self._gen, self.bidirectional
         )
 
     def entries(self) -> Iterator[Tuple[Vertex, Vertex, float]]:

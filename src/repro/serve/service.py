@@ -33,8 +33,11 @@ depends on the compiled backend (:mod:`repro.compiled`):
 * with it, the service keeps :class:`repro.serve.rows.SpannerRows`, an
   index-space copy of the spanner's adjacency that every spanner write
   edits in place (all writes go through ``SpannerService._write``), and
-  answers with one C target-stopped Dijkstra over those rows: no
-  snapshot is rebuilt after a write and no Dijkstra is interpreted;
+  answers with one C search over those rows: no snapshot is rebuilt
+  after a write and no Dijkstra is interpreted. The search grows balls
+  from both ends when the rows are undirected with integral weights
+  (``SpannerRows.bidirectional``), where every sum it forms is exact,
+  and is the one-sided target-stopped Dijkstra otherwise;
 * without it, the service warms the spanner's CSR snapshot (rebuilt
   after each write) and runs :func:`repro.graph.paths.dijkstra` with
   ``target=``, which stays the reference the compiled answers are

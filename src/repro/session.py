@@ -357,14 +357,16 @@ class Session:
         promise of the registry rows with fixed stretch 2 (Section 3's
         setting: unit lengths, weights read as costs), so on those rows
         ``auto`` and ``lemma31`` run :func:`repro.core.is_ft_2spanner` at
-        every ``r``, ``r = 0`` included. Every other check reads weights
-        as lengths: without faults it is :func:`repro.spanners.is_spanner`,
-        and ``auto`` enumerates while the fault-set count stays under
-        :data:`AUTO_EXHAUSTIVE_LIMIT` and samples beyond. The count is
-        over the spec's fault units: ``C(n, <= r)`` vertex sets for
-        vertex faults, ``C(m, <= r)`` edge sets for edge faults. An
-        explicit ``lemma31`` on another row runs the counting check for
-        ``r >= 1``.
+        every ``r``, ``r = 0`` included. On any other row ``lemma31``
+        raises :class:`~repro.errors.InvalidSpec`: those rows read
+        weights as lengths, and a count of unit-length two-paths would
+        accept spanners whose detours are too long. Every other check
+        reads weights as lengths: without faults it is
+        :func:`repro.spanners.is_spanner`, and ``auto`` enumerates while
+        the fault-set count stays under :data:`AUTO_EXHAUSTIVE_LIMIT`
+        and samples beyond. The count is over the spec's fault units:
+        ``C(n, <= r)`` vertex sets for vertex faults, ``C(m, <= r)``
+        edge sets for edge faults.
         """
         from .core import (
             count_fault_sets,
@@ -389,6 +391,13 @@ class Session:
         kind, r, k = spec.faults.kind, spec.faults.r, spec.stretch
         if mode in ("auto", "lemma31") and _lemma31_decides(spec):
             return is_ft_2spanner(spanner, host, r)
+        if mode == "lemma31":
+            raise InvalidSpec(
+                f"verify mode 'lemma31' decides only the fixed-stretch-2 "
+                f"rows, which read weights as costs; {spec.algorithm!r} "
+                f"reads them as lengths, so use 'auto', 'exhaustive' or "
+                f"'sampled'"
+            )
         if kind == "none" or r == 0:
             return is_spanner(spanner, host, k)
         if mode == "auto":
@@ -399,12 +408,9 @@ class Session:
                 mode = "sampled"
         if mode == "exhaustive":
             return is_fault_tolerant_spanner(spanner, host, k, r, kind=kind)
-        if mode == "sampled":
-            return sampled_fault_check(
-                spanner, host, k, r, trials=trials, seed=seed, kind=kind
-            )
-        # Lemma 3.1's verdict is the same for both kinds (is_ft_2spanner).
-        return is_ft_2spanner(spanner, host, r)
+        return sampled_fault_check(
+            spanner, host, k, r, trials=trials, seed=seed, kind=kind
+        )
 
 
 def _lemma31_decides(spec: SpannerSpec) -> bool:

@@ -162,8 +162,20 @@ class TestVerify:
         spanner_path = str(tmp_path / "two.json")
         assert main(["ft2-approx", digraph_path, "--r", "1", "--seed", "10",
                      "--out", spanner_path]) == 0
-        assert main(["verify", digraph_path, spanner_path, "--r", "1",
-                     "--mode", "lemma31"]) == 0
+        assert main(["verify", digraph_path, spanner_path, "--k", "2",
+                     "--r", "1", "--mode", "lemma31"]) == 0
+
+    @pytest.mark.parametrize("k", [None, "3", "1.5"])
+    def test_lemma31_mode_needs_k_two(self, digraph_path, tmp_path, capsys, k):
+        """Lemma 3.1 decides 2-spanners only; it never read --k."""
+        spanner_path = str(tmp_path / "two.json")
+        assert main(["ft2-approx", digraph_path, "--r", "1", "--seed", "10",
+                     "--out", spanner_path]) == 0
+        capsys.readouterr()
+        k_flag = [] if k is None else ["--k", k]
+        assert main(["verify", digraph_path, spanner_path, *k_flag,
+                     "--r", "1", "--mode", "lemma31"]) == 1
+        assert "needs --k 2" in capsys.readouterr().err
 
 
 def test_error_reporting(tmp_path, capsys):
@@ -311,6 +323,30 @@ class TestRunSubcommand:
         assert main(["run", spec_path, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verification"] == {"mode": "lemma31", "ok": True}
+
+    def test_run_refuses_lemma31_on_rows_that_read_lengths(self, tmp_path, capsys):
+        """theorem21 reads weights as lengths: its six kept 10-weight
+        detours fail u-v (weight 1) at stretch 2, which a unit-length
+        Lemma 3.1 count would pass."""
+        from repro.graph import Graph, dump_json
+
+        host = Graph()
+        host.add_edge("u", "v", 1.0)
+        for mid in "xyz":
+            host.add_edge("u", mid, 10.0)
+            host.add_edge(mid, "v", 10.0)
+        host_path = str(tmp_path / "detours.json")
+        dump_json(host, host_path)
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump({"format": "repro-spec", "version": 1,
+                       "algorithm": "theorem21", "stretch": 2,
+                       "faults": {"kind": "vertex", "r": 1}, "seed": 76,
+                       "params": {"iterations": 4}, "graph": host_path}, handle)
+        capsys.readouterr()
+        assert main(["run", spec_path, "--verify", "lemma31"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert main(["run", spec_path, "--verify", "exhaustive"]) == 2
 
     def test_run_bad_spec_is_clean_error(self, tmp_path, capsys):
         spec_path = str(tmp_path / "bad.json")

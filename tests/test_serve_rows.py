@@ -11,14 +11,21 @@ the reference path: a CSR snapshot plus :func:`repro.graph.paths.dijkstra`
   a ``REPRO_DISABLE_COMPILED=1`` subprocess (reference path); the full
   ``OpResult`` lists, summaries and spanner digests must be equal.
 * **Structure.** After every step, the row entries between live indices
-  are exactly the spanner's edges and arcs; and on random writes from an
-  empty graph, the rows alone answer like the dict Dijkstra.
+  are exactly the spanner's edges and arcs, and undirected rows keep no
+  entry that points at a deleted vertex; on random writes from an empty
+  graph, the rows alone answer like the dict Dijkstra.
+* **Kernel choice.** The bidirectional search runs only where its
+  sums are exact (undirected rows, integral weights, ``2 n max_weight``
+  below ``2**53``), each write moves the choice, and both searches
+  answer like the reference on either side of it.
 * **Engagement.** Reads after writes never build a snapshot or run the
-  reference Dijkstra.
+  reference Dijkstra, and serve-mixed's kind of service (BA host, r = 1,
+  unit weights) reads through the bidirectional search.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -27,13 +34,16 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro
 from repro.compiled import ENV_DISABLE, compiled_available, compiled_unavailable_reason
+from repro.compiled.point import PointSearch
 from repro.graph import (
     DiGraph,
     Graph,
+    barabasi_albert_graph,
     connected_gnp_graph,
     gnp_random_digraph,
     gnp_random_graph,
@@ -169,6 +179,12 @@ def _edge_case_scenario():
     return host, steps + _stream(host, 18, 0.6, 150), {}
 
 
+def _serve_mixed_scenario():
+    # serve-mixed's shape at a tenth of its size: unit weights throughout.
+    host = barabasi_albert_graph(1000, 5, seed=3)
+    return host, _stream(host, 21, 0.9, 250), {"r": 1}
+
+
 SCENARIOS = {
     "float": _float_scenario,
     "small-host": _small_host_scenario,
@@ -178,6 +194,7 @@ SCENARIOS = {
     "tiers": _tiers_scenario,
     "r2": _r2_scenario,
     "edge-cases": _edge_case_scenario,
+    "serve-mixed": _serve_mixed_scenario,
 }
 
 
@@ -270,6 +287,10 @@ def _assert_rows_mirror(service):
             expected[(v, u, w)] += 1
     assert Counter(rows.entries()) == expected
     assert set(rows._index) == set(spanner.vertices())
+    if not spanner.directed:
+        # entries() skips retired indices; the raw rows must hold none.
+        stored = sum(int(rows._len[i]) for i in rows._index.values())
+        assert stored == 2 * spanner.num_edges
 
 
 @needs_backend
@@ -291,8 +312,13 @@ def test_rows_mirror_the_spanner_after_every_step(name, monkeypatch):
 @needs_backend
 @pytest.mark.parametrize("directed", [False, True])
 def test_rows_track_random_writes_from_an_empty_graph(directed):
-    """SpannerRows alone, against the dict graph and its Dijkstra."""
-    for trial in range(60):
+    """SpannerRows alone, against the dict graph and its Dijkstra.
+
+    Mixed weights run the one-sided search on most steps; integral ones
+    (zero included) run the bidirectional search on undirected rows,
+    through deleted vertices and labels added again.
+    """
+    for trial, integral in itertools.product(range(60), (False, True)):
         rng = random.Random(trial)
         graph = DiGraph() if directed else Graph()
         rows = SpannerRows(graph)
@@ -307,7 +333,10 @@ def test_rows_track_random_writes_from_an_empty_graph(directed):
             elif roll < 0.55:
                 u, v = rng.sample(labels, 2)
                 if not graph.has_edge(u, v):
-                    w = rng.choice([1.0, 0.5, rng.uniform(0.0, 3.0)])
+                    if integral:
+                        w = float(rng.choice([0, 1, 2, 7]))
+                    else:
+                        w = rng.choice([1.0, 0.5, rng.uniform(0.0, 3.0)])
                     graph.add_edge(u, v, w)
                     rows.add_edge(u, v, w)
             elif roll < 0.8 and edges:
@@ -318,6 +347,10 @@ def test_rows_track_random_writes_from_an_empty_graph(directed):
                 v = rng.choice(list(graph.vertices()))
                 graph.remove_vertex(v)
                 rows.remove_vertex(v)
+            weights = [w for _u, _v, w in graph.edges()]
+            assert rows.bidirectional == (
+                not directed and all(w.is_integer() for w in weights)
+            )
             vertices = list(graph.vertices())
             if vertices:
                 a, b = rng.choice(vertices), rng.choice(vertices)
@@ -329,6 +362,91 @@ def test_rows_track_random_writes_from_an_empty_graph(directed):
             if not directed:
                 expected[(v, u, w)] += 1
         assert Counter(rows.entries()) == expected
+
+
+# ---------------------------------------------------------------------------
+# Kernel choice: which search runs, and that both answer like the reference
+# ---------------------------------------------------------------------------
+
+
+def _spy_searches(monkeypatch):
+    """The ``bidirectional`` flag of every PointSearch call, in order."""
+    flags = []
+    call = PointSearch.__call__
+
+    def spy(self, s, t, gen, bidirectional):
+        flags.append(bidirectional)
+        return call(self, s, t, gen, bidirectional)
+
+    monkeypatch.setattr(PointSearch, "__call__", spy)
+    return flags
+
+
+@needs_backend
+def test_a_fractional_edge_switches_the_search_and_its_removal_back(monkeypatch):
+    host = connected_gnp_graph(60, 0.1, seed=7)  # unit weights
+    service = SpannerService(host, seed=0)
+    flags = _spy_searches(monkeypatch)
+    # "x" has no other neighbours, so the service buys each edge of it.
+    steps = [
+        (Operation(ADD_NODE, {"v": "x"}), True),
+        (Operation(ADD_EDGE, {"u": "x", "v": 5, "weight": 0.5}), False),
+        (Operation(ADD_EDGE, {"u": "x", "v": 9, "weight": 2.0}), False),
+        (Operation(DEL_EDGE, {"u": "x", "v": 5}), True),
+    ]
+    pairs = [(0, 59), (3, 41), ("x", 17), (17, "x"), (5, 9), ("x", "x")]
+    for step, bidirectional in steps:
+        assert service.apply(step).ok
+        assert service._rows.bidirectional is bidirectional
+        flags.clear()
+        for a, b in pairs:
+            result = service.apply(_q(a, b))
+            assert result.ok
+            assert result.value == dijkstra(service.spanner, a, target=b).get(b)
+        assert flags == [bidirectional] * len(pairs)
+
+
+@needs_backend
+def test_integral_weights_near_two_to_the_52_keep_the_one_sided_search(monkeypatch):
+    flags = _spy_searches(monkeypatch)
+    # 8 vertices: 2 n max_weight crosses 2**53 between 2**48 and 2**50.
+    for weight, bidirectional in ((2.0**48, True), (2.0**50, False), (2.0**52, False)):
+        graph = Graph()
+        for i in range(7):
+            graph.add_edge(i, i + 1, weight - 3 * i)
+        graph.add_edge(0, 7, weight - 1)
+        graph.add_edge(2, 6, weight - 5)
+        rows = SpannerRows(graph)
+        assert rows.bidirectional is bidirectional
+        flags.clear()
+        for a, b in itertools.product(range(8), repeat=2):
+            assert rows.distance(a, b) == dijkstra(graph, a, target=b)[b]
+        assert set(flags) == {bidirectional}
+
+
+@needs_backend
+def test_serve_mixed_reads_run_the_bidirectional_search(monkeypatch):
+    """serve-mixed's kind of service reads through the two-ended search.
+
+    A silent fallback to the one-sided search would still answer right
+    (``test_compiled_reads_match_the_reference_path[serve-mixed]``) but
+    would label most of the graph per query instead of a small share.
+    """
+    host, steps, kwargs = SCENARIOS["serve-mixed"]()
+    n = host.num_vertices
+    service = SpannerService(host, seed=0, **kwargs)
+    flags = _spy_searches(monkeypatch)
+    labeled = []
+    for op in steps:
+        asked = len(flags)
+        service.apply(op)
+        if len(flags) > asked:
+            rows = service._rows
+            labeled.append(int(np.count_nonzero(
+                (rows._stamp_f == rows._gen) | (rows._stamp_b == rows._gen)
+            )))
+    assert len(flags) > 100 and all(flags)
+    assert sorted(labeled)[len(labeled) // 2] < n // 4
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +489,36 @@ def test_reads_after_writes_rebuild_no_snapshot(monkeypatch):
 
 @needs_backend
 def test_point_dist_contract():
-    from repro.compiled.point import point_dist
+    # Path 0 -1- 1 -2- 2, isolated vertex 3; row 1 has a spare slot.
+    start = np.array([0, 1, 4, 5], dtype=np.int64)
+    length = np.array([1, 2, 1, 0], dtype=np.int64)
+    nbr = np.array([1, 0, 2, 9, 1, 0], dtype=np.int64)
+    wt = np.array([1.0, 1.0, 2.0, 0.0, 2.0, 0.0])
 
-    # Path 0 -1.5- 1 -2.0- 2, isolated vertex 3; row 1 has a spare slot.
-    start, length = [0, 1, 4, 5], [1, 2, 1, 0]
-    nbr = [1, 0, 2, 9, 1, 0]
-    wt = [1.5, 1.5, 2.0, 0.0, 2.0, 0.0]
-    assert point_dist(start, length, nbr, wt, 0, 2) == 3.5
-    assert point_dist(start, length, nbr, wt, 2, 0) == 3.5
-    assert point_dist(start, length, nbr, wt, 2, 2) == 0.0
-    assert point_dist(start, length, nbr, wt, 0, 3) == math.inf
-    assert point_dist(start, length, nbr, wt, 3, 0) == math.inf
-    for s, t in ((0, 4), (-1, 0), (4, 4)):
-        with pytest.raises(ValueError, match="out of range"):
-            point_dist(start, length, nbr, wt, s, t)
+    def state(n=4):  # dist_f, stamp_f, dist_b, stamp_b
+        return [np.zeros(n, dtype=dtype) for dtype in (np.float64, np.int64) * 2]
+
+    search = PointSearch(start, length, nbr, wt, *state())
+    gen = itertools.count(1)
+    for bidirectional in (False, True):
+        assert search(0, 2, next(gen), bidirectional) == 3.0
+        assert search(2, 0, next(gen), bidirectional) == 3.0
+        assert search(2, 2, next(gen), bidirectional) == 0.0
+        assert search(0, 3, next(gen), bidirectional) == math.inf
+        assert search(3, 0, next(gen), bidirectional) == math.inf
+        for s, t in ((0, 4), (-1, 0), (4, 4)):
+            with pytest.raises(ValueError, match="out of range"):
+                search(s, t, next(gen), bidirectional)
     with pytest.raises(ValueError, match="differ in length"):
-        point_dist(start, length[:3], nbr, wt, 0, 1)
+        PointSearch(start, length[:3], nbr, wt, *state())
     with pytest.raises(ValueError, match="differ in length"):
-        point_dist(start, length, nbr, wt[:-1], 0, 1)
+        PointSearch(start, length, nbr, wt[:-1], *state())
+    with pytest.raises(ValueError, match="differ in length"):
+        PointSearch(start, length, nbr, wt, *state(3))
+    # A converted copy would not see the caller's writes: no conversion.
+    with pytest.raises(ValueError, match="start must be a contiguous 1-d int64"):
+        PointSearch(start.astype(np.int32), length, nbr, wt, *state())
+    with pytest.raises(ValueError, match="wt must be a contiguous 1-d float64"):
+        PointSearch(start, length, nbr, list(wt), *state())
+    with pytest.raises(ValueError, match="nbr must be a contiguous"):
+        PointSearch(start, length, nbr[::2], wt[::2], *state())

@@ -498,9 +498,13 @@ class TestVerify:
         )
         assert session.verify(report, graph=digraph, mode="auto")
 
-    def test_auto_reads_lengths_for_theorem21_at_stretch_two(self):
-        """Lemma 3.1 counts two-paths at unit length; theorem21 reads weights
-        as lengths. Here the kept ``u-x-v`` detours have length 20 > 2 * 1."""
+    @staticmethod
+    def _detour_spanner():
+        """A theorem21 stretch-2 spanner that keeps only 10-weight detours.
+
+        Lemma 3.1 counts two-paths at unit length; theorem21 reads weights
+        as lengths. Here the kept ``u-x-v`` detours have length 20 > 2 * 1.
+        """
         from repro.graph import Graph
 
         host = Graph()
@@ -516,8 +520,19 @@ class TestVerify:
         )
         assert not report.spanner.has_edge("u", "v")
         assert report.spanner.num_edges == 6
+        return session, report, host
+
+    def test_auto_reads_lengths_for_theorem21_at_stretch_two(self):
+        session, report, host = self._detour_spanner()
         assert not session.verify(report, graph=host)
         assert not session.verify(report, graph=host, mode="exhaustive")
+
+    def test_lemma31_refuses_rows_that_read_lengths(self):
+        """An explicit lemma31 on theorem21 would pass the invalid spanner."""
+        session, report, host = self._detour_spanner()
+        assert not session.verify(report, graph=host, mode="sampled")
+        with pytest.raises(InvalidSpec, match="lemma31"):
+            session.verify(report, graph=host, mode="lemma31")
 
     def test_lemma31_decides_fixed_stretch_two_rows_at_r0(self):
         """A fault-free ft2-stream spanner of a cost-weighted host is valid:
