@@ -6,11 +6,15 @@ two-paths), LP (3) *without* knapsack-cover inequalities sets
 ``M + 2r`` — gap Ω(r). Adding the KC family (LP (4)) forces
 ``x_{uv} = 1`` and closes the gap entirely.
 
-What we measure: LP (3), LP (4), the exact optimum, and the number of KC
-cuts the Lemma 3.2 separation oracle generated.
+What we measure: LP (3), LP (4), the exact optimum, the number of KC
+cuts the Lemma 3.2 separation oracle generates by row generation over
+the full LP (3) model, and the arcs that LP (4)'s Lemma 3.1 presolve
+fixes at x = 1 before its first solve (an arc with at most r two-paths).
 
 Shape to hold: gap without KC strictly increasing and ~linear in r; gap
-with KC equal to 1 everywhere; oracle generates at least one cut per run.
+with KC equal to 1 everywhere; over LP (3) the oracle generates at least
+one cut per run; the presolve fixes all 2r + 1 arcs of the gadget (the
+expensive arc has exactly r two-paths, the others none).
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from conftest import run_once
 
 from repro.analysis import print_table
 from repro.graph import knapsack_gap_gadget
+from repro.lp import solve_with_cuts
 from repro.two_spanner import (
+    build_ft2_lp,
     exact_minimum_ft2_spanner,
     kc_gap_on_gadget,
+    knapsack_cover_oracle,
     solve_ft2_lp,
 )
 
@@ -33,9 +40,12 @@ def sweep():
     rows = []
     for r in R_VALUES:
         gap = kc_gap_on_gadget(r, expensive_cost=M)
-        cuts = solve_ft2_lp(knapsack_gap_gadget(r, M), r).cuts_added
+        gadget = knapsack_gap_gadget(r, M)
+        model = build_ft2_lp(gadget, r)
+        cuts = solve_with_cuts(model.lp, [knapsack_cover_oracle(model)]).cuts_added
+        forced = solve_ft2_lp(gadget, r).forced_arcs
         exact = (
-            exact_minimum_ft2_spanner(knapsack_gap_gadget(r, M), r).cost
+            exact_minimum_ft2_spanner(gadget, r).cost
             if 2 * r + 1 <= 17
             else float("nan")
         )
@@ -49,6 +59,7 @@ def sweep():
                 "gap3": gap.gap_without_kc,
                 "gap4": gap.gap_with_kc,
                 "cuts": cuts,
+                "forced": forced,
             }
         )
     return rows
@@ -58,10 +69,10 @@ def test_e5_kc_gap(benchmark):
     rows = run_once(benchmark, sweep)
     print_table(
         ["r", "LP(3) no KC", "LP(4) with KC", "optimum", "exact B&B",
-         "gap w/o KC", "gap with KC", "KC cuts"],
+         "gap w/o KC", "gap with KC", "KC cuts", "forced arcs"],
         [
             [row["r"], row["lp3"], row["lp4"], row["opt"], row["exact"],
-             row["gap3"], row["gap4"], row["cuts"]]
+             row["gap3"], row["gap4"], row["cuts"], row["forced"]]
             for row in rows
         ],
         title=f"E5: the M-gadget (M = {M:.0f})",
@@ -73,5 +84,6 @@ def test_e5_kc_gap(benchmark):
     for row in rows:
         assert abs(row["gap4"] - 1.0) <= 1e-6
         assert row["cuts"] >= 1
+        assert row["forced"] == 2 * row["r"] + 1
         if row["exact"] == row["exact"]:  # not NaN
             assert row["exact"] == row["opt"]

@@ -80,6 +80,15 @@ LP solves go straight through SciPy's compiled HiGHS binding:
   linprog's Python front end, about 4 ms per solve. It is skipped (with
   a printed note) where SciPy has no binding.
 
+LP (4) starts with the arcs every r-FT 2-spanner buys already fixed:
+
+* **LP presolve** (``lp_presolve``) — ``solve_ft2_lp`` on the hosts of
+  lp-sweep's plan at r ∈ {1, 2}, which fixes every arc with at most r
+  two-paths at x = 1 (Lemma 3.1) before its first solve, vs row
+  generation with the knapsack-cover oracle over the full LP (3) model
+  of ``build_ft2_lp``, where the oracle finds those arcs' x ≥ 1 rows one
+  round at a time. Both sides reach LP (4)'s optimum.
+
 The compiled pairs are skipped (with a printed note) when the backend
 cannot build/load, so the committed baseline from a full container
 always carries them but a bare environment can still run the rest.
@@ -150,6 +159,10 @@ MIN_FORKED_SWEEP_SPEEDUP = 1.2
 #: Acceptance floor for an in-process lp-sweep plan solved through the
 #: HiGHS binding over the same plan through ``linprog``.
 MIN_LP_BINDING_SPEEDUP = 1.3
+
+#: Acceptance floor for LP (4) with the forced arcs fixed up front over
+#: row generation on the full LP (3) model, on lp-sweep's hosts.
+MIN_LP_PRESOLVE_SPEEDUP = 1.5
 
 
 def _clock(fn, repeats: int = 1) -> float:
@@ -516,6 +529,19 @@ def forked_sweeps_available() -> bool:
     return _start_method() == "fork"
 
 
+def _lp_sweep_hosts(hosts: int, n: int, p: float) -> dict:
+    """lp-sweep's host table: seeded G(n, p) digraphs, arc costs in [1, 10]."""
+    from repro import HostSpec
+
+    return {
+        f"g{h}": HostSpec(
+            "gnp-digraph",
+            params={"n": n, "p": p, "cost_range": [1.0, 10.0]}, seed=h,
+        )
+        for h in range(hosts)
+    }
+
+
 def bench_sweep_lp_plan(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict:
     """An ft2-approx plan through ``run_sweep(workers=2)``: forked vs spawned.
 
@@ -528,16 +554,10 @@ def bench_sweep_lp_plan(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict:
     """
     import threading
 
-    from repro import HostSpec, run_sweep
+    from repro import run_sweep
     from repro.sweep import emit_grid_plan
 
-    table = {
-        f"g{h}": HostSpec(
-            "gnp-digraph",
-            params={"n": n, "p": p, "cost_range": [1.0, 10.0]}, seed=h,
-        )
-        for h in range(hosts)
-    }
+    table = _lp_sweep_hosts(hosts, n, p)
     plan = emit_grid_plan(
         ["ft2-approx"], [2], [1, 2], hosts=table, seeds=1, seed_base=5,
         name="bench-lp",
@@ -585,17 +605,11 @@ def bench_lp_highs_binding(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict
     """
     import sys
 
-    from repro import HostSpec, run_sweep
+    from repro import run_sweep
     from repro.sweep import emit_grid_plan
 
     binding = "scipy.optimize._highspy._core"
-    table = {
-        f"g{h}": HostSpec(
-            "gnp-digraph",
-            params={"n": n, "p": p, "cost_range": [1.0, 10.0]}, seed=h,
-        )
-        for h in range(hosts)
-    }
+    table = _lp_sweep_hosts(hosts, n, p)
     plan = emit_grid_plan(
         ["ft2-approx"], [2], [1, 2], hosts=table, seeds=1, seed_base=5,
         name="bench-lp",
@@ -623,6 +637,44 @@ def bench_lp_highs_binding(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict
     )
 
 
+def bench_lp_presolve(hosts: int = 24, n: int = 30, p: float = 0.2) -> dict:
+    """LP (4) on lp-sweep's hosts: the Lemma 3.1 presolve vs the full model.
+
+    The host table of :func:`bench_sweep_lp_plan`, each host at
+    r ∈ {1, 2}. The fast side is ``solve_ft2_lp(g, r)``; the reference
+    side is row generation over ``build_ft2_lp(g, r)`` (LP (3), no arc
+    fixed) with ``knapsack_cover_oracle``. The two objectives are
+    asserted equal to a relative 1e-9 first. ``n`` and ``m`` of the row
+    are the first host's.
+    """
+    import math
+
+    from repro.lp import solve_with_cuts
+    from repro.two_spanner import build_ft2_lp, knapsack_cover_oracle, solve_ft2_lp
+
+    graphs = [spec.materialize() for spec in _lp_sweep_hosts(hosts, n, p).values()]
+    cases = [(graph, r) for graph in graphs for r in (1, 2)]
+
+    def presolved():
+        return [solve_ft2_lp(graph, r).objective for graph, r in cases]
+
+    def full_model():
+        objectives = []
+        for graph, r in cases:
+            model = build_ft2_lp(graph, r)
+            result = solve_with_cuts(model.lp, [knapsack_cover_oracle(model)])
+            objectives.append(result.solution.objective)
+        return objectives
+
+    for fast, slow in zip(presolved(), full_model()):
+        assert math.isclose(fast, slow, rel_tol=1e-9), (fast, slow)
+    return _pair_row(
+        "lp_presolve", graphs[0], presolved, full_model,
+        {"p": p, "hosts": hosts, "r": [1, 2]},
+        fast_key="presolve_seconds", slow_key="full_model_seconds",
+    )
+
+
 def run_benchmarks() -> list:
     from repro.compiled import compiled_available, compiled_unavailable_reason
 
@@ -637,6 +689,7 @@ def run_benchmarks() -> list:
         bench_clpr(),
         bench_decomposition(),
         bench_edge_conversion(),
+        bench_lp_presolve(),
     ]
     if forked_sweeps_available():
         rows.append(bench_sweep_lp_plan())
@@ -688,9 +741,11 @@ def _report(rows) -> None:
             [
                 row["name"], row["n"], row["m"],
                 round(_seconds(row, "dict_seconds", "spawn_seconds",
-                               "linprog_seconds", "csr_seconds"), 4),
+                               "linprog_seconds", "full_model_seconds",
+                               "csr_seconds"), 4),
                 round(_seconds(row, "compiled_seconds", "fork_seconds",
-                               "binding_seconds", "csr_seconds"), 4),
+                               "binding_seconds", "presolve_seconds",
+                               "csr_seconds"), 4),
                 round(row["speedup"], 1),
             ]
             for row in rows
@@ -721,6 +776,8 @@ def _assert_headline(rows) -> None:
     # LP rounds through the HiGHS binding skip linprog's front end.
     if "lp_highs_binding" in by_name:
         assert by_name["lp_highs_binding"]["speedup"] >= MIN_LP_BINDING_SPEEDUP
+    # LP (4) with the forced arcs fixed skips their cut rounds.
+    assert by_name["lp_presolve"]["speedup"] >= MIN_LP_PRESOLVE_SPEEDUP
     # PR 10: the compiled tier, when the backend loaded. The greedy
     # Dijkstra must beat dict by 3x at n = 400 (the acceptance
     # criterion).

@@ -41,6 +41,7 @@ class ApproxResult:
     alpha: float
     cut_rounds: int = 0
     cuts_added: int = 0
+    forced_arcs: int = 0
 
     @property
     def spanner(self) -> BaseGraph:
@@ -82,6 +83,7 @@ def approximate_ft2_spanner(
         alpha=alpha,
         cut_rounds=lp_result.cut_rounds,
         cuts_added=lp_result.cuts_added,
+        forced_arcs=lp_result.forced_arcs,
     )
 
 
@@ -104,13 +106,14 @@ def dk10_baseline(
         old = solve_old_lp(graph, r)
         x_values = old.x_values()
         lp_objective = old.objective
-        cut_rounds = cuts_added = 0
+        cut_rounds = cuts_added = forced_arcs = 0
     else:
         lp_result = solve_ft2_lp(graph, r)
         x_values = lp_result.x_values()
         lp_objective = lp_result.objective
         cut_rounds = lp_result.cut_rounds
         cuts_added = lp_result.cuts_added
+        forced_arcs = lp_result.forced_arcs
     alpha = alpha_r_log_n(graph.num_vertices, r, alpha_constant)
     rounding = round_until_valid(
         graph, x_values, r, alpha, max_attempts=max_attempts, seed=seed
@@ -121,6 +124,7 @@ def dk10_baseline(
         alpha=alpha,
         cut_rounds=cut_rounds,
         cuts_added=cuts_added,
+        forced_arcs=forced_arcs,
     )
 
 
@@ -133,6 +137,7 @@ def _approx_stats(result: ApproxResult) -> dict:
         "alpha": result.alpha,
         "cut_rounds": result.cut_rounds,
         "cuts_added": result.cuts_added,
+        "forced_arcs": result.forced_arcs,
         "rounding_attempts": result.rounding.attempts,
         "repaired_edges": len(result.rounding.repaired_edges),
     }
