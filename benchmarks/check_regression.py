@@ -67,6 +67,7 @@ def smoke_rows() -> list:
         bench.bench_decomposition(n=160, p=0.06),
         bench.bench_edge_conversion(n=160, p=0.08, iters=8),
         bench.bench_lp_presolve(hosts=6),
+        bench.bench_serve_startup(n=2000),
     ]
     if bench.forked_sweeps_available():
         rows.append(bench.bench_sweep_lp_plan(hosts=6))

@@ -344,6 +344,17 @@ def sampled_fault_check(
 # ---------------------------------------------------------------------------
 
 
+def _two_path_count(out_u: set, in_v: set, u: Vertex, v: Vertex) -> int:
+    """``|out_u ∩ in_v \\ {u, v}|``: the two-paths ``u -> z -> v``.
+
+    ``out_u`` holds the spanner successors of ``u`` and ``in_v`` the
+    predecessors of ``v`` (both neighbour sets when undirected), so each
+    midpoint ``z`` in both is one length-2 path: one C-level intersection.
+    """
+    mids = out_u & in_v
+    return len(mids) - (u in mids) - (v in mids)
+
+
 def count_two_paths(spanner: BaseGraph, u: Vertex, v: Vertex) -> int:
     """Number of length-2 paths from ``u`` to ``v`` inside ``spanner``.
 
@@ -441,6 +452,13 @@ class IncrementalFT2Verifier:
     :class:`repro.serve.SpannerService` keep a live validity verdict
     under an operation stream without ever rescanning the graph.
 
+    The starting state is built in bulk (see :meth:`__init__`). Host
+    edge positions live in the host adjacency: ``_host_out[u][v]`` and
+    ``_host_in[v][u]`` (one shared map on undirected hosts) hold the
+    position of host edge ``(u, v)``. The inner maps hold only vertex
+    keys and int positions, so a new host edge puts no large map back
+    in the garbage collector's youngest generation.
+
     On a static host, ``unsatisfied()`` returns violations in host
     ``edges()`` order, matching :func:`unsatisfied_edges` on the
     equivalent static spanner. Once the host mutates, the order is host
@@ -450,46 +468,63 @@ class IncrementalFT2Verifier:
     """
 
     def __init__(self, graph: BaseGraph, r: int, spanner: Optional[BaseGraph] = None):
+        """Lemma 3.1 state of ``spanner`` (no spanner edges if omitted).
+
+        Built in bulk: fill the spanner's out/in sets in
+        ``spanner.edges()`` order, then read each host edge's kept-flag
+        and two-path count from them in one pass (one set intersection
+        per edge, as :meth:`add_host_edge` does), and build the
+        unsatisfied set from those. A count depends only on the
+        adjacency, so this is the state :meth:`add_edge` would grow one
+        edge at a time, at O(m · Δ) once. Spanner endpoints must be host
+        vertices.
+        """
         if r < 0:
             raise FaultToleranceError(f"r must be nonnegative, got {r}")
         self.graph = graph
         self.r = r
-        self._need = r + 1
-        self._directed = graph.directed
-        self._host_edges: List[Tuple[Vertex, Vertex]] = [
-            (u, v) for u, v, _w in graph.edges()
-        ]
-        # Ordered endpoint pair -> position in the host edge list. Removed
-        # host edges leave a tombstone (``_alive[pos] = False``) so every
-        # other position — and with it ``unsatisfied()`` order — is stable.
-        self._pos: Dict[Tuple[Vertex, Vertex], int] = {}
-        for pos, (u, v) in enumerate(self._host_edges):
-            self._pos[(u, v)] = pos
-            if not self._directed:
-                self._pos[(v, u)] = pos
-        self._counts = [0] * len(self._host_edges)
-        self._kept = [False] * len(self._host_edges)
-        self._alive = [True] * len(self._host_edges)
-        self._num_alive = len(self._host_edges)
-        self._unsat = set(range(len(self._host_edges))) if self._need > 0 else set()
-        self._out: Dict[Vertex, set] = {v: set() for v in graph.vertices()}
+        self._need = need = r + 1
+        self._directed = directed = graph.directed
+        vertices = list(graph.vertices())
+        self._out: Dict[Vertex, set] = {v: set() for v in vertices}
         self._in: Dict[Vertex, set] = (
-            {v: set() for v in graph.vertices()} if self._directed else self._out
+            {v: set() for v in vertices} if directed else self._out
         )
-        # Host adjacency mirrors, so vertex removal is O(degree) instead of
-        # a scan over the whole host edge table.
-        self._host_out: Dict[Vertex, set] = {v: set() for v in graph.vertices()}
-        self._host_in: Dict[Vertex, set] = (
-            {v: set() for v in graph.vertices()}
-            if self._directed
-            else self._host_out
+        # Removed host edges leave a tombstone (``_alive[pos] = False``) in
+        # the host edge list, so every other position — and with it
+        # ``unsatisfied()`` order — is stable.
+        self._host_out: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in vertices}
+        self._host_in: Dict[Vertex, Dict[Vertex, int]] = (
+            {v: {} for v in vertices} if directed else self._host_out
         )
-        for u, v in self._host_edges:
-            self._host_out[u].add(v)
-            self._host_in[v].add(u)
+        out, into = self._out, self._in
         if spanner is not None:
             for u, v, _w in spanner.edges():
-                self.add_edge(u, v)
+                out[u].add(v)
+                into[v].add(u)
+        host_out, host_in = self._host_out, self._host_in
+        host_edges, counts, kept_flags, unsat = [], [], [], []
+        for pos, (u, v, _w) in enumerate(graph.edges()):
+            host_edges.append((u, v))
+            host_out[u][v] = pos
+            host_in[v][u] = pos
+            out_u = out[u]
+            kept = v in out_u
+            count = _two_path_count(out_u, into[v], u, v)
+            counts.append(count)
+            kept_flags.append(kept)
+            if not kept and count < need:
+                unsat.append(pos)
+        self._host_edges: List[Tuple[Vertex, Vertex]] = host_edges
+        self._counts, self._kept = counts, kept_flags
+        self._alive = [True] * len(host_edges)
+        self._num_alive = len(host_edges)
+        self._unsat = set(unsat)
+
+    def _position(self, u: Vertex, v: Vertex) -> Optional[int]:
+        """Position of live host edge ``(u, v)``, or ``None``."""
+        at_u = self._host_out.get(u)
+        return None if at_u is None else at_u.get(v)
 
     def _bump(self, pos: Optional[int]) -> None:
         if pos is None:
@@ -517,17 +552,18 @@ class IncrementalFT2Verifier:
         out_u = self._out[u]
         if v in out_u:
             return
-        pos = self._pos.get((u, v))
+        at_u = self._host_out[u]
+        pos = at_u.get(v)
         if pos is not None:
             self._kept[pos] = True
             self._unsat.discard(pos)
-        get = self._pos.get
+        into_v = self._host_in[v]
         # New two-paths u -> v -> x (v is the midpoint for host pair (u, x)).
         for x in self._out[v]:
-            self._bump(get((u, x)))
+            self._bump(at_u.get(x))
         # New two-paths x -> u -> v (u is the midpoint for host pair (x, v)).
         for x in self._in[u]:
-            self._bump(get((x, v)))
+            self._bump(into_v.get(x))
         out_u.add(v)
         self._in[v].add(u)
 
@@ -547,17 +583,18 @@ class IncrementalFT2Verifier:
             )
         out_u.discard(v)
         self._in[v].discard(u)
-        pos = self._pos.get((u, v))
+        at_u = self._host_out[u]
+        pos = at_u.get(v)
         if pos is not None:
             self._kept[pos] = False
             if self._counts[pos] < self._need:
                 self._unsat.add(pos)
-        get = self._pos.get
+        into_v = self._host_in[v]
         # Lost two-paths u -> v -> x and x -> u -> v, mirroring add_edge.
         for x in self._out[v]:
-            self._drop(get((u, x)))
+            self._drop(at_u.get(x))
         for x in self._in[u]:
-            self._drop(get((x, v)))
+            self._drop(into_v.get(x))
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Whether ``(u, v)`` is currently a spanner edge/arc."""
@@ -571,10 +608,10 @@ class IncrementalFT2Verifier:
         if v in self._out:
             return
         self._out[v] = set()
-        self._host_out[v] = set()
+        self._host_out[v] = {}
         if self._directed:
             self._in[v] = set()
-            self._host_in[v] = set()
+            self._host_in[v] = {}
 
     def add_host_edge(self, u: Vertex, v: Vertex) -> None:
         """Register a new host edge/arc; endpoints are added if missing.
@@ -586,20 +623,16 @@ class IncrementalFT2Verifier:
         """
         self.add_host_vertex(u)
         self.add_host_vertex(v)
-        if v in self._host_out[u]:
+        at_u = self._host_out[u]
+        if v in at_u:
             return
         pos = len(self._host_edges)
         self._host_edges.append((u, v))
-        self._pos[(u, v)] = pos
-        if not self._directed:
-            self._pos[(v, u)] = pos
-        self._host_out[u].add(v)
-        self._host_in[v].add(u)
-        kept = v in self._out[u]
-        mids = self._out[u] & self._in[v]
-        mids.discard(u)
-        mids.discard(v)
-        count = len(mids)
+        at_u[v] = pos
+        self._host_in[v][u] = pos
+        out_u = self._out[u]
+        kept = v in out_u
+        count = _two_path_count(out_u, self._in[v], u, v)
         self._counts.append(count)
         self._kept.append(kept)
         self._alive.append(True)
@@ -614,20 +647,16 @@ class IncrementalFT2Verifier:
         its host), so the damage it causes to *other* host pairs is
         accounted before the pair itself stops being a demand.
         """
-        pos = self._pos.get((u, v))
+        pos = self._position(u, v)
         if pos is None:
             raise FaultToleranceError(f"({u!r}, {v!r}) is not a host edge")
-        if v in self._out.get(u, ()):
+        if v in self._out[u]:
             self.remove_edge(u, v)
-        a, b = self._host_edges[pos]
-        del self._pos[(a, b)]
-        if not self._directed:
-            self._pos.pop((b, a), None)
+        del self._host_out[u][v]
+        del self._host_in[v][u]
         self._alive[pos] = False
         self._num_alive -= 1
         self._unsat.discard(pos)
-        self._host_out[u].discard(v)
-        self._host_in[v].discard(u)
 
     def remove_host_vertex(self, v: Vertex) -> None:
         """Remove a host vertex with all incident host and spanner edges.
@@ -657,7 +686,7 @@ class IncrementalFT2Verifier:
 
     def has_host_edge(self, u: Vertex, v: Vertex) -> bool:
         """Whether ``(u, v)`` is currently a live host edge/arc."""
-        return (u, v) in self._pos
+        return self._position(u, v) is not None
 
     @property
     def num_host_edges(self) -> int:
@@ -677,7 +706,7 @@ class IncrementalFT2Verifier:
 
     def count_two_paths(self, u: Vertex, v: Vertex) -> int:
         """Current number of length-2 paths for host edge ``(u, v)``."""
-        pos = self._pos.get((u, v))
+        pos = self._position(u, v)
         if pos is None:
             raise FaultToleranceError(f"({u!r}, {v!r}) is not a host edge")
         return self._counts[pos]

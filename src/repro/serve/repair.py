@@ -8,21 +8,23 @@ the streaming variant: walk the host edges **once** in deterministic
 ``edges()`` order and buy an edge iff Lemma 3.1 is not already satisfied
 for it at that moment.
 
-Correctness is monotonicity: :class:`repro.core.verify.IncrementalFT2Verifier`
-counts only grow while edges are added, so an edge skipped because it had
-``r + 1`` two-paths (or was already bought as a hop of an earlier path)
-stays satisfied, and the single pass ends Lemma 3.1-valid. Total cost is
-O(m · Δ) — each purchase is one O(Δ) verifier update — with no LP, no
-re-scoring, and no randomness: the output is a pure function of the host
-edge order, which is what the serve CI's cross-``PYTHONHASHSEED``
-byte-identity check leans on.
+Correctness is monotonicity: a host edge's two-path count only grows as
+edges are bought, and it is read from the bought adjacency at decision
+time, so an edge skipped because it had ``r + 1`` two-paths (or was
+already bought as a hop of an earlier path) stays satisfied, and the
+single pass ends Lemma 3.1-valid. The stream keeps only the out/in
+adjacency sets of the edges bought so far; each decision is one set
+intersection of two of them, O(Δ), so the total cost is O(m · Δ) with
+no LP, no re-scoring, and no randomness: the output is a pure function
+of the host edge order, which is what the serve CI's
+cross-``PYTHONHASHSEED`` byte-identity check leans on.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from ..core.verify import IncrementalFT2Verifier
+from ..core.verify import _two_path_count
 from ..errors import FaultToleranceError
 from ..graph.graph import BaseGraph
 from ..registry import register_algorithm
@@ -39,12 +41,15 @@ def stream_ft2_spanner(graph: BaseGraph, r: int) -> BaseGraph:
     """
     if r < 0:
         raise FaultToleranceError(f"r must be nonnegative, got {r}")
-    verifier = IncrementalFT2Verifier(graph, r)
     need = r + 1
+    out: Dict[Any, set] = {v: set() for v in graph.vertices()}
+    into = {v: set() for v in graph.vertices()} if graph.directed else out
     bought = []
     for u, v, _w in graph.edges():
-        if not verifier.has_edge(u, v) and verifier.count_two_paths(u, v) < need:
-            verifier.add_edge(u, v)
+        out_u = out[u]
+        if v not in out_u and _two_path_count(out_u, into[v], u, v) < need:
+            out_u.add(v)
+            into[v].add(u)
             bought.append((u, v))
     return graph.edge_subgraph(bought)
 

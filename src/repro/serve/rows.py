@@ -30,9 +30,12 @@ a count of the entries whose weight is not an integer and a running
 maximum weight, from which :attr:`SpannerRows.bidirectional` decides,
 per query, whether the exact bidirectional search may run.
 
-Moved rows and deleted vertices leave dead slots behind. When the dead
-slots outnumber the live entries, the rows are rebuilt from the dict
-spanner, which bounds the arrays at a constant factor of the spanner.
+A load (or rebuild) gives each row a capacity equal to its length and
+reserves as many free slots after the last row as it filled, so the
+first rows that move land there without copying the arrays. Moved rows
+and deleted vertices leave dead slots behind. When the dead slots
+outnumber the live entries, the rows are rebuilt from the dict spanner,
+which bounds the arrays at a constant factor of the spanner.
 """
 
 from __future__ import annotations
@@ -102,11 +105,15 @@ class SpannerRows:
         self._cap = self._len.copy()
         self._start = np.zeros(n, dtype=np.int64)
         np.cumsum(self._len[:-1], out=self._start[1:])
-        self._nbr = np.array(nbr, dtype=np.int64)
-        self._wt = np.array(wt, dtype=np.float64)
-        self._end = self._live = len(nbr)
+        # As many free tail slots as entries: the first rows that outgrow
+        # their capacity move into the tail without regrowing the arrays.
+        self._end = self._live = end = len(nbr)
+        self._nbr = np.zeros(2 * end, dtype=np.int64)
+        self._wt = np.zeros(2 * end, dtype=np.float64)
+        self._nbr[:end] = nbr
+        self._wt[:end] = wt
         self._dead = 0
-        self._nonintegral = _count_nonintegral(self._wt)
+        self._nonintegral = _count_nonintegral(self._wt[:end])
         self._max_weight = max(wt, default=0.0)
         self._dist_f = np.zeros(n, dtype=np.float64)
         self._stamp_f = np.zeros(n, dtype=np.int64)

@@ -8,7 +8,9 @@ Theorem 2.1 conversion) identical edge sets for a fixed seed.
 
 from __future__ import annotations
 
+import gc
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.graph import (
     CSRGraph,
     DiGraph,
     Graph,
+    barabasi_albert_graph,
     bfs_distances,
     connected_gnp_graph,
     csr_snapshot,
@@ -29,6 +32,7 @@ from repro.graph import (
     gnp_random_graph,
 )
 from repro.rng import ensure_rng
+from repro.serve import stream_ft2_spanner
 from repro.spanners import greedy_spanner, greedy_spanner_size_first
 
 
@@ -268,6 +272,19 @@ class TestSpannerEquivalence:
         )
 
 
+def _lemma31_state(verifier):
+    """A verifier's Lemma 3.1 state, comparable with ``==``."""
+    return (
+        verifier._counts,
+        verifier._kept,
+        verifier._unsat,
+        verifier.unsatisfied(),
+        verifier._out,
+        verifier._in,
+        list(verifier.host_edges()),
+    )
+
+
 class TestIncrementalVerifier:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), r=st.sampled_from([0, 1, 2]), directed=st.booleans())
@@ -289,11 +306,82 @@ class TestIncrementalVerifier:
                 assert verifier.is_valid() == (not unsatisfied_edges(spanner, g, r))
         assert verifier.is_valid()  # full host graph always passes
 
-    def test_bulk_constructor_equals_incremental(self):
-        g = random_graph(21, n=24, p=0.3)
-        h = greedy_spanner(g, 2)
-        a = IncrementalFT2Verifier(g, 1, spanner=h)
-        assert a.unsatisfied() == unsatisfied_edges(h, g, 1)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        r=st.sampled_from([0, 1, 2, 3]),
+        directed=st.booleans(),
+        stream=st.booleans(),
+    )
+    def test_bulk_constructor_equals_incremental(self, seed, r, directed, stream):
+        """The bulk-built state is the one grown edge by edge, and stays it.
+
+        The spanner is the ``ft2-stream`` one or a random subgraph. Both
+        verifiers then take one random sequence of spanner and host
+        mutations, and must agree after every call.
+        """
+        g = random_graph(seed, directed, n=24, p=0.3)
+        rng = random.Random(seed)
+        if stream:
+            h = stream_ft2_spanner(g, r)
+        else:
+            h = g.edge_subgraph(
+                [(u, v) for u, v, _w in g.edges() if rng.random() < 0.5]
+            )
+        bulk = IncrementalFT2Verifier(g, r, spanner=h)
+        grown = IncrementalFT2Verifier(g, r)
+        for u, v, _w in h.edges():
+            grown.add_edge(u, v)
+        assert bulk.unsatisfied() == unsatisfied_edges(h, g, r)
+        assert _lemma31_state(bulk) == _lemma31_state(grown)
+        for step in range(60):
+            vertices = sorted(bulk._out)
+            host = list(bulk.host_edges())
+            pools = {
+                "add_edge": host,
+                "remove_edge": [(u, x) for u in vertices for x in sorted(bulk._out[u])],
+                "add_host_edge": [(u, x) for u in vertices for x in vertices if u != x],
+                "remove_host_edge": host,
+                "add_host_vertex": [(100 + step,)],
+                "remove_host_vertex": [(v,) for v in vertices],
+            }
+            name = rng.choice(sorted(pools))
+            if not pools[name]:
+                continue
+            args = rng.choice(pools[name])
+            if not directed and rng.random() < 0.5:
+                args = args[::-1]  # either orientation names an undirected edge
+            for verifier in (bulk, grown):
+                getattr(verifier, name)(*args)
+            assert _lemma31_state(bulk) == _lemma31_state(grown), (name, args)
+
+    def test_new_host_edge_hands_no_large_dict_to_the_young_generation(self):
+        """Host edge positions live in small vertex-keyed maps.
+
+        After a full collection, a map keyed by fresh endpoint tuples
+        (one entry per host edge and orientation) would re-enter
+        generation 0 on the next insert, and the next young collection
+        would traverse all of it.
+        """
+        g = barabasi_albert_graph(2000, 5, seed=1)
+        verifier = IncrementalFT2Verifier(g, 1, spanner=stream_ft2_spanner(g, 1))
+        max_degree = max(g.degree(v) for v in g.vertices())
+        vertices = list(g.vertices())
+        u = vertices[-1]  # BA's last vertices have low degree, far below max
+        v = next(x for x in reversed(vertices[:-1]) if not g.has_edge(u, x))
+        owned = [d for d in vars(verifier).values() if isinstance(d, dict)]
+        owned += [x for d in list(owned) for x in d.values() if isinstance(x, dict)]
+        large = {id(d) for d in owned if len(d) > max_degree}
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            verifier.add_host_edge(u, v)
+            young = {id(o) for o in gc.get_objects(0) if isinstance(o, dict)}
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert large and not large & young
 
     def test_rejects_negative_r_and_non_host_edges(self):
         from repro.errors import FaultToleranceError

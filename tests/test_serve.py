@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import FaultModel, Session, SpannerSpec
-from repro.core import is_ft_2spanner, unsatisfied_edges
+from repro.core import IncrementalFT2Verifier, is_ft_2spanner, unsatisfied_edges
 from repro.errors import InvalidSpec
 from repro.graph import (
     connected_gnp_graph,
@@ -22,6 +22,7 @@ from repro.graph import (
     gnp_random_digraph,
     invalidate_snapshot,
 )
+from repro.hosts import HostSpec
 from repro.serve import (
     ChaosInjector,
     Operation,
@@ -192,7 +193,73 @@ class TestOperation:
             load_workload(path)
 
 
+def _verifier_driven_stream(graph, r):
+    """The stream's edges as first written: decided by a growing verifier."""
+    verifier = IncrementalFT2Verifier(graph, r)
+    bought = []
+    for u, v, _w in graph.edges():
+        if not verifier.has_edge(u, v) and verifier.count_two_paths(u, v) < r + 1:
+            verifier.add_edge(u, v)
+            bought.append((u, v))
+    return bought
+
+
+#: ``spanner_digest(stream_ft2_spanner(host, r))`` for r = 1 and r = 2,
+#: recorded from the verifier-driven stream above.
+PINNED_STREAM_HOSTS = {
+    "barabasi-albert": (
+        HostSpec("barabasi-albert", {"n": 2000, "m": 5}, seed=7),
+        ("c69fbbbfd0b9ce5c", "6accf671a8072620"),
+    ),
+    "gnp-connected-weighted": (
+        HostSpec(
+            "gnp-connected",
+            {"n": 120, "p": 0.3, "weight_range": [1.0, 10.0]},
+            seed=5,
+        ),
+        ("376c134473efccc0", "9ca28324ce332535"),
+    ),
+    "gnp-digraph": (
+        HostSpec("gnp-digraph", {"n": 60, "p": 0.3}, seed=6),
+        ("727850caa95ae89b", "6322ada5a8df60de"),
+    ),
+    "kautz": (
+        HostSpec("kautz", {"d": 3, "diameter": 3}),
+        ("a370c6c90b61c6a4", "a370c6c90b61c6a4"),
+    ),
+    "dcell": (
+        HostSpec("dcell", {"n": 4, "level": 1}),
+        ("08226c8ef3598526", "555e9e89a83afcb5"),
+    ),
+}
+
+
 class TestStreamFt2:
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAM_HOSTS))
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_reproduces_the_pinned_digests(self, name, r):
+        spec, digests = PINNED_STREAM_HOSTS[name]
+        spanner = stream_ft2_spanner(spec.materialize(), r)
+        assert spanner_digest(spanner) == digests[r - 1]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            connected_gnp_graph(24, 0.3, seed=3),
+            connected_gnp_graph(60, 0.4, seed=8, weight_range=(1.0, 5.0)),
+            gnp_random_digraph(40, 0.3, seed=2),
+            gnp_random_digraph(60, 0.15, seed=9),
+        ]
+        + [spec.materialize() for spec, _digests in PINNED_STREAM_HOSTS.values()],
+        ids=lambda g: f"{type(g).__name__}-n{g.num_vertices}-m{g.num_edges}",
+    )
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_buys_the_verifier_driven_edges_in_order(self, graph, r):
+        spanner = stream_ft2_spanner(graph, r)
+        reference = graph.edge_subgraph(_verifier_driven_stream(graph, r))
+        assert spanner.edge_list() == reference.edge_list()
+        assert list(spanner.vertices()) == list(reference.vertices())
+
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_valid_on_undirected(self, host, r):
         spanner = stream_ft2_spanner(host, r)

@@ -364,6 +364,28 @@ def test_rows_track_random_writes_from_an_empty_graph(directed):
         assert Counter(rows.entries()) == expected
 
 
+@needs_backend
+def test_the_first_row_move_after_a_load_lands_in_reserved_tail_room():
+    """A load leaves every row full, and as many free slots after them.
+
+    The first write at a full row moves it into that room: the arrays
+    are not regrown (copied), and the answers are a fresh load's.
+    """
+    graph = connected_gnp_graph(40, 0.2, seed=5)
+    rows = SpannerRows(graph)
+    nbr, wt = rows._nbr, rows._wt
+    vertices = list(graph.vertices())
+    u = vertices[0]
+    v = next(x for x in vertices[1:] if not graph.has_edge(u, x))
+    assert rows._len[rows._index[u]] == rows._cap[rows._index[u]] > 0
+    graph.add_edge(u, v, 1.0)
+    rows.add_edge(u, v, 1.0)
+    assert rows._nbr is nbr and rows._wt is wt
+    fresh = SpannerRows(graph)
+    for a, b in itertools.product(vertices, repeat=2):
+        assert rows.distance(a, b) == fresh.distance(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Kernel choice: which search runs, and that both answer like the reference
 # ---------------------------------------------------------------------------
