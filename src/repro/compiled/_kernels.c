@@ -18,7 +18,18 @@
  *       (serve/rows.py) over rows the service edits in place and search
  *       state it owns: CSRGraph.dijkstra_idx(target=), or on undirected
  *       rows with integral weights a bidirectional search whose sums
- *       are all exact, so both return the reference's double.
+ *       are all exact, so both return the reference's double. The
+ *       bidirectional search skips every relaxation that cannot beat
+ *       its best meeting (Goldberg and Harrelson's pruning rule: a
+ *       label nd on u, which the other side has not labeled, with nd
+ *       plus the other side's frontier minimum at least the best
+ *       meeting, lies on no shorter s-t path), and queues each side's
+ *       frontier in a monotone radix queue over the exact integer
+ *       distances, linked through an item pool the caller owns. A side
+ *       pops its labels in nondecreasing order, so it expands each
+ *       vertex once and pushes at most one item per entry plus its
+ *       source: a pool of 2 (entries + 1) items always suffices, and
+ *       the search allocates nothing.
  *
  * The port preserves the reference semantics operation-for-operation:
  * the same IEEE-754 double arithmetic, the same tolerances, the same
@@ -30,8 +41,9 @@
  * Every entry point is plain C99 with int64/double arrays so it can be
  * loaded through ctypes with no build-time python dependency; ctypes
  * releases the GIL for the call, and no thread touches a Python object.
- * Negative return values signal allocation failure; the python wrappers
- * raise.
+ * The radix queue uses two bit-scan builtins that GCC and Clang both
+ * provide (__builtin_clzll, __builtin_ctzll). Negative return values
+ * signal allocation failure; the python wrappers raise.
  */
 
 #define _POSIX_C_SOURCE 200809L /* pthread_sigmask */
@@ -775,10 +787,21 @@ done:
 /* Service reads: a point-to-point Dijkstra over growable rows.        */
 /* ------------------------------------------------------------------ */
 
+/* One item of the bidirectional search's queues: an exact integer
+ * tentative distance, its vertex, and the next item in its bucket (-1
+ * ends the bucket). */
+typedef struct {
+    int64_t key;
+    int64_t v;
+    int64_t next;
+} point_item_t;
+
 /* The graph whose vertex v owns the row nbr/wt[start[v] .. start[v] +
  * len[v]), read in place, and the caller's search state: per vertex a
- * forward and a backward distance, each with a generation stamp. The
- * caller binds it once and rebinds only when it reallocates an array. */
+ * forward and a backward distance, each with a generation stamp, and
+ * the bidirectional search's item pool, which must hold 2 (E + 1)
+ * items when the rows hold E entries in all. The caller binds it once
+ * and rebinds only when it reallocates an array. */
 typedef struct {
     const int64_t *start;
     const int64_t *len;
@@ -788,6 +811,7 @@ typedef struct {
     int64_t *stamp_f;
     double *dist_b;
     int64_t *stamp_b;
+    point_item_t *pool;
 } point_rows_t;
 
 /* d(s, t) by CSRGraph.dijkstra_idx(target=) operation-for-operation:
@@ -843,77 +867,167 @@ done:
     return out;
 }
 
+/* A monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM
+ * 1990) over integer keys below 2^53, its items linked through the
+ * caller's pool. last is the smallest key taken so far, and no key
+ * pushed is below it. Bucket 0 holds the keys equal to last, bucket
+ * b >= 1 those whose highest bit differing from last is bit b - 1, so
+ * a push is one append. Raising last to the smallest key of the lowest
+ * non-empty bucket keeps every other item in its bucket and moves that
+ * bucket's items to lower ones, so an item moves at most 53 times.
+ * Bit b of mask is set iff bucket b is non-empty, and a head is read
+ * only under its bit. */
+typedef struct {
+    int64_t last;
+    uint64_t mask;
+    int64_t head[64];
+} radix_t;
+
+static void radix_link(radix_t *q, point_item_t *pool, int64_t i)
+{
+    uint64_t diff = (uint64_t)(pool[i].key ^ q->last);
+    int b = diff ? 64 - __builtin_clzll(diff) : 0;
+    pool[i].next = (q->mask >> b & 1) ? q->head[b] : -1;
+    q->head[b] = i;
+    q->mask |= (uint64_t)1 << b;
+}
+
+/* 0 when q is empty; otherwise 1, with last the smallest key in q and
+ * bucket 0 holding the items of that key. */
+static int radix_settle(radix_t *q, point_item_t *pool)
+{
+    if (q->mask & 1)
+        return 1;
+    if (!q->mask)
+        return 0;
+    int b = __builtin_ctzll(q->mask);
+    int64_t i = q->head[b];
+    q->mask ^= (uint64_t)1 << b;
+    q->last = pool[i].key;
+    for (int64_t j = pool[i].next; j >= 0; j = pool[j].next)
+        if (pool[j].key < q->last)
+            q->last = pool[j].key;
+    while (i >= 0) {
+        int64_t next = pool[i].next;
+        radix_link(q, pool, i);
+        i = next;
+    }
+    return 1;
+}
+
+/* Removes an item of bucket 0, which radix_settle has filled; its vertex. */
+static int64_t radix_take(radix_t *q, const point_item_t *pool)
+{
+    int64_t i = q->head[0];
+    q->head[0] = pool[i].next;
+    if (q->head[0] < 0)
+        q->mask ^= 1;
+    return pool[i].v;
+}
+
 /* d(s, t) by balls grown from both ends of undirected rows: expand the
  * side with the smaller frontier minimum (the forward one on ties),
  * record the best s-t sum dist_f[u] + dist_b[u] over every vertex
- * labeled from both sides, and stop once the two frontier minima sum
- * to at least that best meeting. Exact only when the caller checked
- * that every weight is an integer and 2 n max_weight <= 2^53: every
- * tentative distance is then an integer <= n max_weight and every sum
- * formed here an integer <= 2^53, so each is computed without rounding
- * and the answer is the one exact distance the reference returns. */
+ * labeled from both sides, and stop once the two frontier minima top_f
+ * and top_b sum to at least that best meeting.
+ *
+ * Exact only when the caller checked that every weight is an integer
+ * and 2 n max_weight < 2^53: every tentative distance is then an
+ * integer <= n max_weight and every sum formed here an integer below
+ * 2^53, so each is computed without rounding and the answer is the one
+ * exact distance the reference returns, in whatever order the queues
+ * expand equal keys.
+ *
+ * Pruning by the best meeting (Goldberg and Harrelson, SODA 2005): a
+ * relaxation that would label u with nd, where the other side has not
+ * labeled u, is skipped (no label, no push) when nd + top >= best, top
+ * being the other side's frontier minimum. Any s-t path through such a
+ * u costs at least nd + top >= best, so the skip cannot lower best,
+ * and as best only falls and the frontier minima only rise, it cannot
+ * delay the stop either. Nor is a vertex x of a shortest path P
+ * shorter than best ever skipped on its exact label: D_f(x) + top_b <=
+ * D_f(x) + D_b(x) = d(s, t) < best (and the same from the other end),
+ * so the usual stop argument still runs along P.
+ *
+ * Queues: one radix queue per side, keyed by the exact distances, which
+ * each side pops in nondecreasing order; keys pushed from a popped key
+ * are at least it (weights are nonnegative), and a zero weight lands
+ * in bucket 0. A label popped fresh is final, so a side expands each
+ * vertex at most once, relaxes each entry at most once and pushes at
+ * most E + 1 items over E entries: the caller's 2 (E + 1) items always
+ * suffice, and the search allocates nothing. */
 static double point_bidirectional(
     const point_rows_t *g, int64_t gen, int64_t s, int64_t t)
 {
-    heap_t hf = {0}, hb = {0};
+    point_item_t *pool = g->pool;
+    radix_t qf, qb;
+    int64_t used = 2;
     double best = INFINITY;
     g->dist_f[s] = 0.0;
     g->stamp_f[s] = gen;
     g->dist_b[t] = 0.0;
     g->stamp_b[t] = gen;
-    if (heap_init(&hf, 256) || heap_init(&hb, 256)
-        || heap_push(&hf, 0.0, s) || heap_push(&hb, 0.0, t)) {
-        best = -1.0;
-        goto done;
-    }
+    qf.last = qb.last = 0;
+    qf.mask = qb.mask = 0;
+    pool[0].key = pool[1].key = 0;
+    pool[0].v = s;
+    pool[1].v = t;
+    radix_link(&qf, pool, 0);
+    radix_link(&qb, pool, 1);
     for (;;) {
-        /* Drop stale entries so the heap tops are true frontier minima. */
-        while (hf.len && hf.d[0] > g->dist_f[hf.v[0]])
-            heap_pop(&hf);
-        while (hb.len && hb.d[0] > g->dist_b[hb.v[0]])
-            heap_pop(&hb);
-        if (!hf.len || !hb.len || hf.d[0] + hb.d[0] >= best)
+        /* Drop stale items so each bucket 0 holds a true frontier minimum. */
+        while (radix_settle(&qf, pool)
+               && (double)qf.last > g->dist_f[pool[qf.head[0]].v])
+            radix_take(&qf, pool);
+        while (radix_settle(&qb, pool)
+               && (double)qb.last > g->dist_b[pool[qb.head[0]].v])
+            radix_take(&qb, pool);
+        if (!qf.mask || !qb.mask)
             break;
-        int forward = hf.d[0] <= hb.d[0];
-        heap_t *h = forward ? &hf : &hb;
+        double top_f = (double)qf.last, top_b = (double)qb.last;
+        if (top_f + top_b >= best)
+            break;
+        int forward = top_f <= top_b;
+        radix_t *q = forward ? &qf : &qb;
         double *dist = forward ? g->dist_f : g->dist_b;
         int64_t *stamp = forward ? g->stamp_f : g->stamp_b;
         const double *other = forward ? g->dist_b : g->dist_f;
         const int64_t *other_stamp = forward ? g->stamp_b : g->stamp_f;
-        double d = h->d[0];
-        int64_t v = h->v[0];
-        heap_pop(h);
+        double d = forward ? top_f : top_b;
+        double top = forward ? top_b : top_f;
+        int64_t v = radix_take(q, pool);
         const int64_t *to = g->nbr + g->start[v];
         const double *w = g->wt + g->start[v];
         for (int64_t e = 0; e < g->len[v]; e++) {
             int64_t u = to[e];
             double nd = d + w[e];
+            if (other_stamp[u] == gen) {
+                if (nd + other[u] < best)
+                    best = nd + other[u];
+            } else if (nd + top >= best) {
+                continue; /* no s-t path through u beats best */
+            }
             if (stamp[u] != gen || nd < dist[u]) {
                 dist[u] = nd;
                 stamp[u] = gen;
-                if (heap_push(h, nd, u)) {
-                    best = -1.0;
-                    goto done;
-                }
+                pool[used].key = (int64_t)nd;
+                pool[used].v = u;
+                radix_link(q, pool, used++);
             }
-            if (other_stamp[u] == gen && nd + other[u] < best)
-                best = nd + other[u];
         }
     }
-done:
-    heap_free(&hf);
-    heap_free(&hb);
     return best;
 }
 
-/* d(s, t) over the rows; +inf when t is unreachable, -1 on allocation
- * failure. stamp[v] == gen marks a label of this query and every stamp
- * is below gen on entry, so a query touches only the vertices it labels
- * and allocates nothing proportional to n. bidirectional selects
- * point_bidirectional, which the caller may set only on undirected rows
- * (every entry mirrored) under its exactness condition; otherwise the
- * search is point_one_sided, which is exact for any nonnegative weights
- * and reads directed rows. */
+/* d(s, t) over the rows; +inf when t is unreachable. stamp[v] == gen
+ * marks a label of this query and every stamp is below gen on entry, so
+ * a query touches only the vertices it labels and fills nothing
+ * proportional to n. bidirectional selects point_bidirectional, which
+ * the caller may set only on undirected rows (every entry mirrored)
+ * under its exactness condition, and which allocates nothing;
+ * otherwise the search is point_one_sided, which is exact for any
+ * nonnegative weights, reads directed rows and returns -1 when its
+ * heap cannot be allocated. */
 double repro_point_dist(
     const point_rows_t *g, int64_t gen, int bidirectional,
     int64_t s, int64_t t)

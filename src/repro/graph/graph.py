@@ -173,12 +173,29 @@ class BaseGraph:
         """Return the spanning subgraph containing only ``edges``.
 
         All vertices are retained (a spanner must span every vertex); each
-        requested edge must exist in the graph and keeps its weight.
+        requested edge must exist in the graph and keeps its weight. The
+        result equals adding the edges one by one with :meth:`add_edge`
+        (vertex order, each row's order, a repeated edge counted once),
+        but the adjacency is written in one pass, as
+        :meth:`repro.graph.csr.CSRGraph.materialize_edge_ids` does.
         """
         sub = type(self)()
         sub.add_vertices(self.vertices())
+        host, out = self._adj, sub._adj
+        into = sub._pred if self.directed else out  # type: ignore[attr-defined]
+        count = 0
         for u, v in edges:
-            sub.add_edge(u, v, self.weight(u, v))
+            try:
+                w = host[u][v]
+            except KeyError:
+                w = self.weight(u, v)  # raises VertexNotFound / EdgeNotFound
+            row = out[u]
+            if v not in row:
+                count += 1
+            row[v] = w
+            into[v][u] = w
+        sub._num_edges = count
+        sub._version += 1
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -30,6 +30,18 @@ a count of the entries whose weight is not an integer and a running
 maximum weight, from which :attr:`SpannerRows.bidirectional` decides,
 per query, whether the exact bidirectional search may run.
 
+That search skips each relaxation that cannot beat its best meeting: a
+label ``nd`` on a vertex the other side has not labeled, where ``nd``
+plus the other side's frontier minimum is at least the best meeting,
+lies on no shorter path, while every vertex of a shorter path is
+labeled exactly as before. Its frontiers are radix queues over the exact
+integer distances, in an item pool the binding allocates: a side pops
+labels in nondecreasing order, so it pushes at most one item per entry
+plus its source, and the live entries fit in ``nbr``. The pool holds
+``2 (len(nbr) + 1)`` items, and every write that replaces ``nbr`` also
+drops the binding, so the next read binds a pool that fits; a query
+allocates nothing.
+
 A load (or rebuild) gives each row a capacity equal to its length and
 reserves as many free slots after the last row as it filled, so the
 first rows that move land there without copying the arrays. Moved rows
@@ -137,10 +149,10 @@ class SpannerRows:
     def remove_vertex(self, v: Vertex) -> None:
         i = self._index.pop(v)
         start, length = int(self._start[i]), int(self._len[i])
-        self._nonintegral -= _count_nonintegral(self._wt[start : start + length])
-        if not self._directed:
-            for j in self._nbr[start : start + length].tolist():
-                self._delete(j, i)
+        if self._nonintegral:
+            self._nonintegral -= _count_nonintegral(self._wt[start : start + length])
+        if not self._directed and length:
+            self._delete_mirrors(i, self._nbr[start : start + length])
         self._live -= length
         self._dead += int(self._cap[i])
         self._len[i] = self._cap[i] = 0
@@ -197,6 +209,26 @@ class SpannerRows:
         self._wt[hit] = self._wt[last]
         self._len[i] = length - 1
         self._live -= 1
+
+    def _delete_mirrors(self, i: int, nbrs: np.ndarray) -> None:
+        """``_delete(j, i)`` for every ``j`` in ``nbrs``, in one pass.
+
+        Each row ``j`` of an undirected neighbour holds exactly one entry
+        pointing at ``i``, so scanning the rows back to back finds one hit
+        per row, in the order of ``nbrs``, and each hit swaps with its own
+        row's last entry.
+        """
+        starts, lens = self._start[nbrs], self._len[nbrs]
+        ends = lens.cumsum()
+        slots = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+        hit = slots[self._nbr[slots] == i]
+        last = starts + lens - 1
+        if self._nonintegral:
+            self._nonintegral -= _count_nonintegral(self._wt[hit])
+        self._nbr[hit] = self._nbr[last]
+        self._wt[hit] = self._wt[last]
+        self._len[nbrs] = lens - 1
+        self._live -= nbrs.shape[0]
 
     def _repack_if_sparse(self) -> None:
         if self._dead > self._live:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -197,6 +199,35 @@ class TestGraphDerivedOps:
         g.add_edge(1, 2)
         with pytest.raises(EdgeNotFound):
             g.edge_subgraph([(1, 3)])
+
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_edge_subgraph_equals_adding_the_edges_one_by_one(self, cls):
+        """Vertex order, every row's order and the edge count, repeats too."""
+        rng = random.Random(5)
+        g = cls()
+        g.add_vertices(rng.sample(range(40), 40))
+        for u, v in rng.sample([(u, v) for u in range(40) for v in range(u)], 300):
+            g.add_edge(u, v, float(rng.randint(0, 9)))
+        edges = rng.sample([(u, v) for u, v, _w in g.edges()], 150)
+        edges += [(v, u) if not g.directed else (u, v) for u, v in edges[:20]]
+        rng.shuffle(edges)
+        expected = cls()
+        expected.add_vertices(g.vertices())
+        for u, v in edges:
+            expected.add_edge(u, v, g.weight(u, v))
+        sub = g.edge_subgraph(edges)
+        assert list(sub.vertices()) == list(expected.vertices())
+        assert sub.num_edges == expected.num_edges == 150
+        rows = ["successor_items", "predecessor_items"] if g.directed else [
+            "neighbor_items"
+        ]
+        for v in g.vertices():
+            for row in rows:
+                assert list(getattr(sub, row)(v)) == list(getattr(expected, row)(v))
+        with pytest.raises(EdgeNotFound):
+            g.edge_subgraph(edges + [(0, 0)])
+        with pytest.raises(VertexNotFound):
+            g.edge_subgraph(edges + [(99, 0)])
 
     def test_to_directed_doubles_edges(self):
         g = Graph()

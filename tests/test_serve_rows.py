@@ -17,7 +17,10 @@ the reference path: a CSR snapshot plus :func:`repro.graph.paths.dijkstra`
 * **Kernel choice.** The bidirectional search runs only where its
   sums are exact (undirected rows, integral weights, ``2 n max_weight``
   below ``2**53``), each write moves the choice, and both searches
-  answer like the reference on either side of it.
+  answer like the reference on either side of it. A query that pushes
+  the most items a side can fits the item pool its binding maps, and
+  every write that replaces the entry arrays binds a pool that fits
+  them.
 * **Engagement.** Reads after writes never build a snapshot or run the
   reference Dijkstra, and serve-mixed's kind of service (BA host, r = 1,
   unit weights) reads through the bidirectional search.
@@ -56,6 +59,7 @@ from repro.serve import (
     RepairPolicy,
     SpannerService,
     WorkloadGenerator,
+    apply_mutations,
     read_write_weights,
     spanner_digest,
     stream_ft2_spanner,
@@ -179,6 +183,42 @@ def _edge_case_scenario():
     return host, steps + _stream(host, 18, 0.6, 150), {}
 
 
+#: Integral weights: zero, small ones, and one large enough to reach the
+#: radix queues' high buckets while 2 n max_weight stays below 2**53.
+_INTEGRAL = (0.0, 1.0, 2.0, 7.0, 2.0**40)
+
+
+def _hubs_scenario():
+    # Hubs under integral weights: the bidirectional search runs
+    # throughout. At the end "far" hangs off the hub by large weights
+    # only, and the DEL_NODEs take neighbours of the highest-degree
+    # vertex, whose row holds each one's mirror entry.
+    rng = random.Random(23)
+    ba = barabasi_albert_graph(300, 3, seed=23)
+    host = Graph()
+    host.add_vertices(ba.vertices())
+    for u, v, _w in ba.edges():
+        host.add_edge(u, v, rng.choice(_INTEGRAL))
+    ops = [
+        Operation(ADD_EDGE, dict(op.params, weight=rng.choice(_INTEGRAL)))
+        if op.type == ADD_EDGE
+        else op
+        for op in _stream(host, 24, 0.7, 300)
+    ]
+    final = apply_mutations(host.copy(), ops)
+    hub = max(final.vertices(), key=final.degree)
+    others = rng.sample(
+        [w for w in final.vertices() if w != hub and not final.has_edge(hub, w)], 5
+    )
+    ops.append(Operation(ADD_NODE, {"v": "far"}))
+    for x in (hub, others[0]):
+        ops.append(Operation(ADD_EDGE, {"u": "far", "v": x, "weight": _INTEGRAL[-1]}))
+    for v in list(final.neighbors(hub))[:8]:
+        ops.append(Operation(DEL_NODE, {"v": v}))
+        ops.extend(_q(a, w) for a in (hub, "far") for w in others)
+    return host, ops, {}
+
+
 def _serve_mixed_scenario():
     # serve-mixed's shape at a tenth of its size: unit weights throughout.
     host = barabasi_albert_graph(1000, 5, seed=3)
@@ -194,6 +234,7 @@ SCENARIOS = {
     "tiers": _tiers_scenario,
     "r2": _r2_scenario,
     "edge-cases": _edge_case_scenario,
+    "hubs": _hubs_scenario,
     "serve-mixed": _serve_mixed_scenario,
 }
 
@@ -266,6 +307,13 @@ def test_scenarios_cover_the_cases_they_name(reference_docs):
     )
     assert docs["tiers"]["tiers"] == ["patch", "region", "full"]
     assert docs["r2"]["summary"]["r"] == 2
+    _host, hub_steps, _kwargs = _hubs_scenario()
+    hubs = [
+        r["value"] for op, r in zip(hub_steps, docs["hubs"]["results"])
+        if op.type == QUERY_DIST and op.params["u"] != op.params["v"]
+        and r["value"] is not None
+    ]
+    assert 0.0 in hubs and any(v > _INTEGRAL[-1] for v in hubs)
     floats = [
         r["value"] for r in docs["float"]["results"]
         if r["type"] == QUERY_DIST and r["value"] is not None
@@ -294,7 +342,9 @@ def _assert_rows_mirror(service):
 
 
 @needs_backend
-@pytest.mark.parametrize("name", ["write-heavy", "digraph", "tiers", "edge-cases"])
+@pytest.mark.parametrize(
+    "name", ["write-heavy", "digraph", "tiers", "edge-cases", "hubs"]
+)
 def test_rows_mirror_the_spanner_after_every_step(name, monkeypatch):
     loads = []
     load = SpannerRows.load
@@ -469,6 +519,47 @@ def test_serve_mixed_reads_run_the_bidirectional_search(monkeypatch):
             )))
     assert len(flags) > 100 and all(flags)
     assert sorted(labeled)[len(labeled) // 2] < n // 4
+
+
+@needs_backend
+def test_the_item_pool_holds_a_worst_case_query_and_grows_with_the_rows():
+    """The bidirectional search's pool: its bound, reached, and regrown.
+
+    A side pops each label once, so with E entries in the rows it pushes
+    at most E + 1 items, and the binding holds 2 (len(nbr) + 1) >=
+    2 (E + 1). On mirrored rows a side can push at most one item per
+    edge plus its source. This query does: on K_n with w(i, i + 1) = 0
+    and w(i, j) = n - i otherwise, each expansion from vertex 0 improves
+    every label not yet settled, and an unreachable t keeps the best
+    meeting at inf, so nothing is pruned until the forward side runs
+    dry. The rows grow edge by edge from an empty graph; each write that
+    replaces the entry arrays binds a new search whose pool fits them.
+    """
+    n = 40
+    graph = Graph()
+    graph.add_vertices([*range(n), "t"])
+    rows = SpannerRows(graph)
+    assert rows.distance(0, 0) == 0.0
+    regrown = 0
+    for i, j in itertools.combinations(range(n), 2):
+        w = 0.0 if j == i + 1 else float(n - i)
+        graph.add_edge(i, j, w)
+        before, nbr = rows._search, rows._nbr
+        rows.add_edge(i, j, w)
+        assert rows.distance(0, "t") == math.inf
+        pool = rows._search._pool
+        assert pool.shape[0] == 3 * 2 * (rows._nbr.shape[0] + 1)
+        assert rows._live <= rows._nbr.shape[0]
+        if rows._nbr is not nbr:
+            assert rows._search is not before
+            regrown += 1
+    assert regrown > 3
+    pool.fill(-1)  # every item the query writes names a vertex >= 0
+    assert rows.distance(0, "t") == math.inf
+    pushed = int(np.count_nonzero(pool.reshape(-1, 3)[:, 1] >= 0))
+    assert pushed == 2 + n * (n - 1) // 2 == 2 + graph.num_edges
+    assert rows.distance(0, n - 1) == 0.0
+    assert rows.distance(n - 1, 2) == dijkstra(graph, n - 1, target=2)[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
